@@ -9,10 +9,9 @@ H2 conformity.  Works on arbitrary shape-regular polygonal meshes.
 from .assembly import (DofLayout, ReducedSystem, SparseSymmetricSystem,
                        apply_boundary_conditions, assemble_system,
                        build_dof_layout, dump_matrix)
-from .basis_quadrature import (CellBasis, EdgeBasis, QuadratureRule,
-                               edge_quadrature, monomial_exponents,
-                               polygon_quadrature, polynomial_space_dim,
-                               triangle_quadrature)
+from .basis_quadrature import (CellBasis, QuadratureRule, edge_quadrature,
+                               monomial_exponents, polygon_quadrature,
+                               polynomial_space_dim, triangle_quadrature)
 from .mesh import (CellGeometry, EdgeGeometry, Mesh, build_uniform_quad_mesh,
                    build_uniform_triangle_mesh, cell_geometry, edge_geometry,
                    max_cell_diameter, mesh_from_cells, read_mesh, write_mesh)

@@ -1,12 +1,9 @@
 """Global system assembly and essential boundary conditions.
 
 Global DOF order: all cell interior blocks (cell id order), then all edge
-trace blocks (edge id order), then all edge flux blocks.  Assembly scatters
-the local stiffness-plus-stabilizer matrices cell by cell; the scatter is
-single threaded and runs in cell id order, so the assembled arrays are
-bitwise reproducible.  Local operator construction may optionally run on a
-thread pool (results are collected back into cell order before the
-scatter, which keeps the output deterministic).
+trace blocks (edge id order), then all edge flux blocks.  Assembly builds
+and scatters the local stiffness-plus-stabilizer matrices in one loop in
+cell id order, so the assembled arrays are bitwise reproducible.
 
 Boundary conditions are essential: trace and flux blocks of boundary edges
 are set to edge projections of the prescribed data, eliminated from the
@@ -15,7 +12,6 @@ system, and their coupling moved to the right-hand side.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +20,7 @@ import scipy.sparse as sp
 from .basis_quadrature import CellBasis, polygon_quadrature, polynomial_space_dim
 from .mesh import cell_geometry, edge_geometry
 from .projection import WgField, evaluate_at, project_edge
-from .weak_laplacian import local_operators
+from .weak_laplacian import local_dof_count, local_operators
 
 
 @dataclass(frozen=True)
@@ -146,35 +142,25 @@ class ReducedSystem:
 
 
 def assemble_system(mesh, degree, source, cell_exactness=None,
-                    edge_exactness=None, workers=1):
+                    edge_exactness=None):
     """Assemble stiffness + stabilizer and the load (source, v_0).
 
-    ``source`` is a broadcastable callable f(x, y).  ``workers`` > 1 moves
-    local operator construction onto a thread pool; the scatter stays in
-    cell order either way.
+    ``source`` is a broadcastable callable f(x, y).
     """
     layout = build_dof_layout(mesh, degree)
     if cell_exactness is None:
         cell_exactness = 2 * degree + 2
 
-    def local(cell):
-        return local_operators(mesh, cell, degree, cell_exactness,
-                               edge_exactness, layout=layout)
-
-    cells = range(mesh.n_cells)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ops = list(pool.map(local, cells))
-    else:
-        ops = [local(c) for c in cells]
-
-    nnz = sum(op.global_dofs.size ** 2 for op in ops)
+    nnz = sum(local_dof_count(mesh, c, degree) ** 2
+              for c in range(mesh.n_cells))
     rows = np.empty(nnz, dtype=np.int64)
     cols = np.empty(nnz, dtype=np.int64)
     data = np.empty(nnz)
     load = np.zeros(layout.total)
     at = 0
-    for cell, op in enumerate(ops):
+    for cell in range(mesh.n_cells):
+        op = local_operators(mesh, cell, degree, cell_exactness,
+                             edge_exactness, layout=layout)
         g = op.global_dofs
         n = g.size
         block = op.stiffness + op.stabilizer
@@ -208,21 +194,15 @@ def apply_boundary_conditions(system, trace, flux, edge_exactness=None):
     mesh, layout = system.mesh, system.layout
     k = system.degree
     boundary = layout.boundary_dofs(mesh)
-    values = np.zeros(boundary.size)
 
-    pos = {d: i for i, d in enumerate(boundary)}
+    # Same order as boundary_dofs: every trace block, then every flux block.
+    traces, fluxes = [], []
     for e in np.flatnonzero(mesh.boundary_edges):
-        geom = edge_geometry(mesh, e)
-        nx, ny = geom.normal
-        tcoef = project_edge(mesh, e, trace, k - 1, edge_exactness)
-        fcoef = project_edge(
-            mesh, e, lambda x, y: flux(x, y, nx, ny), k - 1, edge_exactness)
-        lo, hi = layout.trace_span(e)
-        for i, d in enumerate(range(lo, hi)):
-            values[pos[d]] = tcoef[i]
-        lo, hi = layout.flux_span(e)
-        for i, d in enumerate(range(lo, hi)):
-            values[pos[d]] = fcoef[i]
+        nx, ny = edge_geometry(mesh, e).normal
+        traces.append(project_edge(mesh, e, trace, k - 1, edge_exactness))
+        fluxes.append(project_edge(
+            mesh, e, lambda x, y: flux(x, y, nx, ny), k - 1, edge_exactness))
+    values = np.concatenate(traces + fluxes)
 
     mask = np.ones(layout.total, dtype=bool)
     mask[boundary] = False

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
+from numpy.polynomial.legendre import leggauss
 
 from .mesh import polygon_area_centroid
 
@@ -170,27 +170,6 @@ class CellBasis:
     def for_cell(cls, geom, degree):
         """Basis centered at the cell centroid, scaled by the diameter."""
         return cls(degree, geom.centroid, geom.diameter)
-
-
-@dataclass(frozen=True)
-class EdgeBasis:
-    """Legendre basis of P_degree on one edge, in arc parameter t."""
-
-    degree: int
-    length: float
-
-    @property
-    def dimension(self):
-        return self.degree + 1
-
-    def evaluate(self, t):
-        """Values at parameters t in [-1, 1], shape (n, degree + 1)."""
-        return legvander(np.atleast_1d(np.asarray(t, dtype=float)),
-                         self.degree)
-
-    def mass_diagonal(self):
-        j = np.arange(self.degree + 1)
-        return self.length / (2.0 * j + 1.0)
 
 
 def edge_points(mesh_edge_geom, t):

@@ -59,8 +59,6 @@ def make_parser():
                     choices=["markdown", "csv"])
     st.add_argument("--out", default=None,
                     help="write the table here instead of stdout")
-    st.add_argument("--workers", type=int, default=1,
-                    help="threads for local operator construction")
 
     so = sub.add_parser("solve", help="single solve with error report")
     _add_common(so)
@@ -79,8 +77,7 @@ def _cmd_study(args):
                          mesh_family=args.mesh, levels=levels,
                          solver=_solver_config(args),
                          cell_exactness=args.cell_exactness,
-                         edge_exactness=args.edge_exactness,
-                         workers=args.workers)
+                         edge_exactness=args.edge_exactness)
     text = emit_table(run_study(config), args.format)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:

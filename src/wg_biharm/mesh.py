@@ -97,11 +97,6 @@ class Mesh:
         return self.vertices[self.cells[cell]]
 
 
-def _signed_area(coords):
-    x, y = coords[:, 0], coords[:, 1]
-    return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-
-
 def mesh_from_cells(vertices, cells):
     """Build a validated mesh from vertex coordinates and CCW cell lists.
 
@@ -125,7 +120,10 @@ def mesh_from_cells(vertices, cells):
             raise ValueError(f"cell {c} references a missing vertex")
         if len(np.unique(idx)) != idx.size:
             raise ValueError(f"cell {c} repeats a vertex")
-        if _signed_area(vertices[idx]) <= 0.0:
+        # A zero-area cell's centroid is 0/0; the area check rejects it.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            area, _ = polygon_area_centroid(vertices[idx])
+        if area <= 0.0:
             raise ValueError(f"cell {c} is not counter-clockwise")
         idx.setflags(write=False)
         cell_arrays.append(idx)

@@ -8,10 +8,15 @@ The energy norm is the square root of
 
 the natural norm of the scheme; on the homogeneous-boundary subspace it is
 a genuine norm (the assembled reduced matrix is SPD, which the tests check
-through a dense eigendecomposition).  It is evaluated here by direct
-quadrature of each residual, not through the assembled matrices, so the
-identity energy(v)^2 = v^T A v is a meaningful cross-check between two
-routes.
+through a dense eigendecomposition).
+
+The error report takes it from the scheme's own form, as the square root
+of sum_T v_T^T (A_T + S_T) v_T over the local stiffness and stabilizer
+matrices, and the interior L2 column as sum_T d_T^T M_T d_T with the cell
+Gram matrix M_T; one ``local_operators`` call per cell gives all three.
+``energy_norm`` keeps a second, independent route by direct quadrature of
+each residual, so the identity energy(v)^2 = v^T A v is a meaningful
+cross-check; it is not on the report's path.
 
 Errors compare the discrete solution against the blockwise projection of
 the exact one.  The flux columns compare u_n with the edge projection of
@@ -30,11 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
-from .basis_quadrature import (CellBasis, EdgeBasis, edge_points,
-                               edge_quadrature, polygon_quadrature,
-                               polynomial_space_dim)
+from .basis_quadrature import (CellBasis, edge_points, edge_quadrature,
+                               polygon_quadrature, polynomial_space_dim)
 from .mesh import cell_geometry, edge_geometry
-from .projection import WgField, project_edge, project_field
+from .projection import WgField, _legendre_coefficients, project_field
 from .weak_laplacian import gather_local_dofs, local_operators
 
 
@@ -97,14 +101,8 @@ def energy_norm(mesh, degree, field, cell_exactness=None,
             flux_gap = grad_n @ field.interior[c] - L @ field.flux[e]
             total += float(wphys @ flux_gap ** 2) / h_cell
 
-            coeffs = field.interior[c]
-
-            def interior_trace(x, y, basis=basis, coeffs=coeffs):
-                v, _, _ = basis.evaluate(np.column_stack([x, y]))
-                return v @ coeffs
-
-            qb = project_edge(mesh, e, interior_trace, degree - 1,
-                              edge_exactness)
+            qb = _legendre_coefficients(erule, degree - 1,
+                                        evals @ field.interior[c])
             trace_gap = L @ (qb - field.trace[e])
             total += float(wphys @ trace_gap ** 2) / h_cell ** 3
     return float(np.sqrt(total))
@@ -113,8 +111,6 @@ def energy_norm(mesh, degree, field, cell_exactness=None,
 def compute_errors(mesh, degree, u_h, exact, cell_exactness=None,
                    edge_exactness=None):
     """Six-norm error report of ``u_h`` against a smooth exact field."""
-    if cell_exactness is None:
-        cell_exactness = 2 * degree + 2
     if edge_exactness is None:
         edge_exactness = 2 * degree + 3
     proj = project_field(mesh, degree, exact, cell_exactness, edge_exactness)
@@ -123,28 +119,25 @@ def compute_errors(mesh, degree, u_h, exact, cell_exactness=None,
                    proj.trace - u_h.trace,
                    proj.flux - u_h.flux)
 
-    h2 = energy_norm(mesh, degree, diff, cell_exactness, edge_exactness)
-
-    l2sq = 0.0
+    h2sq = l2sq = 0.0
     for c in range(mesh.n_cells):
-        geom = cell_geometry(mesh, c)
-        basis = CellBasis.for_cell(geom, degree)
-        rule = polygon_quadrature(mesh.cell_vertices(c), cell_exactness)
-        vals, _, _ = basis.evaluate(rule.points)
-        e0 = vals @ diff.interior[c]
-        l2sq += float(rule.weights @ e0 ** 2)
+        ops = local_operators(mesh, c, degree, cell_exactness,
+                              edge_exactness)
+        v = gather_local_dofs(diff, mesh, c)
+        h2sq += float(v @ (ops.stiffness + ops.stabilizer) @ v)
+        l2sq += float(diff.interior[c] @ ops.mass @ diff.interior[c])
+    # A zero-energy error can sum to a tiny negative roundoff (nan in sqrt).
+    h2 = float(np.sqrt(max(h2sq, 0.0)))
 
-    erule = edge_quadrature(edge_exactness)
-    L = legvander(erule.points, degree - 1)
-    eb_sq = en_sq = 0.0
-    eb_max = en_max = 0.0
-    for e in range(mesh.n_edges):
-        h_e = edge_geometry(mesh, e).length
-        mass = EdgeBasis(degree - 1, h_e).mass_diagonal()
-        eb_sq += h_e * float(mass @ diff.trace[e] ** 2)
-        en_sq += h_e * float(mass @ diff.flux[e] ** 2)
-        eb_max = max(eb_max, float(np.max(np.abs(L @ diff.trace[e]))))
-        en_max = max(en_max, float(np.max(np.abs(L @ diff.flux[e]))))
+    # h_e times the Legendre edge mass h_e / (2j + 1).
+    d = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
+    h_e = np.hypot(d[:, 0], d[:, 1])
+    weights = h_e[:, None] ** 2 / (2.0 * np.arange(degree) + 1.0)
+    eb_sq = float(np.sum(weights * diff.trace ** 2))
+    en_sq = float(np.sum(weights * diff.flux ** 2))
+    L = legvander(edge_quadrature(edge_exactness).points, degree - 1)
+    eb_max = float(np.max(np.abs(diff.trace @ L.T)))
+    en_max = float(np.max(np.abs(diff.flux @ L.T)))
 
     return ErrorReport(h2, float(np.sqrt(l2sq)), float(np.sqrt(eb_sq)),
                        float(np.sqrt(en_sq)), eb_max, en_max)

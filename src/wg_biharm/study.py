@@ -47,7 +47,6 @@ class StudyConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     cell_exactness: Optional[int] = None
     edge_exactness: Optional[int] = None
-    workers: int = 1
 
 
 @dataclass
@@ -96,11 +95,11 @@ def build_mesh(mesh_family, n):
 
 
 def solve_on_mesh(problem, degree, mesh, solver_config=None,
-                  cell_exactness=None, edge_exactness=None, workers=1):
+                  cell_exactness=None, edge_exactness=None):
     """Assemble, apply boundary data, solve; returns (field, reduced
     system, solve result, solve seconds)."""
     system = assemble_system(mesh, degree, problem.source, cell_exactness,
-                             edge_exactness, workers=workers)
+                             edge_exactness)
     reduced = apply_boundary_conditions(system, problem.trace,
                                         problem.normal_flux, edge_exactness)
     t0 = time.perf_counter()
@@ -119,7 +118,7 @@ def run_study(config):
         mesh = build_mesh(config.mesh_family, n)
         u_h, reduced, _, seconds = solve_on_mesh(
             problem, config.degree, mesh, config.solver,
-            config.cell_exactness, config.edge_exactness, config.workers)
+            config.cell_exactness, config.edge_exactness)
         report = compute_errors(mesh, config.degree, u_h, problem.solution,
                                 config.cell_exactness, config.edge_exactness)
         rows.append(StudyRow(n, max_cell_diameter(mesh),

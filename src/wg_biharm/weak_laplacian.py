@@ -47,8 +47,10 @@ class LocalOperators:
     weak_laplacian maps local DOFs to the scaled monomial coefficients of
     Delta_w v; stiffness is its Gram matrix (Delta_w u, Delta_w v)_T;
     stabilizer is the boundary penalty form; mass is the Gram matrix of the
-    P_{k-2} basis used to represent Delta_w v.  global_dofs, when present,
-    maps local DOF positions to rows of the assembled system.
+    P_k cell basis, whose leading P_{k-2} block is the Gram matrix of the
+    basis used to represent Delta_w v (the lower-degree basis is a prefix).
+    global_dofs, when present, maps local DOF positions to rows of the
+    assembled system.
     """
 
     cell: int
@@ -99,7 +101,12 @@ def local_operators(mesh, cell, k, cell_exactness=None, edge_exactness=None,
     rule = polygon_quadrature(mesh.cell_vertices(cell), cell_exactness)
     vals, _, laps = basis.evaluate(rule.points)
     w = rule.weights
-    mass2 = (vals[:, :n2] * w[:, None]).T @ vals[:, :n2]
+    wvals = vals * w[:, None]
+    mass = wvals.T @ vals
+    # mass2 holds the entries of mass[:n2, :n2] up to the last bit: BLAS
+    # rounds a product of another shape differently, and the solve keeps
+    # the P_{k-2} product so that the assembled system does not change.
+    mass2 = wvals[:, :n2].T @ vals[:, :n2]
 
     B = np.zeros((n2, nloc))
     B[:, :n0] = (laps[:, :n2] * w[:, None]).T @ vals
@@ -146,4 +153,4 @@ def local_operators(mesh, cell, k, cell_exactness=None, edge_exactness=None,
     gdofs = None
     if layout is not None:
         gdofs = layout.cell_dofs(mesh, cell)
-    return LocalOperators(cell, D, A, S, mass2, gdofs)
+    return LocalOperators(cell, D, A, S, mass, gdofs)

@@ -89,21 +89,17 @@ def test_projected_affine_fields_in_global_nullspace():
         assert np.max(np.abs(system.matrix @ vec)) < 1e-11 * scale
 
 
-def test_assembly_is_deterministic_and_thread_safe():
+def test_assembly_is_deterministic():
     mesh = wg.build_uniform_triangle_mesh(3)
 
     def f(x, y):
         return x * y
 
-    systems = [wg.assemble_system(mesh, 2, f),
-               wg.assemble_system(mesh, 2, f),
-               wg.assemble_system(mesh, 2, f, workers=4)]
-    ref = systems[0]
-    for other in systems[1:]:
-        assert np.array_equal(ref.matrix.data, other.matrix.data)
-        assert np.array_equal(ref.matrix.indices, other.matrix.indices)
-        assert np.array_equal(ref.matrix.indptr, other.matrix.indptr)
-        assert np.array_equal(ref.load, other.load)
+    ref, other = (wg.assemble_system(mesh, 2, f) for _ in range(2))
+    assert np.array_equal(ref.matrix.data, other.matrix.data)
+    assert np.array_equal(ref.matrix.indices, other.matrix.indices)
+    assert np.array_equal(ref.matrix.indptr, other.matrix.indptr)
+    assert np.array_equal(ref.load, other.load)
 
 
 def test_boundary_dofs_and_zero_data_elimination():

@@ -5,6 +5,8 @@ triangles have V = (n+1)^2, F = 2n^2, E = 3n^2 + 2n; quads have F = n^2 and
 E = 2n(n+1).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,12 @@ def test_mesh_from_cells_validation():
         wg.mesh_from_cells(square, [[0, 1]])
     with pytest.raises(ValueError, match="finite"):
         wg.mesh_from_cells([[0.0, 0.0], [1.0, np.nan], [0.0, 1.0]], [[0, 1, 2]])
+    # a collinear cell has zero area and is rejected without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="counter-clockwise"):
+            wg.mesh_from_cells([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+                               [[0, 1, 2]])
 
     # two CCW cells traversing a shared edge the same way: inconsistent
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, 0.8]])

@@ -2,14 +2,17 @@
 
 The energy norm is computed by direct quadrature of the three residuals,
 independently of the assembled matrices, so energy(v)^2 = v^T A v is a
-genuine dual-route consistency check.
+genuine dual-route consistency check.  The error report takes its H2 and
+L2 columns from the local matrices instead; energy_norm and direct cell
+quadrature check them.
 """
 
 import numpy as np
 import pytest
 
 import wg_biharm as wg
-from conftest import monomial_field, random_wg_field
+from conftest import (monomial_field, random_quad_cell, random_triangle_cell,
+                      random_wg_field)
 
 
 def test_zero_field_has_zero_norms():
@@ -134,3 +137,33 @@ def test_energy_controls_l2_on_homogeneous_subspace():
     field = system.layout.vector_to_field(reduced.expand(v_free))
     energy = wg.energy_norm(mesh, 2, field)
     assert energy ** 2 >= eig_min * float(v_free @ v_free) * (1.0 - 1e-9)
+
+
+def _l2_by_cell_quadrature(mesh, k, interior):
+    total = 0.0
+    for c in range(mesh.n_cells):
+        rule = wg.polygon_quadrature(mesh.cell_vertices(c), 2 * k + 2)
+        basis = wg.CellBasis.for_cell(wg.cell_geometry(mesh, c), k)
+        vals, _, _ = basis.evaluate(rule.points)
+        total += rule.integrate((vals @ interior[c]) ** 2)
+    return np.sqrt(total)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_error_report_matches_quadrature_routes(k):
+    rng = np.random.default_rng(40 + k)
+    problem = wg.get_problem("example2")
+    meshes = [wg.build_uniform_triangle_mesh(3), wg.build_uniform_quad_mesh(3),
+              random_triangle_cell(rng), random_quad_cell(rng)]
+    for mesh in meshes:
+        proj = wg.project_field(mesh, k, problem.solution)
+        solved = wg.solve_on_mesh(problem, k, mesh)[0]
+        for u_h in (solved, random_wg_field(mesh, k, rng)):
+            report = wg.compute_errors(mesh, k, u_h, problem.solution)
+            diff = wg.WgField(k, proj.interior - u_h.interior,
+                              proj.trace - u_h.trace, proj.flux - u_h.flux)
+            assert report.h2_energy == pytest.approx(
+                wg.energy_norm(mesh, k, diff), rel=1e-10, abs=0.0)
+            assert report.l2_interior == pytest.approx(
+                _l2_by_cell_quadrature(mesh, k, diff.interior),
+                rel=1e-10, abs=0.0)
