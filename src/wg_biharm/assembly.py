@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis_quadrature import CellBasis, polygon_quadrature, polynomial_space_dim
-from .mesh import cell_geometry, edge_geometry
+from .basis_quadrature import polynomial_space_dim
 from .projection import WgField, evaluate_at, project_edge
 from .weak_laplacian import local_dof_count, local_operators
 
@@ -77,14 +76,11 @@ class DofLayout:
 
     def boundary_dofs(self, mesh):
         """Trace and flux DOFs of boundary edges, ascending."""
-        out = []
-        for e in np.flatnonzero(mesh.boundary_edges):
-            out.append(np.arange(*self.trace_span(e)))
-        for e in np.flatnonzero(mesh.boundary_edges):
-            out.append(np.arange(*self.flux_span(e)))
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(out)
+        b = self.edge_block
+        edges = np.flatnonzero(mesh.boundary_edges)
+        block = (b * edges[:, None] + np.arange(b)).ravel()
+        return np.concatenate([self.trace_offset + block,
+                               self.flux_offset + block])
 
     def field_to_vector(self, field):
         assert field.interior.shape == (self.n_cells, self.cell_block)
@@ -148,9 +144,6 @@ def assemble_system(mesh, degree, source, cell_exactness=None,
     ``source`` is a broadcastable callable f(x, y).
     """
     layout = build_dof_layout(mesh, degree)
-    if cell_exactness is None:
-        cell_exactness = 2 * degree + 2
-
     nnz = sum(local_dof_count(mesh, c, degree) ** 2
               for c in range(mesh.n_cells))
     rows = np.empty(nnz, dtype=np.int64)
@@ -160,8 +153,8 @@ def assemble_system(mesh, degree, source, cell_exactness=None,
     at = 0
     for cell in range(mesh.n_cells):
         op = local_operators(mesh, cell, degree, cell_exactness,
-                             edge_exactness, layout=layout)
-        g = op.global_dofs
+                             edge_exactness)
+        g = layout.cell_dofs(mesh, cell)
         n = g.size
         block = op.stiffness + op.stabilizer
         rows[at:at + n * n] = np.repeat(g, n)
@@ -169,13 +162,9 @@ def assemble_system(mesh, degree, source, cell_exactness=None,
         data[at:at + n * n] = block.ravel()
         at += n * n
 
-        geom = cell_geometry(mesh, cell)
-        basis = CellBasis.for_cell(geom, degree)
-        rule = polygon_quadrature(mesh.cell_vertices(cell), cell_exactness)
-        vals, _, _ = basis.evaluate(rule.points)
-        fvals = evaluate_at(source, rule.points)
+        fvals = evaluate_at(source, op.rule.points)
         lo, hi = layout.cell_span(cell)
-        load[lo:hi] += vals.T @ (rule.weights * fvals)
+        load[lo:hi] += op.values.T @ (op.rule.weights * fvals)
 
     matrix = sp.coo_matrix((data, (rows, cols)),
                            shape=(layout.total, layout.total)).tocsr()
@@ -198,7 +187,7 @@ def apply_boundary_conditions(system, trace, flux, edge_exactness=None):
     # Same order as boundary_dofs: every trace block, then every flux block.
     traces, fluxes = [], []
     for e in np.flatnonzero(mesh.boundary_edges):
-        nx, ny = edge_geometry(mesh, e).normal
+        nx, ny = mesh.edge_normals[e]
         traces.append(project_edge(mesh, e, trace, k - 1, edge_exactness))
         fluxes.append(project_edge(
             mesh, e, lambda x, y: flux(x, y, nx, ny), k - 1, edge_exactness))

@@ -173,8 +173,11 @@ class CellBasis:
 
 
 def edge_points(mesh_edge_geom, t):
-    """Physical points on an edge at parameters t in [-1, 1]."""
+    """Physical points at parameters t in [-1, 1] on an edge, or on each
+    edge of an index array of edges in turn."""
     g = mesh_edge_geom
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    half = 0.5 * g.length
-    return g.midpoint + np.outer(t * half, g.tangent)
+    half = 0.5 * np.reshape(g.length, (-1, 1, 1))
+    tangent = np.reshape(g.tangent, (-1, 1, 2))
+    pts = np.reshape(g.midpoint, (-1, 1, 2)) + (t[:, None] * half) * tangent
+    return pts.reshape(-1, 2)

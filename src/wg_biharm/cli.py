@@ -34,7 +34,9 @@ def _add_common(p):
                    help="element degree, k >= 2")
     p.add_argument("--mesh", default="tri", choices=["tri", "quad"])
     p.add_argument("--solver", default="cholesky",
-                   choices=["cholesky", "cg"])
+                   choices=["cholesky", "cg"],
+                   help="cholesky: sparse LU (SuperLU splu, COLAMD "
+                        "ordering), not Cholesky; cg: conjugate gradients")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="iterative solver tolerance")
     p.add_argument("--max-iterations", type=int, default=None)

@@ -13,6 +13,9 @@ The solver's analysis assumes shape-regular cells (bounded aspect ratio,
 edges comparable to the cell diameter).  This is not verified at runtime;
 the uniform generators below satisfy it by construction.
 
+Cell areas, centroids and diameters and edge lengths, midpoints, normals
+and tangents are computed once per mesh and kept as read-only arrays.
+
 Mesh file format (plain text): first line ``V E F``, then ``V`` lines with
 vertex coordinates ``x y``, then ``F`` lines ``m i_1 ... i_m`` listing each
 cell's vertices counter-clockwise, 0-based.  ``E`` is redundant and checked
@@ -38,7 +41,8 @@ class CellGeometry:
 
 @dataclass(frozen=True)
 class EdgeGeometry:
-    """Length, midpoint, global unit normal and unit tangent of one edge.
+    """Length, midpoint, global unit normal and unit tangent of one edge,
+    or the stacked arrays of these for an index array of edges.
 
     The tangent points from the edge's first stored vertex to its second;
     the normal is the tangent rotated by -90 degrees, so (tangent, normal)
@@ -66,19 +70,32 @@ class Mesh:
     edge_cells : (E, 2) int array, incident cell ids (lower first, -1 when
         the edge is on the boundary)
     boundary_edges : (E,) bool array
+    cell_areas, cell_centroids, cell_diameters : (F,), (F, 2), (F,) floats
+    edge_lengths, edge_midpoints, edge_normals, edge_tangents : (E,) and
+        (E, 2) floats, as in EdgeGeometry
     """
 
     def __init__(self, vertices, cells, edges, cell_edges, edge_cells,
-                 boundary_edges):
+                 boundary_edges, cell_areas, cell_centroids, cell_diameters):
         self.vertices = vertices
         self.cells = cells
         self.edges = edges
         self.cell_edges = cell_edges
         self.edge_cells = edge_cells
         self.boundary_edges = boundary_edges
-        for a in (self.vertices, self.edges, self.edge_cells,
-                  self.boundary_edges):
-            a.setflags(write=False)
+        self.cell_areas = cell_areas
+        self.cell_centroids = cell_centroids
+        self.cell_diameters = cell_diameters
+        pa, pb = vertices[edges[:, 0]], vertices[edges[:, 1]]
+        d = pb - pa
+        self.edge_lengths = np.hypot(d[:, 0], d[:, 1])
+        self.edge_midpoints = 0.5 * (pa + pb)
+        self.edge_tangents = d / self.edge_lengths[:, None]
+        # (t_y, -t_x): the tangent rotated by -90 degrees
+        self.edge_normals = self.edge_tangents[:, ::-1] * [1.0, -1.0]
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
 
     @property
     def n_vertices(self):
@@ -112,6 +129,7 @@ def mesh_from_cells(vertices, cells):
         raise ValueError("vertex coordinates must be finite")
 
     cell_arrays = []
+    geometry = []  # area, centroid x, centroid y, diameter per cell
     for c, cell in enumerate(cells):
         idx = np.asarray(cell, dtype=np.int64)
         if idx.size < 3:
@@ -120,11 +138,15 @@ def mesh_from_cells(vertices, cells):
             raise ValueError(f"cell {c} references a missing vertex")
         if len(np.unique(idx)) != idx.size:
             raise ValueError(f"cell {c} repeats a vertex")
+        coords = vertices[idx]
         # A zero-area cell's centroid is 0/0; the area check rejects it.
         with np.errstate(divide="ignore", invalid="ignore"):
-            area, _ = polygon_area_centroid(vertices[idx])
+            area, centroid = polygon_area_centroid(coords)
         if area <= 0.0:
             raise ValueError(f"cell {c} is not counter-clockwise")
+        diff = coords[:, None, :] - coords[None, :, :]
+        geometry.append((area, *centroid,
+                         np.sqrt(np.max(np.sum(diff ** 2, axis=2)))))
         idx.setflags(write=False)
         cell_arrays.append(idx)
 
@@ -171,8 +193,23 @@ def mesh_from_cells(vertices, cells):
         raise ValueError(
             f"mesh is not a simply connected disk (V - E + F = {euler})")
 
+    geometry = np.array(geometry).reshape(-1, 4)
     return Mesh(vertices, tuple(cell_arrays), edges, tuple(cell_edges),
-                edge_cells, boundary)
+                edge_cells, boundary, geometry[:, 0], geometry[:, 1:3],
+                geometry[:, 3])
+
+
+def _grid_squares(n):
+    """Vertices of the uniform (n + 1) x (n + 1) grid on the unit square and
+    the CCW corner ids (a, b, c, d) of its subsquares, row by row, a at the
+    lower left."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    xs = np.linspace(0.0, 1.0, n + 1)
+    xg, yg = np.meshgrid(xs, xs, indexing="xy")
+    lower_left = [j * (n + 1) + i for j in range(n) for i in range(n)]
+    return (np.column_stack([xg.ravel(), yg.ravel()]),
+            [(a, a + 1, a + n + 2, a + n + 1) for a in lower_left])
 
 
 def build_uniform_triangle_mesh(n):
@@ -181,42 +218,15 @@ def build_uniform_triangle_mesh(n):
     Each of the n x n subsquares is split by the diagonal from its
     lower-left to its upper-right corner.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    xs = np.linspace(0.0, 1.0, n + 1)
-    xg, yg = np.meshgrid(xs, xs, indexing="xy")
-    vertices = np.column_stack([xg.ravel(), yg.ravel()])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            cells.append([a, b, c])
-            cells.append([a, c, d])
+    vertices, squares = _grid_squares(n)
+    cells = [tri for a, b, c, d in squares for tri in ([a, b, c], [a, c, d])]
     return mesh_from_cells(vertices, cells)
 
 
 def build_uniform_quad_mesh(n):
     """Uniform n x n square mesh of the unit square."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    xs = np.linspace(0.0, 1.0, n + 1)
-    xg, yg = np.meshgrid(xs, xs, indexing="xy")
-    vertices = np.column_stack([xg.ravel(), yg.ravel()])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            cells.append([vid(i, j), vid(i + 1, j),
-                          vid(i + 1, j + 1), vid(i, j + 1)])
-    return mesh_from_cells(vertices, cells)
+    vertices, squares = _grid_squares(n)
+    return mesh_from_cells(vertices, [list(sq) for sq in squares])
 
 
 def polygon_area_centroid(coords):
@@ -232,26 +242,20 @@ def polygon_area_centroid(coords):
 
 
 def cell_geometry(mesh, cell):
-    coords = mesh.cell_vertices(cell)
-    area, centroid = polygon_area_centroid(coords)
-    diff = coords[:, None, :] - coords[None, :, :]
-    diameter = np.sqrt(np.max(np.sum(diff ** 2, axis=2)))
-    return CellGeometry(float(area), centroid, float(diameter))
+    return CellGeometry(float(mesh.cell_areas[cell]),
+                        mesh.cell_centroids[cell],
+                        float(mesh.cell_diameters[cell]))
 
 
 def edge_geometry(mesh, edge):
-    a, b = mesh.edges[edge]
-    pa, pb = mesh.vertices[a], mesh.vertices[b]
-    d = pb - pa
-    length = float(np.hypot(d[0], d[1]))
-    tangent = d / length
-    normal = np.array([tangent[1], -tangent[0]])
-    return EdgeGeometry(length, 0.5 * (pa + pb), normal, tangent)
+    """Geometry of one edge, or of an index array of edges."""
+    return EdgeGeometry(mesh.edge_lengths[edge], mesh.edge_midpoints[edge],
+                        mesh.edge_normals[edge], mesh.edge_tangents[edge])
 
 
 def max_cell_diameter(mesh):
     """Mesh size h = max over cells of the cell diameter."""
-    return max(cell_geometry(mesh, c).diameter for c in range(mesh.n_cells))
+    return float(np.max(mesh.cell_diameters))
 
 
 def read_mesh(path):

@@ -13,9 +13,10 @@ through a dense eigendecomposition).
 The error report takes it from the scheme's own form, as the square root
 of sum_T v_T^T (A_T + S_T) v_T over the local stiffness and stabilizer
 matrices, and the interior L2 column as sum_T d_T^T M_T d_T with the cell
-Gram matrix M_T; one ``local_operators`` call per cell gives all three.
+Gram matrix M_T; one ``local_operators`` call per cell gives all three,
+and its cell rule and basis values project the exact interior.
 ``energy_norm`` keeps a second, independent route by direct quadrature of
-each residual, so the identity energy(v)^2 = v^T A v is a meaningful
+each edge residual, so the identity energy(v)^2 = v^T A v is a meaningful
 cross-check; it is not on the report's path.
 
 Errors compare the discrete solution against the blockwise projection of
@@ -30,15 +31,16 @@ and the L-inf columns take the maximum over edge quadrature points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
 from .basis_quadrature import (CellBasis, edge_points, edge_quadrature,
-                               polygon_quadrature, polynomial_space_dim)
+                               polynomial_space_dim)
 from .mesh import cell_geometry, edge_geometry
-from .projection import WgField, _legendre_coefficients, project_field
+from .projection import (WgField, _legendre_coefficients, _project_edges,
+                         _project_on_rule)
 from .weak_laplacian import gather_local_dofs, local_operators
 
 
@@ -54,21 +56,12 @@ class ErrorReport:
     linf_edge_flux: float
 
     def as_dict(self):
-        return {
-            "h2_energy": self.h2_energy,
-            "l2_interior": self.l2_interior,
-            "l2_edge_trace": self.l2_edge_trace,
-            "l2_edge_flux": self.l2_edge_flux,
-            "linf_edge_trace": self.linf_edge_trace,
-            "linf_edge_flux": self.linf_edge_flux,
-        }
+        return asdict(self)
 
 
 def energy_norm(mesh, degree, field, cell_exactness=None,
                 edge_exactness=None):
     """Energy norm of a WgField, accumulated cell by cell by quadrature."""
-    if cell_exactness is None:
-        cell_exactness = 2 * degree + 2
     if edge_exactness is None:
         edge_exactness = 2 * degree + 3
     n2 = polynomial_space_dim(degree - 2)
@@ -83,11 +76,8 @@ def energy_norm(mesh, degree, field, cell_exactness=None,
         ops = local_operators(mesh, c, degree, cell_exactness,
                               edge_exactness)
         wcoef = ops.weak_laplacian @ vloc
-
-        rule = polygon_quadrature(mesh.cell_vertices(c), cell_exactness)
-        vals, _, _ = basis.evaluate(rule.points)
-        wvals = vals[:, :n2] @ wcoef
-        total += float(rule.weights @ wvals ** 2)
+        wvals = ops.values[:, :n2] @ wcoef
+        total += float(ops.rule.weights @ wvals ** 2)
 
         h_cell = geom.diameter
         for e, _ in mesh.cell_edges[c]:
@@ -113,16 +103,17 @@ def compute_errors(mesh, degree, u_h, exact, cell_exactness=None,
     """Six-norm error report of ``u_h`` against a smooth exact field."""
     if edge_exactness is None:
         edge_exactness = 2 * degree + 3
-    proj = project_field(mesh, degree, exact, cell_exactness, edge_exactness)
-    diff = WgField(degree,
-                   proj.interior - u_h.interior,
-                   proj.trace - u_h.trace,
-                   proj.flux - u_h.flux)
+    trace, flux = _project_edges(mesh, degree, exact, edge_exactness)
+    diff = WgField(degree, np.empty_like(u_h.interior), trace - u_h.trace,
+                   flux - u_h.flux)
 
     h2sq = l2sq = 0.0
     for c in range(mesh.n_cells):
         ops = local_operators(mesh, c, degree, cell_exactness,
                               edge_exactness)
+        diff.interior[c] = (_project_on_rule(ops.rule, ops.values, ops.mass,
+                                             exact.value)
+                            - u_h.interior[c])
         v = gather_local_dofs(diff, mesh, c)
         h2sq += float(v @ (ops.stiffness + ops.stabilizer) @ v)
         l2sq += float(diff.interior[c] @ ops.mass @ diff.interior[c])
@@ -130,9 +121,7 @@ def compute_errors(mesh, degree, u_h, exact, cell_exactness=None,
     h2 = float(np.sqrt(max(h2sq, 0.0)))
 
     # h_e times the Legendre edge mass h_e / (2j + 1).
-    d = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
-    h_e = np.hypot(d[:, 0], d[:, 1])
-    weights = h_e[:, None] ** 2 / (2.0 * np.arange(degree) + 1.0)
+    weights = mesh.edge_lengths[:, None] ** 2 / (2.0 * np.arange(degree) + 1.0)
     eb_sq = float(np.sum(weights * diff.trace ** 2))
     en_sq = float(np.sum(weights * diff.flux ** 2))
     L = legvander(edge_quadrature(edge_exactness).points, degree - 1)

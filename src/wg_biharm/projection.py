@@ -87,14 +87,20 @@ def project_cell(mesh, cell, f, degree, exactness=None):
     squares problem (corrected semi-normal equations).  QR of sqrt(W) V
     itself is not an option: fan weights are negative on non-convex cells.
     """
-    geom = cell_geometry(mesh, cell)
-    basis = CellBasis.for_cell(geom, degree)
+    basis = CellBasis.for_cell(cell_geometry(mesh, cell), degree)
     if exactness is None:
         exactness = 2 * degree + 2
     rule = polygon_quadrature(mesh.cell_vertices(cell), exactness)
     vals, _, _ = basis.evaluate(rule.points)
+    mass = (vals * rule.weights[:, None]).T @ vals
+    return _project_on_rule(rule, vals, mass, f)
+
+
+def _project_on_rule(rule, vals, mass, f):
+    """``project_cell`` from the basis values ``vals`` at the points of the
+    cell rule and their mass matrix ``mass``."""
     wv = vals * rule.weights[:, None]
-    factor = cho_factor(wv.T @ vals)
+    factor = cho_factor(mass)
     fvals = evaluate_at(f, rule.points)
     coeffs = cho_solve(factor, wv.T @ fvals)
     return coeffs + cho_solve(factor, wv.T @ (fvals - vals @ coeffs))
@@ -130,26 +136,27 @@ def project_field(mesh, degree, field, cell_exactness=None,
     edges) so that error reports computed with the same defaults see this
     projection as exact.
     """
+    trace, flux = _project_edges(mesh, degree, field, edge_exactness)
+    interior = np.array([project_cell(mesh, c, field.value, degree,
+                                      cell_exactness)
+                         for c in range(mesh.n_cells)])
+    return WgField(degree, interior, trace, flux)
+
+
+def _project_edges(mesh, degree, field, edge_exactness=None):
+    """Trace and flux blocks of ``project_field``, all edges at once."""
     if field.gradient is None:
         raise ValueError("project_field needs the field gradient")
-    if cell_exactness is None:
-        cell_exactness = 2 * degree + 2
     if edge_exactness is None:
         edge_exactness = 2 * degree + 3
-    out = WgField.zeros(mesh, degree)
-    for c in range(mesh.n_cells):
-        out.interior[c] = project_cell(mesh, c, field.value, degree,
-                                       cell_exactness)
-    # All edges at once, points ordered edge by edge.
+    # Points ordered edge by edge.
     rule = edge_quadrature(edge_exactness)
-    geoms = [edge_geometry(mesh, e) for e in range(mesh.n_edges)]
-    pts = np.concatenate([edge_points(g, rule.points) for g in geoms])
-    normals = np.repeat([g.normal for g in geoms], len(rule.points), axis=0)
+    pts = edge_points(edge_geometry(mesh, np.arange(mesh.n_edges)),
+                      rule.points)
+    normals = np.repeat(mesh.edge_normals, len(rule.points), axis=0)
     gx, gy = field.gradient(pts[:, 0], pts[:, 1])
     flux = gx * normals[:, 0] + gy * normals[:, 1]
     shape = (mesh.n_edges, len(rule.points))
-    out.trace[:] = _legendre_coefficients(
-        rule, degree - 1, evaluate_at(field.value, pts).reshape(shape))
-    out.flux[:] = _legendre_coefficients(rule, degree - 1,
-                                         flux.reshape(shape))
-    return out
+    values = evaluate_at(field.value, pts).reshape(shape)
+    return (_legendre_coefficients(rule, degree - 1, values),
+            _legendre_coefficients(rule, degree - 1, flux.reshape(shape)))

@@ -2,7 +2,9 @@
 
 Two routes: a sparse direct factorization (config name "cholesky", the
 default, sensible up to a few hundred thousand DOFs) and conjugate
-gradients with an optional diagonal preconditioner.  Both verify the
+gradients with an optional diagonal preconditioner.  Despite its name the
+direct route is an LU factorization, SuperLU ``splu`` with COLAMD column
+ordering and partial pivoting, not a Cholesky factorization.  Both verify the
 solution they return; failure raises SolverError carrying the residual
 and, for CG, the iteration count, instead of returning garbage silently.
 """
@@ -31,7 +33,7 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = "cholesky"          # "cholesky" | "cg"
+    method: str = "cholesky"          # "cholesky" (sparse LU) | "cg"
     tolerance: float = 1e-10
     max_iterations: Optional[int] = None  # None -> 50 * sqrt(n)
     preconditioner: str = "diagonal"      # "diagonal" | "none"
@@ -61,6 +63,10 @@ def solve_linear(matrix, b, config=None):
     n = matrix.shape[0]
     if matrix.shape != (n, n) or b.shape != (n,):
         raise ValueError("matrix/right-hand side shapes do not match")
+    if config.max_iterations is not None and config.max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    if not (math.isfinite(config.tolerance) and config.tolerance > 0.0):
+        raise ValueError("tolerance must be finite and > 0")
 
     if config.method == "cholesky":
         try:

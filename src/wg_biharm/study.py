@@ -9,7 +9,6 @@ table reproduces the computed values exactly.
 
 from __future__ import annotations
 
-import io
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
@@ -139,17 +138,16 @@ def emit_table(table, fmt="markdown"):
     """Render a convergence table; fmt is "markdown" or "csv"."""
     per_norm = [(table.error_series(attr), table.orders(attr))
                 for _, attr, _ in NORM_COLUMNS]
+    body = []
+    for i, row in enumerate(table.rows):
+        cells = [str(row.n), _num(row.h), str(row.dofs)]
+        for errs, ords in per_norm:
+            cells.append(_num(errs[i]))
+            cells.append(_ord(ords[i]))
+        cells.append(_num(row.solve_seconds))
+        body.append(cells)
     if fmt == "csv":
-        out = io.StringIO()
-        out.write(CSV_HEADER + "\n")
-        for i, row in enumerate(table.rows):
-            cells = [str(row.n), _num(row.h), str(row.dofs)]
-            for errs, ords in per_norm:
-                cells.append(_num(errs[i]))
-                cells.append(_ord(ords[i]))
-            cells.append(_num(row.solve_seconds))
-            out.write(",".join(cells) + "\n")
-        return out.getvalue()
+        return "\n".join([CSV_HEADER] + [",".join(c) for c in body]) + "\n"
     if fmt == "markdown":
         head = ["n", "h", "dofs"]
         for _, _, label in NORM_COLUMNS:
@@ -157,13 +155,7 @@ def emit_table(table, fmt="markdown"):
         head.append("solve s")
         lines = ["| " + " | ".join(head) + " |",
                  "|" + "---|" * len(head)]
-        for i, row in enumerate(table.rows):
-            cells = [str(row.n), _num(row.h), str(row.dofs)]
-            for errs, ords in per_norm:
-                cells.append(_num(errs[i]))
-                cells.append(_ord(ords[i]))
-            cells.append(_num(row.solve_seconds))
-            lines.append("| " + " | ".join(cells) + " |")
+        lines += ["| " + " | ".join(c) + " |" for c in body]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown table format {fmt!r}")
 

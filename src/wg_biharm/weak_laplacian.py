@@ -29,14 +29,14 @@ the cell's boundary order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
 from scipy.linalg import cho_factor, cho_solve
 
-from .basis_quadrature import (CellBasis, edge_points, edge_quadrature,
-                               polygon_quadrature, polynomial_space_dim)
+from .basis_quadrature import (CellBasis, QuadratureRule, edge_points,
+                               edge_quadrature, polygon_quadrature,
+                               polynomial_space_dim)
 from .mesh import cell_geometry, edge_geometry
 
 
@@ -49,16 +49,16 @@ class LocalOperators:
     stabilizer is the boundary penalty form; mass is the Gram matrix of the
     P_k cell basis, whose leading P_{k-2} block is the Gram matrix of the
     basis used to represent Delta_w v (the lower-degree basis is a prefix).
-    global_dofs, when present, maps local DOF positions to rows of the
-    assembled system.
+    rule is the cell quadrature rule and values the P_k basis values at its
+    points, from which the load and the cell projection are computed.
     """
 
-    cell: int
     weak_laplacian: np.ndarray
     stiffness: np.ndarray
     stabilizer: np.ndarray
     mass: np.ndarray
-    global_dofs: Optional[np.ndarray] = None
+    rule: QuadratureRule
+    values: np.ndarray
 
 
 def local_dof_count(mesh, cell, k):
@@ -75,15 +75,25 @@ def gather_local_dofs(field, mesh, cell):
     return np.concatenate(parts)
 
 
-def local_operators(mesh, cell, k, cell_exactness=None, edge_exactness=None,
-                    layout=None):
+def local_operators(mesh, cell, k, cell_exactness=None, edge_exactness=None):
     """Build the local weak Laplacian, stiffness and stabilizer matrices.
 
     Quadrature exactness defaults to 2k + 2 on the cell and 2k + 3 on the
-    edges, enough for every polynomial integrand appearing here.
+    edges, enough for every polynomial integrand appearing here.  Lower
+    overrides are accepted down to 2k on the cell (the P_k mass matrix)
+    and 2k - 1 on the edges (the trace projection Q_b of P_k).
     """
     if k < 2:
         raise ValueError("the element requires k >= 2")
+    if cell_exactness is None:
+        cell_exactness = 2 * k + 2
+    if edge_exactness is None:
+        edge_exactness = 2 * k + 3
+    for name, value, low in (("cell", cell_exactness, 2 * k),
+                             ("edge", edge_exactness, 2 * k - 1)):
+        if value < low:
+            raise ValueError(f"{name} quadrature exactness {value} is below "
+                             f"the minimum {low} for k = {k}")
     geom = cell_geometry(mesh, cell)
     basis = CellBasis.for_cell(geom, k)
     n0 = basis.dimension
@@ -93,13 +103,14 @@ def local_operators(mesh, cell, k, cell_exactness=None, edge_exactness=None,
     nloc = n0 + 2 * m * k
     h_cell = geom.diameter
 
-    if cell_exactness is None:
-        cell_exactness = 2 * k + 2
-    if edge_exactness is None:
-        edge_exactness = 2 * k + 3
-
+    # One basis evaluation on the cell points, then on each edge's points.
     rule = polygon_quadrature(mesh.cell_vertices(cell), cell_exactness)
-    vals, _, laps = basis.evaluate(rule.points)
+    erule = edge_quadrature(edge_exactness)
+    eg = edge_geometry(mesh, ce[:, 0])
+    nq, ne = len(rule.weights), len(erule.weights)
+    allvals, allgrads, alllaps = basis.evaluate(
+        np.concatenate([rule.points, edge_points(eg, erule.points)]))
+    vals, laps = allvals[:nq], alllaps[:nq]
     w = rule.weights
     wvals = vals * w[:, None]
     mass = wvals.T @ vals
@@ -112,29 +123,28 @@ def local_operators(mesh, cell, k, cell_exactness=None, edge_exactness=None,
     B[:, :n0] = (laps[:, :n2] * w[:, None]).T @ vals
 
     S = np.zeros((nloc, nloc))
-    erule = edge_quadrature(edge_exactness)
     L = legvander(erule.points, k - 1)
     proj_scale = (2.0 * np.arange(k) + 1.0) / 2.0
 
     tr0, fl0 = n0, n0 + m * k
     for i, (e, sign) in enumerate(ce):
-        eg = edge_geometry(mesh, e)
-        pts = edge_points(eg, erule.points)
-        evals, egrads, _ = basis.evaluate(pts)
-        wphys = erule.weights * (0.5 * eg.length)
-        n_out = sign * eg.normal
+        evals = allvals[nq + i * ne:nq + (i + 1) * ne]
+        egrads = allgrads[nq + i * ne:nq + (i + 1) * ne]
+        normal = eg.normal[i]
+        wphys = erule.weights * (0.5 * eg.length[i])
         tsl = slice(tr0 + i * k, tr0 + (i + 1) * k)
         fsl = slice(fl0 + i * k, fl0 + (i + 1) * k)
         wL = wphys[:, None] * L
 
-        grad_n_out = egrads[:, :n2, 0] * n_out[0] + egrads[:, :n2, 1] * n_out[1]
-        B[:, tsl] -= grad_n_out.T @ wL
+        # grad v_0 . n_e; the outward normal is sign * n_e, and the sign
+        # flips are exact
+        grad_n = egrads[:, :, 0] * normal[0] + egrads[:, :, 1] * normal[1]
+        B[:, tsl] -= (sign * grad_n[:, :n2]).T @ wL
         B[:, fsl] += sign * (evals[:, :n2].T @ wL)
 
         # flux mismatch grad v_0 . n_e - v_n, quadrature in physical arc
         G = np.zeros((len(wphys), nloc))
-        G[:, :n0] = (egrads[:, :, 0] * eg.normal[0]
-                     + egrads[:, :, 1] * eg.normal[1])
+        G[:, :n0] = grad_n
         G[:, fsl] = -L
         S += (G.T * wphys) @ G / h_cell
 
@@ -142,15 +152,11 @@ def local_operators(mesh, cell, k, cell_exactness=None, edge_exactness=None,
         P = np.zeros((k, nloc))
         P[:, :n0] = proj_scale[:, None] * (L.T @ (erule.weights[:, None] * evals))
         P[:, tsl] = -np.eye(k)
-        mass_diag = eg.length / (2.0 * np.arange(k) + 1.0)
+        mass_diag = eg.length[i] / (2.0 * np.arange(k) + 1.0)
         S += (P.T * mass_diag) @ P / h_cell ** 3
 
     D = cho_solve(cho_factor(mass2), B)
     A = B.T @ D
     A = 0.5 * (A + A.T)
     S = 0.5 * (S + S.T)
-
-    gdofs = None
-    if layout is not None:
-        gdofs = layout.cell_dofs(mesh, cell)
-    return LocalOperators(cell, D, A, S, mass, gdofs)
+    return LocalOperators(D, A, S, mass, rule, vals)

@@ -281,6 +281,14 @@ def test_edge_points_parameterization():
         assert pts[0] == pytest.approx(a, abs=1e-15)
         assert pts[1] == pytest.approx(0.5 * (a + b), abs=1e-15)
         assert pts[2] == pytest.approx(b, abs=1e-15)
+    # the geometry of an index array of edges gives the per-edge points
+    # stacked edge by edge, bit for bit
+    t = wg.edge_quadrature(7).points
+    for ids in (np.arange(mesh.n_edges), np.array([4, 1, 3])):
+        stacked = np.concatenate([edge_points(wg.edge_geometry(mesh, e), t)
+                                  for e in ids])
+        assert np.array_equal(edge_points(wg.edge_geometry(mesh, ids), t),
+                              stacked)
 
 
 def test_negative_exactness_rejected():

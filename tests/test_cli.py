@@ -83,3 +83,24 @@ def test_quadrature_override_changes_nothing_for_polynomials(tmp_path):
     r2 = wg.parse_csv_table(out2.read_text())[0]
     assert r2["err_h2"] == pytest.approx(r1["err_h2"], abs=1e-10)
     assert r2["err_l2"] == pytest.approx(r1["err_l2"], abs=1e-10)
+
+
+@pytest.mark.parametrize("flag, minimum", [("--cell-exactness", 6),
+                                           ("--edge-exactness", 5)])
+def test_too_low_quadrature_override_exits_2(capsys, flag, minimum):
+    code = main(["solve", "--problem", "example2", "--k", "3", "--n", "2",
+                 flag, "3"])
+    assert code == 2
+    assert f"exactness 3 is below the minimum {minimum} for k = 3" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--max-iterations", "0"],
+                                    ["--tol", "-1"], ["--tol", "nan"]])
+def test_invalid_cg_settings_exit_2(capsys, option):
+    code = main(["solve", "--problem", "example2", "--k", "3", "--n", "4",
+                 "--solver", "cg"] + option)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert ("max_iterations" if option[0] == "--max-iterations"
+            else "tolerance") in err

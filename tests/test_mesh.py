@@ -12,6 +12,7 @@ import pytest
 
 import wg_biharm as wg
 from conftest import single_cell_mesh
+from wg_biharm.mesh import polygon_area_centroid
 
 
 def test_triangle_mesh_entity_counts():
@@ -65,6 +66,56 @@ def test_edge_geometry_frames():
         # right-handed frame: rotating the tangent by -90 degrees gives n
         assert geom.normal == pytest.approx(
             [geom.tangent[1], -geom.tangent[0]], abs=1e-14)
+
+
+def test_geometry_arrays_on_polygonal_mesh():
+    # two hexagons, a square and a non-convex L-shaped octagon on a 4 x 2
+    # grid of squares, interior vertices jittered
+    rng = np.random.default_rng(7)
+    xg, yg = np.meshgrid(np.arange(5.0), np.arange(3.0), indexing="xy")
+    vertices = np.column_stack([xg.ravel(), yg.ravel()]) / 4.0
+
+    def v(i, j):
+        return j * 5 + i
+
+    vertices[[v(1, 1), v(2, 1), v(3, 1)]] += rng.uniform(-0.03, 0.03, (3, 2))
+    cells = [[v(0, 0), v(1, 0), v(2, 0), v(2, 1), v(1, 1), v(0, 1)],
+             [v(2, 0), v(3, 0), v(4, 0), v(4, 1), v(4, 2), v(3, 2), v(3, 1),
+              v(2, 1)],
+             [v(0, 1), v(1, 1), v(2, 1), v(2, 2), v(1, 2), v(0, 2)],
+             [v(2, 1), v(3, 1), v(3, 2), v(2, 2)]]
+    mesh = wg.mesh_from_cells(vertices, cells)
+    # the L cell turns right at (3, 1)
+    (px, py), (qx, qy), (rx, ry) = vertices[[v(3, 2), v(3, 1), v(2, 1)]]
+    assert (qx - px) * (ry - qy) - (qy - py) * (rx - qx) < 0.0
+
+    for c in range(mesh.n_cells):
+        coords = mesh.cell_vertices(c)
+        area, centroid = polygon_area_centroid(coords)
+        diameter = max(np.sqrt(np.sum((a - b) ** 2))
+                       for a in coords for b in coords)
+        assert mesh.cell_areas[c] == area
+        assert np.array_equal(mesh.cell_centroids[c], centroid)
+        assert mesh.cell_diameters[c] == diameter
+    assert np.sum(mesh.cell_areas) == pytest.approx(0.5, abs=1e-15)
+    for e, (a, b) in enumerate(mesh.edges):
+        d = vertices[b] - vertices[a]
+        length = np.hypot(*d)
+        assert mesh.edge_lengths[e] == length
+        assert np.array_equal(mesh.edge_midpoints[e],
+                              0.5 * (vertices[a] + vertices[b]))
+        assert np.array_equal(mesh.edge_tangents[e], d / length)
+        assert np.array_equal(mesh.edge_normals[e],
+                              [d[1] / length, -d[0] / length])
+    assert wg.max_cell_diameter(mesh) == np.max(mesh.cell_diameters)
+
+    for name in ("cell_areas", "cell_centroids", "cell_diameters",
+                 "edge_lengths", "edge_midpoints", "edge_normals",
+                 "edge_tangents"):
+        arr = getattr(mesh, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_boundary_normals_point_outward():

@@ -82,6 +82,20 @@ def test_invalid_configuration_rejected():
         wg.solve_linear(A, np.ones(4))
 
 
+@pytest.mark.parametrize("method", ["cg", "cholesky"])
+def test_invalid_iteration_settings_rejected_before_solving(method):
+    # scipy's cg reports success with maxiter=0 and returns its zero start
+    A, b = _random_spd(20, seed=7)
+    for bad in (0, -3):
+        cfg = wg.SolverConfig(method=method, max_iterations=bad)
+        with pytest.raises(ValueError, match="max_iterations"):
+            wg.solve_linear(A, b, cfg)
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
+        cfg = wg.SolverConfig(method=method, tolerance=bad)
+        with pytest.raises(ValueError, match="tolerance"):
+            wg.solve_linear(A, b, cfg)
+
+
 def test_solve_wrapper_uses_reduced_system():
     mesh = wg.build_uniform_triangle_mesh(2)
     problem = wg.get_problem("patch-2")
