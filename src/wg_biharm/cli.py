@@ -38,8 +38,11 @@ def _add_common(p):
                    help="cholesky: sparse LU (SuperLU splu, COLAMD "
                         "ordering), not Cholesky; cg: conjugate gradients")
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="iterative solver tolerance")
-    p.add_argument("--max-iterations", type=int, default=None)
+                   help="CG tolerance on the reduced system's relative "
+                        "residual")
+    p.add_argument("--max-iterations", type=int, default=None,
+                   help="CG iteration cap on the condensed trace/flux "
+                        "system (default 50 sqrt(n))")
     p.add_argument("--cell-exactness", type=int, default=None,
                    help="override cell quadrature exactness (default 2k+2)")
     p.add_argument("--edge-exactness", type=int, default=None,
@@ -90,11 +93,12 @@ def _cmd_study(args):
 
 
 def _cmd_solve(args):
+    config = _solver_config(args)
     problem = get_problem(args.problem)
     mesh = build_mesh(args.mesh, args.n)
     u_h, reduced, result, seconds = solve_on_mesh(
-        problem, args.k, mesh, _solver_config(args),
-        args.cell_exactness, args.edge_exactness)
+        problem, args.k, mesh, config, args.cell_exactness,
+        args.edge_exactness)
     if args.dump_matrix:
         dump_matrix(reduced.matrix, args.dump_matrix)
     report = compute_errors(mesh, args.k, u_h, problem.solution,

@@ -122,7 +122,8 @@ def mesh_from_cells(vertices, cells):
     neighbours, or a topology that is not a simply connected disk
     (Euler relation V - E + F = 1).
     """
-    vertices = np.ascontiguousarray(vertices, dtype=float)
+    # a copy: Mesh makes its arrays read-only, never the caller's
+    vertices = np.array(vertices, dtype=float, order="C")
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise ValueError("vertices must be a (V, 2) array")
     if not np.all(np.isfinite(vertices)):

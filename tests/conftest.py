@@ -14,6 +14,27 @@ def single_cell_mesh(vertices):
     return wg.mesh_from_cells(vertices, [list(range(len(vertices)))])
 
 
+def grid_vertex(i, j):
+    """Vertex id of grid point (i, j) in polygonal_mesh_cells."""
+    return j * 5 + i
+
+
+def polygonal_mesh_cells():
+    """Two hexagons, a square and a non-convex L-shaped octagon on a 4 x 2
+    grid of squares, interior vertices jittered: (vertices, cells)."""
+    rng = np.random.default_rng(7)
+    xg, yg = np.meshgrid(np.arange(5.0), np.arange(3.0), indexing="xy")
+    vertices = np.column_stack([xg.ravel(), yg.ravel()]) / 4.0
+    v = grid_vertex
+    vertices[[v(1, 1), v(2, 1), v(3, 1)]] += rng.uniform(-0.03, 0.03, (3, 2))
+    cells = [[v(0, 0), v(1, 0), v(2, 0), v(2, 1), v(1, 1), v(0, 1)],
+             [v(2, 0), v(3, 0), v(4, 0), v(4, 1), v(4, 2), v(3, 2), v(3, 1),
+              v(2, 1)],
+             [v(0, 1), v(1, 1), v(2, 1), v(2, 2), v(1, 2), v(0, 2)],
+             [v(2, 1), v(3, 1), v(3, 2), v(2, 2)]]
+    return vertices, cells
+
+
 def _cross2(u, v):
     return u[0] * v[1] - u[1] * v[0]
 

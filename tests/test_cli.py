@@ -104,3 +104,14 @@ def test_invalid_cg_settings_exit_2(capsys, option):
     err = capsys.readouterr().err
     assert ("max_iterations" if option[0] == "--max-iterations"
             else "tolerance") in err
+
+
+def test_bad_solver_setting_exits_before_assembly(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("assembly ran before the settings were checked")
+
+    monkeypatch.setattr("wg_biharm.study.assemble_system", fail)
+    code = main(["solve", "--problem", "example2", "--k", "3", "--n", "32",
+                 "--solver", "cg", "--max-iterations", "0"])
+    assert code == 2
+    assert "max_iterations" in capsys.readouterr().err

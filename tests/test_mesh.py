@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import wg_biharm as wg
-from conftest import single_cell_mesh
+from conftest import (grid_vertex, polygonal_mesh_cells,
+                      single_cell_mesh)
 from wg_biharm.mesh import polygon_area_centroid
 
 
@@ -69,21 +70,8 @@ def test_edge_geometry_frames():
 
 
 def test_geometry_arrays_on_polygonal_mesh():
-    # two hexagons, a square and a non-convex L-shaped octagon on a 4 x 2
-    # grid of squares, interior vertices jittered
-    rng = np.random.default_rng(7)
-    xg, yg = np.meshgrid(np.arange(5.0), np.arange(3.0), indexing="xy")
-    vertices = np.column_stack([xg.ravel(), yg.ravel()]) / 4.0
-
-    def v(i, j):
-        return j * 5 + i
-
-    vertices[[v(1, 1), v(2, 1), v(3, 1)]] += rng.uniform(-0.03, 0.03, (3, 2))
-    cells = [[v(0, 0), v(1, 0), v(2, 0), v(2, 1), v(1, 1), v(0, 1)],
-             [v(2, 0), v(3, 0), v(4, 0), v(4, 1), v(4, 2), v(3, 2), v(3, 1),
-              v(2, 1)],
-             [v(0, 1), v(1, 1), v(2, 1), v(2, 2), v(1, 2), v(0, 2)],
-             [v(2, 1), v(3, 1), v(3, 2), v(2, 2)]]
+    vertices, cells = polygonal_mesh_cells()
+    v = grid_vertex
     mesh = wg.mesh_from_cells(vertices, cells)
     # the L cell turns right at (3, 1)
     (px, py), (qx, qy), (rx, ry) = vertices[[v(3, 2), v(3, 1), v(2, 1)]]
@@ -193,6 +181,15 @@ def test_read_mesh_rejects_bad_files(tmp_path):
     trailing.write_text(text + " 0")
     with pytest.raises(ValueError, match="trailing"):
         wg.read_mesh(trailing)
+
+
+def test_mesh_from_cells_leaves_caller_vertices_alone():
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    mesh = wg.mesh_from_cells(v, [[0, 1, 2]])
+    assert v.flags.writeable
+    assert not mesh.vertices.flags.writeable
+    v[1, 0] = 5.0
+    assert mesh.vertices[1, 0] == 1.0
 
 
 def test_mesh_from_cells_validation():

@@ -1,11 +1,15 @@
 """Solver route tests: direct and CG agreement, residual verification,
 and failure reporting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import wg_biharm as wg
+from conftest import polygonal_mesh_cells
+from wg_biharm import solver
 
 
 def _random_spd(n, seed, cond_boost=0.0):
@@ -87,27 +91,110 @@ def test_invalid_iteration_settings_rejected_before_solving(method):
     # scipy's cg reports success with maxiter=0 and returns its zero start
     A, b = _random_spd(20, seed=7)
     for bad in (0, -3):
-        cfg = wg.SolverConfig(method=method, max_iterations=bad)
         with pytest.raises(ValueError, match="max_iterations"):
+            cfg = wg.SolverConfig(method=method, max_iterations=bad)
             wg.solve_linear(A, b, cfg)
     for bad in (-1.0, 0.0, float("nan"), float("inf")):
-        cfg = wg.SolverConfig(method=method, tolerance=bad)
         with pytest.raises(ValueError, match="tolerance"):
+            cfg = wg.SolverConfig(method=method, tolerance=bad)
             wg.solve_linear(A, b, cfg)
 
 
-def test_solve_wrapper_uses_reduced_system():
-    mesh = wg.build_uniform_triangle_mesh(2)
-    problem = wg.get_problem("patch-2")
-    system = wg.assemble_system(mesh, 2, problem.source)
-    reduced = wg.apply_boundary_conditions(system, problem.trace,
-                                           problem.normal_flux)
-    via_wrapper = wg.solve(reduced)
-    direct = wg.solve_linear(reduced.matrix, reduced.rhs)
-    assert np.array_equal(via_wrapper.x, direct.x)
+def _reduced(mesh, degree):
+    problem = wg.get_problem("example2")
+    system = wg.assemble_system(mesh, degree, problem.source)
+    return wg.apply_boundary_conditions(system, problem.trace,
+                                        problem.normal_flux)
+
+
+def _relative_residual(reduced, x):
+    scale = np.linalg.norm(reduced.rhs) or 1.0
+    return float(np.linalg.norm(reduced.matrix @ x - reduced.rhs) / scale)
+
+
+@pytest.mark.parametrize("method", ["cholesky", "cg"])
+@pytest.mark.parametrize("mesh, degree", [
+    (wg.build_uniform_triangle_mesh(8), 2),
+    (wg.build_uniform_quad_mesh(6), 4),
+    (wg.mesh_from_cells(*polygonal_mesh_cells()), 3),
+], ids=["tri8-k2", "quad6-k4", "polygons-k3"])
+def test_condensed_solve_agrees_with_uncondensed(mesh, degree, method):
+    reduced = _reduced(mesh, degree)
+    cfg = wg.SolverConfig(method=method, tolerance=1e-12)
+    condensed = wg.solve(reduced, cfg)
+    full = wg.solve_linear(reduced.matrix, reduced.rhs, cfg)
+    assert condensed.method == method
+    assert (condensed.iterations is None) == (method == "cholesky")
+    gap = np.linalg.norm(condensed.x - full.x) / np.linalg.norm(full.x)
+    assert gap <= 1e-8
+    assert condensed.residual == _relative_residual(reduced, condensed.x)
+    assert condensed.residual <= 1e-12
+
+
+@pytest.mark.parametrize("degree", [5, 6])
+def test_condensed_direct_solve_at_high_degree(degree):
+    reduced = _reduced(wg.build_uniform_triangle_mesh(4), degree)
+    result = wg.solve(reduced)
+    assert result.residual <= 1e-9
+    assert _relative_residual(reduced, result.x) <= 1e-9
+
+
+@pytest.mark.parametrize("method", ["cholesky", "cg"])
+def test_inexact_condensed_solve_is_corrected_once(monkeypatch, method):
+    # spoil the first trace/flux solve; one correction step must repair it
+    reduced = _reduced(wg.build_uniform_quad_mesh(3), 3)
+    exact = solver.solve_linear
+    calls = []
+
+    def spoiled(matrix, b, config):
+        result = exact(matrix, b, config)
+        calls.append(result.iterations)
+        if len(calls) == 1:
+            result = dataclasses.replace(result, x=result.x * (1.0 + 1e-6))
+        return result
+
+    monkeypatch.setattr(solver, "solve_linear", spoiled)
+    result = wg.solve(reduced, wg.SolverConfig(method=method))
+    assert len(calls) == 2
+    assert result.residual <= 1e-10
+    assert result.residual == _relative_residual(reduced, result.x)
+    if method == "cg":
+        assert result.iterations == sum(calls)
+
+
+def test_indefinite_interior_block_raises_solver_error():
+    reduced = _reduced(wg.build_uniform_triangle_mesh(2), 2)
+    matrix = reduced.matrix.copy()
+    d = reduced.layout.cell_block
+    first = matrix[:d, :d].toarray()
+    matrix[:d, :d] = first - 2.0 * np.linalg.eigvalsh(first)[-1] * np.eye(d)
+    reduced.matrix = matrix
+    for method in ("cholesky", "cg"):
+        with pytest.raises(wg.SolverError, match="positive definite"):
+            wg.solve(reduced, wg.SolverConfig(method=method))
+
+
+def test_interior_coupling_across_cells_raises_solver_error():
+    reduced = _reduced(wg.build_uniform_triangle_mesh(2), 2)
+    matrix = reduced.matrix.tolil()
+    d = reduced.layout.cell_block
+    matrix[0, d] = matrix[d, 0] = 1e-3
+    reduced.matrix = matrix.tocsr()
+    with pytest.raises(wg.SolverError, match="block diagonal"):
+        wg.solve(reduced)
 
 
 def test_zero_rhs_returns_zero():
     A, _ = _random_spd(10, seed=6)
     result = wg.solve_linear(A, np.zeros(10))
     assert np.max(np.abs(result.x)) == 0.0
+
+
+def test_condensed_cg_nonconvergence_raises_with_diagnostics():
+    reduced = _reduced(wg.build_uniform_quad_mesh(4), 3)
+    cfg = wg.SolverConfig(method="cg", tolerance=1e-14, max_iterations=2)
+    with pytest.raises(wg.SolverError, match="condensed") as excinfo:
+        wg.solve(reduced, cfg)
+    err = excinfo.value
+    assert err.iterations == 2
+    assert err.residual is not None and err.residual > 1e-14
