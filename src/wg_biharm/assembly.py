@@ -1,9 +1,9 @@
 """Global system assembly and essential boundary conditions.
 
 Global DOF order: all cell interior blocks (cell id order), then all edge
-trace blocks (edge id order), then all edge flux blocks.  Assembly builds
-and scatters the local stiffness-plus-stabilizer matrices in one loop in
-cell id order, so the assembled arrays are bitwise reproducible.
+trace blocks (edge id order), then all edge flux blocks.  Assembly scatters
+the local stiffness-plus-stabilizer matrices in the fixed batch order of
+``cell_operators``, so the assembled arrays are bitwise reproducible.
 
 Boundary conditions are essential: trace and flux blocks of boundary edges
 are set to edge projections of the prescribed data, eliminated from the
@@ -13,13 +13,14 @@ system, and their coupling moved to the right-hand side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .basis_quadrature import polynomial_space_dim
 from .projection import WgField, evaluate_at, project_edge
-from .weak_laplacian import local_dof_count, local_operators
+from .weak_laplacian import cell_operators, gather_local_dofs
 
 
 @dataclass(frozen=True)
@@ -50,37 +51,22 @@ class DofLayout:
     def total(self):
         return self.flux_offset + self.n_edges * self.edge_block
 
-    def cell_span(self, cell):
-        b = self.cell_block
-        return cell * b, (cell + 1) * b
-
-    def trace_span(self, edge):
-        b = self.edge_block
-        o = self.trace_offset
-        return o + edge * b, o + (edge + 1) * b
-
-    def flux_span(self, edge):
-        b = self.edge_block
-        o = self.flux_offset
-        return o + edge * b, o + (edge + 1) * b
+    @cached_property
+    def _numbering(self):
+        """WgField holding the global index of every DOF."""
+        return self.vector_to_field(np.arange(self.total))
 
     def cell_dofs(self, mesh, cell):
-        """Global indices of one cell's local DOFs, local canonical order
-        (interior, then trace blocks, then flux blocks, edges in boundary
-        order)."""
-        ce = mesh.cell_edges[cell]
-        parts = [np.arange(*self.cell_span(cell))]
-        parts += [np.arange(*self.trace_span(e)) for e, _ in ce]
-        parts += [np.arange(*self.flux_span(e)) for e, _ in ce]
-        return np.concatenate(parts)
+        """Global indices of one cell's local DOFs, in the local order of
+        ``gather_local_dofs``, or their (c, nloc) rows for an index array
+        of cells of equal vertex count."""
+        return gather_local_dofs(self._numbering, mesh, cell)
 
     def boundary_dofs(self, mesh):
         """Trace and flux DOFs of boundary edges, ascending."""
-        b = self.edge_block
-        edges = np.flatnonzero(mesh.boundary_edges)
-        block = (b * edges[:, None] + np.arange(b)).ravel()
-        return np.concatenate([self.trace_offset + block,
-                               self.flux_offset + block])
+        edges = mesh.boundary_edges
+        return np.concatenate([self._numbering.trace[edges].ravel(),
+                               self._numbering.flux[edges].ravel()])
 
     def field_to_vector(self, field):
         assert field.interior.shape == (self.n_cells, self.cell_block)
@@ -91,13 +77,11 @@ class DofLayout:
 
     def vector_to_field(self, vec):
         assert vec.shape == (self.total,)
-        interior = vec[:self.trace_offset].reshape(self.n_cells,
-                                                   self.cell_block)
-        trace = vec[self.trace_offset:self.flux_offset].reshape(
-            self.n_edges, self.edge_block)
-        flux = vec[self.flux_offset:].reshape(self.n_edges, self.edge_block)
-        return WgField(self.degree, interior.copy(), trace.copy(),
-                       flux.copy())
+        interior, trace, flux = np.split(
+            vec.copy(), [self.trace_offset, self.flux_offset])
+        return WgField(self.degree, interior.reshape(self.n_cells, -1),
+                       trace.reshape(self.n_edges, -1),
+                       flux.reshape(self.n_edges, -1))
 
 
 def build_dof_layout(mesh, degree):
@@ -144,30 +128,28 @@ def assemble_system(mesh, degree, source, cell_exactness=None,
     ``source`` is a broadcastable callable f(x, y).
     """
     layout = build_dof_layout(mesh, degree)
-    nnz = sum(local_dof_count(mesh, c, degree) ** 2
-              for c in range(mesh.n_cells))
+    nnz = int(np.sum((layout.cell_block + 2 * degree * mesh.cell_sizes) ** 2))
     rows = np.empty(nnz, dtype=np.int64)
     cols = np.empty(nnz, dtype=np.int64)
     data = np.empty(nnz)
     load = np.zeros(layout.total)
     at = 0
-    for cell in range(mesh.n_cells):
-        op = local_operators(mesh, cell, degree, cell_exactness,
-                             edge_exactness)
-        g = layout.cell_dofs(mesh, cell)
-        n = g.size
-        block = op.stiffness + op.stabilizer
-        rows[at:at + n * n] = np.repeat(g, n)
-        cols[at:at + n * n] = np.tile(g, n)
-        data[at:at + n * n] = block.ravel()
-        at += n * n
+    for cells, op in cell_operators(mesh, degree, cell_exactness,
+                                    edge_exactness):
+        g = layout.cell_dofs(mesh, cells)
+        c, n = g.shape
+        end = at + c * n * n
+        rows[at:end].reshape(c, n, n)[:] = g[:, :, None]
+        cols[at:end].reshape(c, n, n)[:] = g[:, None, :]
+        data[at:end] = (op.stiffness + op.stabilizer).ravel()
+        at = end
 
-        fvals = evaluate_at(source, op.rule.points)
-        lo, hi = layout.cell_span(cell)
-        load[lo:hi] += op.values.T @ (op.rule.weights * fvals)
+        wf = op.rule.weights * evaluate_at(source, op.rule.points)
+        load[g[:, :layout.cell_block]] = (op.values.mT @ wf[..., None])[..., 0]
 
     matrix = sp.coo_matrix((data, (rows, cols)),
                            shape=(layout.total, layout.total)).tocsr()
+    matrix.eliminate_zeros()
     return SparseSymmetricSystem(matrix, load, layout, mesh, degree)
 
 
@@ -185,17 +167,15 @@ def apply_boundary_conditions(system, trace, flux, edge_exactness=None):
     boundary = layout.boundary_dofs(mesh)
 
     # Same order as boundary_dofs: every trace block, then every flux block.
-    traces, fluxes = [], []
-    for e in np.flatnonzero(mesh.boundary_edges):
-        nx, ny = mesh.edge_normals[e]
-        traces.append(project_edge(mesh, e, trace, k - 1, edge_exactness))
-        fluxes.append(project_edge(
-            mesh, e, lambda x, y: flux(x, y, nx, ny), k - 1, edge_exactness))
-    values = np.concatenate(traces + fluxes)
+    edges = np.flatnonzero(mesh.boundary_edges)
+    normal = mesh.edge_normals[edges, None, :]
+    traces = project_edge(mesh, edges, trace, k - 1, edge_exactness)
+    fluxes = project_edge(
+        mesh, edges, lambda x, y: flux(x, y, normal[..., 0], normal[..., 1]),
+        k - 1, edge_exactness)
+    values = np.concatenate([traces.ravel(), fluxes.ravel()])
 
-    mask = np.ones(layout.total, dtype=bool)
-    mask[boundary] = False
-    free = np.flatnonzero(mask)
+    free = np.setdiff1d(np.arange(layout.total), boundary)
 
     lift = system.matrix[:, boundary] @ values
     rhs = (system.load - lift)[free]

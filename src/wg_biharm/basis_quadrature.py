@@ -107,25 +107,29 @@ def triangle_quadrature(vertices, exactness):
 
 
 def polygon_quadrature(vertices, exactness):
-    """Rule over a simple polygon by centroid fan triangulation."""
+    """Rule over a simple polygon by centroid fan triangulation; vertices
+    (..., m, 2) with leading axes give a rule per polygon on those axes."""
     vertices = np.asarray(vertices, dtype=float)
-    if vertices.shape[0] < 3:
+    if vertices.shape[-2] < 3:
         raise ValueError("polygon needs at least 3 vertices")
     _, centroid = polygon_area_centroid(vertices)
+    centroid = centroid[..., None, None, :]
     # All fan triangles (centroid, v_i, v_{i+1}) at once, in the same
     # arithmetic as triangle_quadrature, points ordered triangle by triangle.
     ref_pts, ref_w = _duffy_rule(exactness)
-    d1 = (vertices - centroid)[:, None, :]
-    d2 = (np.concatenate([vertices[1:], vertices[:1]]) - centroid)[:, None, :]
-    pts = (centroid + ref_pts[None, :, 0:1] * d1) + ref_pts[None, :, 1:2] * d2
-    det = d1[:, 0, 0] * d2[:, 0, 1] - d1[:, 0, 1] * d2[:, 0, 0]
-    return QuadratureRule(pts.reshape(-1, 2), (ref_w * det[:, None]).ravel(),
-                          exactness)
+    d1 = vertices[..., None, :] - centroid
+    d2 = np.roll(vertices, -1, axis=-2)[..., None, :] - centroid
+    pts = (centroid + ref_pts[:, 0:1] * d1) + ref_pts[:, 1:2] * d2
+    det = d1[..., 0, 0] * d2[..., 0, 1] - d1[..., 0, 1] * d2[..., 0, 0]
+    w = ref_w * det[..., None]
+    return QuadratureRule(pts.reshape(*w.shape[:-2], -1, 2),
+                          w.reshape(*w.shape[:-2], -1), exactness)
 
 
 @dataclass(frozen=True)
 class CellBasis:
-    """Scaled monomial basis of P_degree on one cell."""
+    """Scaled monomial basis of P_degree on one cell, or on a stack of
+    cells with centers (..., 2) and scales (...)."""
 
     degree: int
     center: np.ndarray
@@ -139,31 +143,27 @@ class CellBasis:
         """Values, gradients and Laplacians at the given (n, 2) points.
 
         Returns (values (n, dim), gradients (n, dim, 2), laplacians
-        (n, dim)).
+        (n, dim)).  A stack of bases evaluates each on its own points
+        (..., n, 2), and every output gains the same leading axes.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        X = (points[:, 0] - self.center[0]) / self.scale
-        Y = (points[:, 1] - self.center[1]) / self.scale
+        h = np.asarray(self.scale, dtype=float)[..., None, None]
+        XY = (points - np.asarray(self.center)[..., None, :]) / h
         a, b = monomial_exponents(self.degree).T
-        h = self.scale
 
-        def powers(base):
-            out = np.empty((len(base), self.degree + 1))
-            out[:, 0] = 1.0
-            for j in range(1, self.degree + 1):
-                out[:, j] = out[:, j - 1] * base
-            return out
-
-        PX, PY = powers(X), powers(Y)
+        # P[..., i, j] = XY[..., i] ** j as a running product
+        P = np.cumprod(np.concatenate([np.ones(XY.shape + (1,)), np.repeat(
+            XY[..., None], self.degree, axis=-1)], axis=-1), axis=-1)
+        PX, PY = P[..., 0, :], P[..., 1, :]
         # Lowered exponents are clipped at zero; their coefficients a, b,
         # a(a-1), b(b-1) vanish exactly where the clip applies.
         a1, b1 = np.maximum(a - 1, 0), np.maximum(b - 1, 0)
         a2, b2 = np.maximum(a - 2, 0), np.maximum(b - 2, 0)
-        vals = PX[:, a] * PY[:, b]
-        grads = np.stack([(a / h) * (PX[:, a1] * PY[:, b]),
-                          (b / h) * (PX[:, a] * PY[:, b1])], axis=-1)
-        laps = ((a * (a - 1) / h ** 2) * (PX[:, a2] * PY[:, b])
-                + (b * (b - 1) / h ** 2) * (PX[:, a] * PY[:, b2]))
+        vals = PX[..., a] * PY[..., b]
+        grads = np.stack([(a / h) * (PX[..., a1] * PY[..., b]),
+                          (b / h) * (PX[..., a] * PY[..., b1])], axis=-1)
+        laps = ((a * (a - 1) / h ** 2) * (PX[..., a2] * PY[..., b])
+                + (b * (b - 1) / h ** 2) * (PX[..., a] * PY[..., b2]))
         return vals, grads, laps
 
     @classmethod
@@ -174,10 +174,11 @@ class CellBasis:
 
 def edge_points(mesh_edge_geom, t):
     """Physical points at parameters t in [-1, 1] on an edge, or on each
-    edge of an index array of edges in turn."""
+    edge of an index array of edges in turn; an (..., m) array of edges
+    gives (..., m * len(t), 2) points."""
     g = mesh_edge_geom
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    half = 0.5 * np.reshape(g.length, (-1, 1, 1))
-    tangent = np.reshape(g.tangent, (-1, 1, 2))
-    pts = np.reshape(g.midpoint, (-1, 1, 2)) + (t[:, None] * half) * tangent
-    return pts.reshape(-1, 2)
+    half = 0.5 * np.asarray(g.length)[..., None, None]
+    pts = (np.asarray(g.midpoint)[..., None, :]
+           + (t[:, None] * half) * np.asarray(g.tangent)[..., None, :])
+    return pts.reshape(half.shape[:-3] + (-1, 2))

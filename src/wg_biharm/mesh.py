@@ -70,22 +70,22 @@ class Mesh:
     edge_cells : (E, 2) int array, incident cell ids (lower first, -1 when
         the edge is on the boundary)
     boundary_edges : (E,) bool array
+    cell_sizes : (F,) int array, vertex (and edge) count of each cell
     cell_areas, cell_centroids, cell_diameters : (F,), (F, 2), (F,) floats
     edge_lengths, edge_midpoints, edge_normals, edge_tangents : (E,) and
         (E, 2) floats, as in EdgeGeometry
     """
 
-    def __init__(self, vertices, cells, edges, cell_edges, edge_cells,
-                 boundary_edges, cell_areas, cell_centroids, cell_diameters):
+    def __init__(self, vertices, cell_sizes, cell_vertex_ids, cell_edge_rows,
+                 edges, edge_cells, boundary_edges):
         self.vertices = vertices
-        self.cells = cells
         self.edges = edges
-        self.cell_edges = cell_edges
         self.edge_cells = edge_cells
         self.boundary_edges = boundary_edges
-        self.cell_areas = cell_areas
-        self.cell_centroids = cell_centroids
-        self.cell_diameters = cell_diameters
+        self.cell_sizes = cell_sizes
+        self._cell_starts = np.cumsum(cell_sizes) - cell_sizes
+        self._cell_vertex_ids = cell_vertex_ids
+        self._cell_edge_rows = cell_edge_rows
         pa, pb = vertices[edges[:, 0]], vertices[edges[:, 1]]
         d = pb - pa
         self.edge_lengths = np.hypot(d[:, 0], d[:, 1])
@@ -93,9 +93,26 @@ class Mesh:
         self.edge_tangents = d / self.edge_lengths[:, None]
         # (t_y, -t_x): the tangent rotated by -90 degrees
         self.edge_normals = self.edge_tangents[:, ::-1] * [1.0, -1.0]
+        self.cell_areas = np.empty(cell_sizes.size)
+        self.cell_centroids = np.empty((cell_sizes.size, 2))
+        self.cell_diameters = np.empty(cell_sizes.size)
+        for m in np.unique(cell_sizes):
+            group = np.flatnonzero(cell_sizes == m)
+            coords = vertices[self.cell_rows(group)[0]]
+            # A zero-area cell's centroid is 0/0; mesh_from_cells rejects it.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                self.cell_areas[group], self.cell_centroids[group] = \
+                    polygon_area_centroid(coords)
+            diff = coords[:, :, None, :] - coords[:, None, :, :]
+            self.cell_diameters[group] = np.sqrt(
+                np.max(np.sum(diff ** 2, axis=-1), axis=(1, 2)))
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
+        # views of the read-only flat tables, so read-only themselves
+        self.cells = tuple(np.split(cell_vertex_ids, self._cell_starts[1:]))
+        self.cell_edges = tuple(np.split(cell_edge_rows,
+                                         self._cell_starts[1:]))
 
     @property
     def n_vertices(self):
@@ -113,6 +130,13 @@ class Mesh:
         """Coordinates of one cell's vertices, CCW, shape (m, 2)."""
         return self.vertices[self.cells[cell]]
 
+    def cell_rows(self, cells):
+        """Vertex ids (c, m) and cell_edges rows (c, m, 2) of an index
+        array of c cells that all have m vertices."""
+        at = self._cell_starts[cells, None] + np.arange(
+            self.cell_sizes[cells[0]])
+        return self._cell_vertex_ids[at], self._cell_edge_rows[at]
+
 
 def mesh_from_cells(vertices, cells):
     """Build a validated mesh from vertex coordinates and CCW cell lists.
@@ -129,75 +153,61 @@ def mesh_from_cells(vertices, cells):
     if not np.all(np.isfinite(vertices)):
         raise ValueError("vertex coordinates must be finite")
 
-    cell_arrays = []
-    geometry = []  # area, centroid x, centroid y, diameter per cell
-    for c, cell in enumerate(cells):
-        idx = np.asarray(cell, dtype=np.int64)
-        if idx.size < 3:
-            raise ValueError(f"cell {c} has fewer than 3 vertices")
-        if idx.min() < 0 or idx.max() >= len(vertices):
-            raise ValueError(f"cell {c} references a missing vertex")
-        if len(np.unique(idx)) != idx.size:
-            raise ValueError(f"cell {c} repeats a vertex")
-        coords = vertices[idx]
-        # A zero-area cell's centroid is 0/0; the area check rejects it.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            area, centroid = polygon_area_centroid(coords)
-        if area <= 0.0:
-            raise ValueError(f"cell {c} is not counter-clockwise")
-        diff = coords[:, None, :] - coords[None, :, :]
-        geometry.append((area, *centroid,
-                         np.sqrt(np.max(np.sum(diff ** 2, axis=2)))))
-        idx.setflags(write=False)
-        cell_arrays.append(idx)
+    # All cells' vertex ids in one flat array and the cell owning each.
+    cells = [np.asarray(cell, dtype=np.int64) for cell in cells]
+    sizes = np.array([cell.size for cell in cells], dtype=np.int64)
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    a = np.concatenate(cells)
+    _, once = np.unique(owner * len(vertices) + a, return_index=True)
+    for bad, problem in (
+            (np.flatnonzero(sizes < 3), "has fewer than 3 vertices"),
+            (owner[(a < 0) | (a >= len(vertices))],
+             "references a missing vertex"),
+            (np.delete(owner, once), "repeats a vertex")):
+        if bad.size:
+            raise ValueError(f"cell {bad[0]} {problem}")
 
-    # Edge extraction.  Scanning cells in id order makes the first cell to
-    # claim an edge the lower-numbered one; the edge keeps that cell's
-    # traversal direction, so the derived normal obeys the global
-    # orientation convention.
-    edge_of = {}
-    edge_list = []
-    edge_cells = []
-    cell_edges = []
-    for c, idx in enumerate(cell_arrays):
-        rows = []
-        for i in range(idx.size):
-            a, b = int(idx[i]), int(idx[(i + 1) % idx.size])
-            key = (a, b) if a < b else (b, a)
-            if key not in edge_of:
-                e = len(edge_list)
-                edge_of[key] = e
-                edge_list.append((a, b))
-                edge_cells.append([c, -1])
-                rows.append((e, 1))
-            else:
-                e = edge_of[key]
-                if edge_cells[e][1] != -1:
-                    raise ValueError(
-                        f"edge {key} is shared by more than two cells")
-                if edge_list[e] != (b, a):
-                    raise ValueError(
-                        f"cells {edge_cells[e][0]} and {c} traverse edge "
-                        f"{key} in the same direction; orientation is "
-                        "inconsistent")
-                edge_cells[e][1] = c
-                rows.append((e, -1))
-        cell_edges.append(np.array(rows, dtype=np.int64))
-        cell_edges[-1].setflags(write=False)
+    # Edge extraction.  Edges are numbered by first appearance in cell id
+    # order, so the first cell to claim an edge is the lower-numbered one;
+    # the edge keeps that cell's traversal direction, so the derived normal
+    # obeys the global orientation convention.
+    after = np.arange(1, a.size + 1)
+    after[np.cumsum(sizes) - 1] -= sizes  # a cell's last vertex wraps
+    b = a[after]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    _, first, slot, count = np.unique(lo * len(vertices) + hi,
+                                      return_index=True, return_inverse=True,
+                                      return_counts=True)
+    if np.any(count > 2):
+        s = first[np.argmax(count > 2)]
+        raise ValueError(
+            f"edge ({lo[s]}, {hi[s]}) is shared by more than two cells")
+    order = np.argsort(first)
+    e = np.argsort(order)[slot]
+    claims = first[slot] == np.arange(a.size)
+    edges = np.column_stack([a, b])[first[order]]
+    bad = np.flatnonzero(~claims & (a == edges[e, 0]))
+    if bad.size:
+        s = bad[0]
+        raise ValueError(
+            f"cells {owner[first[slot[s]]]} and {owner[s]} traverse edge "
+            f"({lo[s]}, {hi[s]}) in the same direction; orientation is "
+            "inconsistent")
+    edge_cells = np.full((len(edges), 2), -1, dtype=np.int64)
+    edge_cells[e, np.where(claims, 0, 1)] = owner
 
-    edges = np.array(edge_list, dtype=np.int64)
-    edge_cells = np.array(edge_cells, dtype=np.int64)
-    boundary = edge_cells[:, 1] == -1
-
-    euler = len(vertices) - len(edges) + len(cell_arrays)
+    euler = len(vertices) - len(edges) + sizes.size
     if euler != 1:
         raise ValueError(
             f"mesh is not a simply connected disk (V - E + F = {euler})")
 
-    geometry = np.array(geometry).reshape(-1, 4)
-    return Mesh(vertices, tuple(cell_arrays), edges, tuple(cell_edges),
-                edge_cells, boundary, geometry[:, 0], geometry[:, 1:3],
-                geometry[:, 3])
+    rows = np.column_stack([e, np.where(claims, 1, -1)])
+    mesh = Mesh(vertices, sizes, a, rows, edges, edge_cells,
+                edge_cells[:, 1] == -1)
+    bad = np.flatnonzero(mesh.cell_areas <= 0.0)
+    if bad.size:
+        raise ValueError(f"cell {bad[0]} is not counter-clockwise")
+    return mesh
 
 
 def _grid_squares(n):
@@ -232,14 +242,16 @@ def build_uniform_quad_mesh(n):
 
 def polygon_area_centroid(coords):
     """Signed area and area-weighted centroid of the polygon with (m, 2)
-    vertex coordinates ``coords`` in boundary order."""
-    nxt = np.concatenate([coords[1:], coords[:1]])
-    x, y = coords[:, 0], coords[:, 1]
-    xn, yn = nxt[:, 0], nxt[:, 1]
+    vertex coordinates ``coords`` in boundary order, or of a (..., m, 2)
+    stack of polygons."""
+    nxt = np.roll(coords, -1, axis=-2)
+    x, y = coords[..., 0], coords[..., 1]
+    xn, yn = nxt[..., 0], nxt[..., 1]
     cross = x * yn - xn * y
-    area = 0.5 * np.sum(cross)
-    centroid = np.array([np.sum((x + xn) * cross), np.sum((y + yn) * cross)])
-    return area, centroid / (6.0 * area)
+    area = 0.5 * np.sum(cross, axis=-1)
+    centroid = np.stack([np.sum((x + xn) * cross, axis=-1),
+                         np.sum((y + yn) * cross, axis=-1)], axis=-1)
+    return area, centroid / (6.0 * area[..., None])
 
 
 def cell_geometry(mesh, cell):

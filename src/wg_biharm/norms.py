@@ -13,8 +13,8 @@ through a dense eigendecomposition).
 The error report takes it from the scheme's own form, as the square root
 of sum_T v_T^T (A_T + S_T) v_T over the local stiffness and stabilizer
 matrices, and the interior L2 column as sum_T d_T^T M_T d_T with the cell
-Gram matrix M_T; one ``local_operators`` call per cell gives all three,
-and its cell rule and basis values project the exact interior.
+Gram matrix M_T; each batch of ``cell_operators`` gives all three, and its
+cell rules and basis values project the exact interior.
 ``energy_norm`` keeps a second, independent route by direct quadrature of
 each edge residual, so the identity energy(v)^2 = v^T A v is a meaningful
 cross-check; it is not on the report's path.
@@ -38,10 +38,11 @@ from numpy.polynomial.legendre import legvander
 
 from .basis_quadrature import (CellBasis, edge_points, edge_quadrature,
                                polynomial_space_dim)
-from .mesh import cell_geometry, edge_geometry
+from .mesh import edge_geometry
 from .projection import (WgField, _legendre_coefficients, _project_edges,
                          _project_on_rule)
-from .weak_laplacian import gather_local_dofs, local_operators
+from .weak_laplacian import (cell_operators, gather_local_dofs,
+                             local_operators)
 
 
 @dataclass(frozen=True)
@@ -61,40 +62,36 @@ class ErrorReport:
 
 def energy_norm(mesh, degree, field, cell_exactness=None,
                 edge_exactness=None):
-    """Energy norm of a WgField, accumulated cell by cell by quadrature."""
+    """Energy norm of a WgField by quadrature: of the weak Laplacian cell
+    by cell, and of the two edge residuals at every cell-edge incidence."""
     if edge_exactness is None:
         edge_exactness = 2 * degree + 3
     n2 = polynomial_space_dim(degree - 2)
-    erule = edge_quadrature(edge_exactness)
-    L = legvander(erule.points, degree - 1)
-
     total = 0.0
     for c in range(mesh.n_cells):
-        geom = cell_geometry(mesh, c)
-        basis = CellBasis.for_cell(geom, degree)
-        vloc = gather_local_dofs(field, mesh, c)
         ops = local_operators(mesh, c, degree, cell_exactness,
                               edge_exactness)
-        wcoef = ops.weak_laplacian @ vloc
+        wcoef = ops.weak_laplacian @ gather_local_dofs(field, mesh, c)
         wvals = ops.values[:, :n2] @ wcoef
         total += float(ops.rule.weights @ wvals ** 2)
 
-        h_cell = geom.diameter
-        for e, _ in mesh.cell_edges[c]:
-            eg = edge_geometry(mesh, e)
-            pts = edge_points(eg, erule.points)
-            evals, egrads, _ = basis.evaluate(pts)
-            wphys = erule.weights * (0.5 * eg.length)
-
-            grad_n = (egrads[:, :, 0] * eg.normal[0]
-                      + egrads[:, :, 1] * eg.normal[1])
-            flux_gap = grad_n @ field.interior[c] - L @ field.flux[e]
-            total += float(wphys @ flux_gap ** 2) / h_cell
-
-            qb = _legendre_coefficients(erule, degree - 1,
-                                        evals @ field.interior[c])
-            trace_gap = L @ (qb - field.trace[e])
-            total += float(wphys @ trace_gap ** 2) / h_cell ** 3
+    cell = np.repeat(np.arange(mesh.n_cells), mesh.cell_sizes)
+    e = np.concatenate(mesh.cell_edges)[:, 0]
+    erule = edge_quadrature(edge_exactness)
+    L = legvander(erule.points, degree - 1)
+    eg = edge_geometry(mesh, e[:, None])
+    basis = CellBasis(degree, mesh.cell_centroids[cell],
+                      mesh.cell_diameters[cell])
+    evals, egrads, _ = basis.evaluate(edge_points(eg, erule.points))
+    v0 = field.interior[cell, None, :]
+    grad_n = (egrads[..., 0] * eg.normal[..., None, 0]
+              + egrads[..., 1] * eg.normal[..., None, 1])
+    flux_gap = np.sum(grad_n * v0, axis=-1) - field.flux[e] @ L.T
+    qb = _legendre_coefficients(erule, degree - 1, np.sum(evals * v0, axis=-1))
+    trace_gap = (qb - field.trace[e]) @ L.T
+    h_cell = mesh.cell_diameters[cell, None]
+    total += float(np.sum(erule.weights * (0.5 * eg.length) * (
+        flux_gap ** 2 / h_cell + trace_gap ** 2 / h_cell ** 3)))
     return float(np.sqrt(total))
 
 
@@ -108,15 +105,15 @@ def compute_errors(mesh, degree, u_h, exact, cell_exactness=None,
                    flux - u_h.flux)
 
     h2sq = l2sq = 0.0
-    for c in range(mesh.n_cells):
-        ops = local_operators(mesh, c, degree, cell_exactness,
-                              edge_exactness)
-        diff.interior[c] = (_project_on_rule(ops.rule, ops.values, ops.mass,
-                                             exact.value)
-                            - u_h.interior[c])
-        v = gather_local_dofs(diff, mesh, c)
-        h2sq += float(v @ (ops.stiffness + ops.stabilizer) @ v)
-        l2sq += float(diff.interior[c] @ ops.mass @ diff.interior[c])
+    for cells, ops in cell_operators(mesh, degree, cell_exactness,
+                                     edge_exactness):
+        d = (_project_on_rule(ops.rule, ops.values, ops.mass, exact.value)
+             - u_h.interior[cells])
+        diff.interior[cells] = d
+        v = gather_local_dofs(diff, mesh, cells)
+        h2sq += float(np.einsum("ci,cij,cj->", v,
+                                ops.stiffness + ops.stabilizer, v))
+        l2sq += float(np.einsum("ci,cij,cj->", d, ops.mass, d))
     # A zero-energy error can sum to a tiny negative roundoff (nan in sqrt).
     h2 = float(np.sqrt(max(h2sq, 0.0)))
 

@@ -14,7 +14,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
-from scipy.linalg import cho_factor, cho_solve
 
 from .basis_quadrature import (CellBasis, edge_points, edge_quadrature,
                                polygon_quadrature, polynomial_space_dim)
@@ -35,9 +34,9 @@ class ScalarField:
 
 
 def evaluate_at(fn, points):
-    """Evaluate a broadcastable callable at (n, 2) points."""
+    """Evaluate a broadcastable callable at (..., n, 2) points."""
     points = np.atleast_2d(points)
-    x, y = points[:, 0], points[:, 1]
+    x, y = points[..., 0], points[..., 1]
     out = np.asarray(fn(x, y), dtype=float)
     if out.shape != x.shape:
         out = np.broadcast_to(out, x.shape)
@@ -78,14 +77,12 @@ def project_cell(mesh, cell, f, degree, exactness=None):
     defaults to 2*degree + 2; raise it when ``f`` is hard to resolve.
 
     The coefficients solve the normal equations M c = V^T W f with the
-    Cholesky factor of the mass matrix M = V^T W V (V the basis values and
-    W the weights at the quadrature points).  Their rounding error grows
-    like cond(M) * eps, the square of the basis conditioning, and cond(M)
-    of the scaled monomials grows about 50x per degree.  One step of
-    residual correction with the same factor, c += M^-1 V^T W (f - V c),
-    brings the error down to that of a QR solve of the weighted least
-    squares problem (corrected semi-normal equations).  QR of sqrt(W) V
-    itself is not an option: fan weights are negative on non-convex cells.
+    mass matrix M = V^T W V (V the basis values and W the weights at the
+    quadrature points).  Their rounding error grows like cond(M) * eps, and
+    cond(M) of the scaled monomials grows about 50x per degree; one step of
+    residual correction, c += M^-1 V^T W (f - V c), takes most of it back.
+    QR of sqrt(W) V is not an option: fan weights are negative on
+    non-convex cells.
     """
     basis = CellBasis.for_cell(cell_geometry(mesh, cell), degree)
     if exactness is None:
@@ -98,16 +95,18 @@ def project_cell(mesh, cell, f, degree, exactness=None):
 
 def _project_on_rule(rule, vals, mass, f):
     """``project_cell`` from the basis values ``vals`` at the points of the
-    cell rule and their mass matrix ``mass``."""
-    wv = vals * rule.weights[:, None]
-    factor = cho_factor(mass)
-    fvals = evaluate_at(f, rule.points)
-    coeffs = cho_solve(factor, wv.T @ fvals)
-    return coeffs + cho_solve(factor, wv.T @ (fvals - vals @ coeffs))
+    cell rule and their mass matrix ``mass``, one cell or a batch with a
+    leading cell axis."""
+    wv = (vals * rule.weights[..., None]).mT
+    fvals = evaluate_at(f, rule.points)[..., None]
+    coeffs = np.linalg.solve(mass, wv @ fvals)
+    coeffs += np.linalg.solve(mass, wv @ (fvals - vals @ coeffs))
+    return coeffs[..., 0]
 
 
 def project_edge(mesh, edge, f, degree, exactness=None):
-    """L2 projection of ``f`` onto P_degree of one edge.
+    """L2 projection of ``f`` onto P_degree of one edge, or of each edge of
+    an index array of edges (one row of coefficients per edge).
 
     Returns Legendre coefficients in the edge parameter; the Legendre
     orthogonality makes the mass matrix diagonal, so no solve is needed.
@@ -115,7 +114,8 @@ def project_edge(mesh, edge, f, degree, exactness=None):
     if exactness is None:
         exactness = 2 * degree + 3
     rule = edge_quadrature(exactness)
-    pts = edge_points(edge_geometry(mesh, edge), rule.points)
+    pts = edge_points(edge_geometry(mesh, np.asarray(edge)[..., None]),
+                      rule.points)
     return _legendre_coefficients(rule, degree, evaluate_at(f, pts))
 
 
@@ -149,14 +149,12 @@ def _project_edges(mesh, degree, field, edge_exactness=None):
         raise ValueError("project_field needs the field gradient")
     if edge_exactness is None:
         edge_exactness = 2 * degree + 3
-    # Points ordered edge by edge.
     rule = edge_quadrature(edge_exactness)
-    pts = edge_points(edge_geometry(mesh, np.arange(mesh.n_edges)),
+    pts = edge_points(edge_geometry(mesh, np.arange(mesh.n_edges)[:, None]),
                       rule.points)
-    normals = np.repeat(mesh.edge_normals, len(rule.points), axis=0)
-    gx, gy = field.gradient(pts[:, 0], pts[:, 1])
-    flux = gx * normals[:, 0] + gy * normals[:, 1]
-    shape = (mesh.n_edges, len(rule.points))
-    values = evaluate_at(field.value, pts).reshape(shape)
+    gx, gy = field.gradient(pts[..., 0], pts[..., 1])
+    normal = mesh.edge_normals[:, None, :]
+    flux = gx * normal[..., 0] + gy * normal[..., 1]
+    values = evaluate_at(field.value, pts)
     return (_legendre_coefficients(rule, degree - 1, values),
-            _legendre_coefficients(rule, degree - 1, flux.reshape(shape)))
+            _legendre_coefficients(rule, degree - 1, flux))

@@ -32,12 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
-from scipy.linalg import cho_factor, cho_solve
 
-from .basis_quadrature import (CellBasis, QuadratureRule, edge_points,
-                               edge_quadrature, polygon_quadrature,
-                               polynomial_space_dim)
-from .mesh import cell_geometry, edge_geometry
+from .basis_quadrature import (CellBasis, QuadratureRule, _duffy_rule,
+                               edge_points, edge_quadrature,
+                               polygon_quadrature, polynomial_space_dim)
+from .mesh import edge_geometry
+
+_BATCH_ENTRIES = 40_000  # basis values per batch, bounding its memory
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,7 @@ class LocalOperators:
     basis used to represent Delta_w v (the lower-degree basis is a prefix).
     rule is the cell quadrature rule and values the P_k basis values at its
     points, from which the load and the cell projection are computed.
+    In a batch from ``cell_operators`` every array has a leading cell axis.
     """
 
     weak_laplacian: np.ndarray
@@ -61,22 +63,32 @@ class LocalOperators:
     values: np.ndarray
 
 
-def local_dof_count(mesh, cell, k):
-    m = len(mesh.cell_edges[cell])
-    return polynomial_space_dim(k) + 2 * m * k
-
-
 def gather_local_dofs(field, mesh, cell):
-    """Local DOF vector of a WgField on one cell, in the local order."""
-    ce = mesh.cell_edges[cell]
-    parts = [field.interior[cell]]
-    parts += [field.trace[e] for e, _ in ce]
-    parts += [field.flux[e] for e, _ in ce]
-    return np.concatenate(parts)
+    """Local DOF vector of a WgField on one cell, in the local order, or
+    its (c, nloc) rows for an index array of cells of equal vertex count."""
+    cells = np.atleast_1d(cell)
+    e = mesh.cell_rows(cells)[1][..., 0]
+    out = np.concatenate([field.interior[cells],
+                          field.trace[e].reshape(len(cells), -1),
+                          field.flux[e].reshape(len(cells), -1)], axis=1)
+    return out.reshape(np.shape(cell) + (-1,))
 
 
 def local_operators(mesh, cell, k, cell_exactness=None, edge_exactness=None):
-    """Build the local weak Laplacian, stiffness and stabilizer matrices.
+    """LocalOperators of one cell: the one-cell batch of cell_operators."""
+    (_, op), = cell_operators(mesh, k, cell_exactness, edge_exactness,
+                              cells=np.array([cell]))
+    rule = QuadratureRule(op.rule.points[0], op.rule.weights[0],
+                          op.rule.exactness)
+    return LocalOperators(op.weak_laplacian[0], op.stiffness[0],
+                          op.stabilizer[0], op.mass[0], rule, op.values[0])
+
+
+def cell_operators(mesh, k, cell_exactness=None, edge_exactness=None,
+                   cells=None):
+    """Yield (cells, LocalOperators) batches partitioning the cells (all,
+    or the index array ``cells``), each of one vertex count and of at most
+    _BATCH_ENTRIES basis values or one cell, arrays with a leading cell axis.
 
     Quadrature exactness defaults to 2k + 2 on the cell and 2k + 3 on the
     edges, enough for every polynomial integrand appearing here.  Lower
@@ -94,69 +106,69 @@ def local_operators(mesh, cell, k, cell_exactness=None, edge_exactness=None):
         if value < low:
             raise ValueError(f"{name} quadrature exactness {value} is below "
                              f"the minimum {low} for k = {k}")
-    geom = cell_geometry(mesh, cell)
-    basis = CellBasis.for_cell(geom, k)
+    if cells is None:
+        cells = np.arange(mesh.n_cells)
+    erule = edge_quadrature(edge_exactness)
+    points = _duffy_rule(cell_exactness)[1].size + erule.weights.size
+    sizes = mesh.cell_sizes[cells]
+    for m in np.unique(sizes):
+        group = cells[sizes == m]
+        step = max(1, _BATCH_ENTRIES // (m * points
+                                         * polynomial_space_dim(k)))
+        for batch in np.split(group, np.arange(step, group.size, step)):
+            yield batch, _batch_operators(mesh, batch, k, cell_exactness,
+                                          erule)
+
+
+def _batch_operators(mesh, cells, k, cell_exactness, erule):
+    """LocalOperators of c cells that all have m edges."""
+    vertex_ids, rows = mesh.cell_rows(cells)
+    c, m = vertex_ids.shape
+    ne = erule.weights.size
+    h_cell = mesh.cell_diameters[cells, None]
+    basis = CellBasis(k, mesh.cell_centroids[cells], h_cell[:, 0])
     n0 = basis.dimension
     n2 = polynomial_space_dim(k - 2)
-    ce = mesh.cell_edges[cell]
-    m = len(ce)
-    nloc = n0 + 2 * m * k
-    h_cell = geom.diameter
 
-    # One basis evaluation on the cell points, then on each edge's points.
-    rule = polygon_quadrature(mesh.cell_vertices(cell), cell_exactness)
-    erule = edge_quadrature(edge_exactness)
-    eg = edge_geometry(mesh, ce[:, 0])
-    nq, ne = len(rule.weights), len(erule.weights)
-    allvals, allgrads, alllaps = basis.evaluate(
-        np.concatenate([rule.points, edge_points(eg, erule.points)]))
-    vals, laps = allvals[:nq], alllaps[:nq]
-    w = rule.weights
-    wvals = vals * w[:, None]
-    mass = wvals.T @ vals
-    # mass2 holds the entries of mass[:n2, :n2] up to the last bit: BLAS
-    # rounds a product of another shape differently, and the solve keeps
-    # the P_{k-2} product so that the assembled system does not change.
-    mass2 = wvals[:, :n2].T @ vals[:, :n2]
+    # One basis evaluation on the cell points stacked with the edge points.
+    rule = polygon_quadrature(mesh.vertices[vertex_ids], cell_exactness)
+    eg = edge_geometry(mesh, rows[..., 0])
+    nq = rule.weights.shape[1]
+    allvals, allgrads, alllaps = basis.evaluate(np.concatenate(
+        [rule.points, edge_points(eg, erule.points)], axis=1))
+    vals, laps, evals = allvals[:, :nq], alllaps[:, :nq], allvals[:, nq:]
+    w = rule.weights[..., None]
+    mass = (vals * w).mT @ vals
 
-    B = np.zeros((n2, nloc))
-    B[:, :n0] = (laps[:, :n2] * w[:, None]).T @ vals
+    # At the m * ne edge points: grad v_0 . n_e, the signed arc weights (the
+    # outward normal is sign * n_e; the sign flips are exact), and L, whose
+    # product with a trace or flux block gives its values there.
+    grad_n = np.einsum("cpjd,cpd->cpj", allgrads[:, nq:],
+                       np.repeat(eg.normal, ne, axis=1))
+    wphys = (erule.weights * (0.5 * eg.length[..., None])).reshape(c, -1)
+    sw = (np.repeat(rows[..., 1], ne, axis=1) * wphys)[..., None]
+    leg = legvander(erule.points, k - 1)
+    L = np.kron(np.eye(m), leg)
+    B = np.concatenate([(laps[..., :n2] * w).mT @ vals,
+                        -(grad_n[..., :n2] * sw).mT @ L,
+                        (evals[..., :n2] * sw).mT @ L], axis=-1)
 
-    S = np.zeros((nloc, nloc))
-    L = legvander(erule.points, k - 1)
-    proj_scale = (2.0 * np.arange(k) + 1.0) / 2.0
+    # Rows of the two mismatches: grad v_0 . n_e - v_n at the edge points,
+    # weighted by the arc quadrature, then Q_b v_0 - v_b in Legendre
+    # coefficients (exact), weighted by the edge mass h_e / (2j + 1).
+    Qb = np.kron(np.eye(m), (np.arange(k)[:, None] + 0.5)
+                 * (leg.T * erule.weights))
+    Q = np.zeros((c, m * (ne + k), n0 + 2 * m * k))
+    Q[:, :m * ne, :n0] = grad_n
+    Q[:, :m * ne, n0 + m * k:] = -L
+    Q[:, m * ne:, :n0] = Qb @ evals
+    Q[:, m * ne:, n0:n0 + m * k] = -np.eye(m * k)
+    edge_mass = eg.length[..., None] / (2.0 * np.arange(k) + 1.0)
+    qw = np.concatenate([wphys / h_cell,
+                         edge_mass.reshape(c, -1) / h_cell ** 3], axis=1)
+    S = (Q.mT * qw[:, None, :]) @ Q
 
-    tr0, fl0 = n0, n0 + m * k
-    for i, (e, sign) in enumerate(ce):
-        evals = allvals[nq + i * ne:nq + (i + 1) * ne]
-        egrads = allgrads[nq + i * ne:nq + (i + 1) * ne]
-        normal = eg.normal[i]
-        wphys = erule.weights * (0.5 * eg.length[i])
-        tsl = slice(tr0 + i * k, tr0 + (i + 1) * k)
-        fsl = slice(fl0 + i * k, fl0 + (i + 1) * k)
-        wL = wphys[:, None] * L
-
-        # grad v_0 . n_e; the outward normal is sign * n_e, and the sign
-        # flips are exact
-        grad_n = egrads[:, :, 0] * normal[0] + egrads[:, :, 1] * normal[1]
-        B[:, tsl] -= (sign * grad_n[:, :n2]).T @ wL
-        B[:, fsl] += sign * (evals[:, :n2].T @ wL)
-
-        # flux mismatch grad v_0 . n_e - v_n, quadrature in physical arc
-        G = np.zeros((len(wphys), nloc))
-        G[:, :n0] = grad_n
-        G[:, fsl] = -L
-        S += (G.T * wphys) @ G / h_cell
-
-        # trace mismatch Q_b v_0 - v_b, exact in Legendre coefficients
-        P = np.zeros((k, nloc))
-        P[:, :n0] = proj_scale[:, None] * (L.T @ (erule.weights[:, None] * evals))
-        P[:, tsl] = -np.eye(k)
-        mass_diag = eg.length[i] / (2.0 * np.arange(k) + 1.0)
-        S += (P.T * mass_diag) @ P / h_cell ** 3
-
-    D = cho_solve(cho_factor(mass2), B)
-    A = B.T @ D
-    A = 0.5 * (A + A.T)
-    S = 0.5 * (S + S.T)
-    return LocalOperators(D, A, S, mass, rule, vals)
+    D = np.linalg.solve(mass[:, :n2, :n2], B)
+    A = B.mT @ D
+    return LocalOperators(D, 0.5 * (A + A.mT), 0.5 * (S + S.mT), mass, rule,
+                          vals)

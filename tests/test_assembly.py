@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 import wg_biharm as wg
-from conftest import monomial_field, random_wg_field
+from conftest import monomial_field, polygonal_mesh_cells, random_wg_field
+
+# 4-, 6- and 8-vertex cells in one mesh, and a tri mesh whose one group
+# the batch-size bound cuts into several batches at k >= 3
+MIXED_MESHES = {
+    "polygonal": lambda: wg.mesh_from_cells(*polygonal_mesh_cells()),
+    "tri": lambda: wg.build_uniform_triangle_mesh(5),
+}
 
 
 def test_total_dof_counts_frozen():
@@ -21,18 +28,15 @@ def test_total_dof_counts_frozen():
 
 
 def test_layout_spans_partition_the_index_range():
+    # the cells' local DOFs hit every interior DOF once and every trace
+    # and flux DOF once per cell incident to its edge
     mesh = wg.build_uniform_triangle_mesh(2)
     layout = wg.build_dof_layout(mesh, 2)
     seen = np.zeros(layout.total, dtype=int)
-    for c in range(mesh.n_cells):
-        lo, hi = layout.cell_span(c)
-        seen[lo:hi] += 1
-    for e in range(mesh.n_edges):
-        for span in (layout.trace_span(e), layout.flux_span(e)):
-            lo, hi = span
-            assert hi - lo == 2
-            seen[lo:hi] += 1
-    assert np.all(seen == 1)
+    np.add.at(seen, layout.cell_dofs(mesh, np.arange(mesh.n_cells)), 1)
+    per_edge = np.repeat(np.where(mesh.boundary_edges, 1, 2), 2)
+    assert np.array_equal(seen, np.concatenate(
+        [np.ones(mesh.n_cells * 6, dtype=int), per_edge, per_edge]))
 
 
 def test_cell_dofs_matches_local_gather_order():
@@ -68,8 +72,8 @@ def test_assembled_matrix_symmetric_and_load_is_source_moment():
     layout = system.layout
     # (f, v_0) with f = 1 puts the cell area on each constant-mode DOF
     for c in range(mesh.n_cells):
-        lo, _ = layout.cell_span(c)
-        assert system.load[lo] == pytest.approx(0.5, abs=1e-14)
+        assert system.load[c * layout.cell_block] == pytest.approx(
+            0.5, abs=1e-14)
     assert np.max(np.abs(system.load[layout.trace_offset:])) == 0.0
 
 
@@ -100,6 +104,47 @@ def test_assembly_is_deterministic():
     assert np.array_equal(ref.matrix.indices, other.matrix.indices)
     assert np.array_equal(ref.matrix.indptr, other.matrix.indptr)
     assert np.array_equal(ref.load, other.load)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(MIXED_MESHES))
+def test_batched_assembly_matches_per_cell_scatter(name, k):
+    mesh = MIXED_MESHES[name]()
+    problem = wg.get_problem("example2")
+    system = wg.assemble_system(mesh, k, problem.source)
+    layout = system.layout
+
+    # the batches partition the cells, one vertex count per batch
+    batches = [cells for cells, _ in wg.cell_operators(mesh, k)]
+    assert all(np.unique(mesh.cell_sizes[b]).size == 1 for b in batches)
+    assert np.array_equal(np.sort(np.concatenate(batches)),
+                          np.arange(mesh.n_cells))
+    if name == "tri" and k == 4:
+        assert len(batches) > 1  # the batch-size bound cuts this group
+
+    # reference: one local_operators call and one scatter per cell
+    A = np.zeros((layout.total, layout.total))
+    load = np.zeros(layout.total)
+    for c in range(mesh.n_cells):
+        op = wg.local_operators(mesh, c, k)
+        g = layout.cell_dofs(mesh, c)
+        A[np.ix_(g, g)] += op.stiffness + op.stabilizer
+        f = problem.source(op.rule.points[:, 0], op.rule.points[:, 1])
+        load[g[:layout.cell_block]] += op.values.T @ (op.rule.weights * f)
+    gap = np.max(np.abs(system.matrix.toarray() - A))
+    assert gap <= 1e-13 * np.max(np.abs(A))
+    assert np.max(np.abs(system.load - load)) <= 1e-13 * np.max(np.abs(load))
+
+
+def test_assembled_matrices_store_no_exact_zeros():
+    # at k = 2 the gradient of a constant zeroes whole columns of B
+    mesh = wg.build_uniform_triangle_mesh(8)
+    problem = wg.get_problem("example2")
+    system = wg.assemble_system(mesh, 2, problem.source)
+    reduced = wg.apply_boundary_conditions(system, problem.trace,
+                                           problem.normal_flux)
+    assert np.all(system.matrix.data != 0.0)
+    assert np.all(reduced.matrix.data != 0.0)
 
 
 def test_boundary_dofs_and_zero_data_elimination():
@@ -141,8 +186,8 @@ def test_boundary_flux_data_uses_outward_normal():
         assert geom.normal == pytest.approx([-1.0, 0.0], abs=1e-14)
         expected = wg.project_edge(
             mesh, e, lambda x, y: -np.pi * np.sin(np.pi * y), 1)
-        lo, hi = layout.flux_span(e)
-        got = [reduced.boundary_values[pos[d]] for d in range(lo, hi)]
+        lo = layout.flux_offset + e * layout.edge_block
+        got = [reduced.boundary_values[pos[d]] for d in range(lo, lo + 2)]
         assert got == pytest.approx(expected, abs=1e-13)
         checked += 1
     assert checked == 2
@@ -157,8 +202,8 @@ def test_boundary_trace_data_projection():
     pos = {d: i for i, d in enumerate(reduced.boundary_dofs)}
     for e in np.flatnonzero(mesh.boundary_edges):
         expected = wg.project_edge(mesh, e, problem.trace, 1)
-        lo, hi = system.layout.trace_span(e)
-        got = [reduced.boundary_values[pos[d]] for d in range(lo, hi)]
+        lo = system.layout.trace_offset + e * system.layout.edge_block
+        got = [reduced.boundary_values[pos[d]] for d in range(lo, lo + 2)]
         assert got == pytest.approx(expected, abs=1e-13)
 
 

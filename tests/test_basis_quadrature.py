@@ -138,39 +138,57 @@ def test_cached_reference_rules_are_read_only_and_repeatable():
 
 
 def test_polygon_rule_equals_fan_of_triangle_rules():
-    # reference: one triangle_quadrature call per centroid fan triangle
+    # reference: one triangle_quadrature call per centroid fan triangle;
+    # a (2, 6, 2) stack of polygons gives the rule of each polygon
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.5, 0.5],
                       [0.5, 1.0], [0.0, 1.0]])
-    rule = wg.polygon_quadrature(verts, 6)
-    mesh = wg.mesh_from_cells(verts, [list(range(len(verts)))])
-    c = wg.cell_geometry(mesh, 0).centroid
-    fan = [wg.triangle_quadrature([c, verts[i], verts[(i + 1) % 6]], 6)
-           for i in range(6)]
-    assert np.allclose(rule.points, np.vstack([r.points for r in fan]),
-                       rtol=0.0, atol=1e-15)
-    assert np.allclose(rule.weights, np.concatenate([r.weights for r in fan]),
-                       rtol=0.0, atol=1e-16)
+    stack = np.stack([verts, 0.3 * verts[::-1] * [-1.0, 1.0] + 2.0])
+    stacked = wg.polygon_quadrature(stack, 6)
+    assert stacked.points.shape == (2, 6 * 16, 2)
+    for p, pts, w in zip(stack, stacked.points, stacked.weights):
+        rule = wg.polygon_quadrature(p, 6)
+        assert np.array_equal(rule.points, pts)
+        assert np.array_equal(rule.weights, w)
+        mesh = wg.mesh_from_cells(p, [list(range(len(p)))])
+        c = wg.cell_geometry(mesh, 0).centroid
+        fan = [wg.triangle_quadrature([c, p[i], p[(i + 1) % 6]], 6)
+               for i in range(6)]
+        assert np.allclose(rule.points, np.vstack([r.points for r in fan]),
+                           rtol=0.0, atol=1e-15 * np.max(np.abs(p)))
+        assert np.allclose(rule.weights,
+                           np.concatenate([r.weights for r in fan]),
+                           rtol=0.0, atol=1e-16)
 
 
 def test_cell_basis_matches_per_monomial_loop():
     rng = np.random.default_rng(11)
+    # one basis, then a stack of two, each evaluated on its own points
+    cases = [(np.array([0.3, -0.4]), 0.7, (9, 2)),
+             (np.array([[0.3, -0.4], [-0.5, 0.2]]), np.array([0.7, 1.3]),
+              (2, 9, 2))]
     for degree in range(6):
-        basis = wg.CellBasis(degree, np.array([0.3, -0.4]), 0.7)
-        pts = rng.uniform(-1.0, 1.0, (9, 2))
-        vals, grads, laps = basis.evaluate(pts)
-        X = (pts[:, 0] - 0.3) / 0.7
-        Y = (pts[:, 1] + 0.4) / 0.7
-        h = 0.7
-        for j, (a, b) in enumerate(wg.monomial_exponents(degree)):
-            assert np.allclose(vals[:, j], X ** a * Y ** b,
-                               rtol=1e-14, atol=0.0)
-            gx = a / h * X ** max(a - 1, 0) * Y ** b
-            gy = b / h * X ** a * Y ** max(b - 1, 0)
-            lap = (a * (a - 1) / h ** 2 * X ** max(a - 2, 0) * Y ** b
-                   + b * (b - 1) / h ** 2 * X ** a * Y ** max(b - 2, 0))
-            assert np.allclose(grads[:, j, 0], gx, rtol=1e-14, atol=0.0)
-            assert np.allclose(grads[:, j, 1], gy, rtol=1e-14, atol=0.0)
-            assert np.allclose(laps[:, j], lap, rtol=1e-14, atol=1e-300)
+        for center, scale, shape in cases:
+            pts = rng.uniform(-1.0, 1.0, shape)
+            stack = wg.CellBasis(degree, center, scale).evaluate(pts)
+            for s in np.ndindex(np.shape(scale)):
+                vals, grads, laps = (out[s] for out in stack)
+                h = np.asarray(scale)[s]
+                X = (pts[s][:, 0] - center[s][0]) / h
+                Y = (pts[s][:, 1] - center[s][1]) / h
+                for j, (a, b) in enumerate(wg.monomial_exponents(degree)):
+                    assert np.allclose(vals[:, j], X ** a * Y ** b,
+                                       rtol=1e-14, atol=0.0)
+                    gx = a / h * X ** max(a - 1, 0) * Y ** b
+                    gy = b / h * X ** a * Y ** max(b - 1, 0)
+                    lap = (a * (a - 1) / h ** 2 * X ** max(a - 2, 0) * Y ** b
+                           + b * (b - 1) / h ** 2 * X ** a
+                           * Y ** max(b - 2, 0))
+                    assert np.allclose(grads[:, j, 0], gx, rtol=1e-14,
+                                       atol=0.0)
+                    assert np.allclose(grads[:, j, 1], gy, rtol=1e-14,
+                                       atol=0.0)
+                    assert np.allclose(laps[:, j], lap, rtol=1e-14,
+                                       atol=1e-300)
 
 
 def test_raising_exactness_keeps_polynomial_integrals():

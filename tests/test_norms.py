@@ -9,10 +9,11 @@ quadrature check them.
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legvander
 
 import wg_biharm as wg
-from conftest import (monomial_field, random_quad_cell, random_triangle_cell,
-                      random_wg_field)
+from conftest import (monomial_field, polygonal_mesh_cells, random_quad_cell,
+                      random_triangle_cell, random_wg_field)
 
 
 def test_zero_field_has_zero_norms():
@@ -167,3 +168,37 @@ def test_error_report_matches_quadrature_routes(k):
             assert report.l2_interior == pytest.approx(
                 _l2_by_cell_quadrature(mesh, k, diff.interior),
                 rel=1e-10, abs=0.0)
+
+
+def _per_cell_errors(mesh, k, u_h, exact):
+    """The six columns with one local_operators call per cell."""
+    proj = wg.project_field(mesh, k, exact)
+    diff = wg.WgField(k, proj.interior - u_h.interior,
+                      proj.trace - u_h.trace, proj.flux - u_h.flux)
+    h2sq = l2sq = 0.0
+    for c in range(mesh.n_cells):
+        op = wg.local_operators(mesh, c, k)
+        v = wg.gather_local_dofs(diff, mesh, c)
+        h2sq += v @ (op.stiffness + op.stabilizer) @ v
+        l2sq += diff.interior[c] @ op.mass @ diff.interior[c]
+    weights = mesh.edge_lengths[:, None] ** 2 / (2.0 * np.arange(k) + 1.0)
+    L = legvander(wg.edge_quadrature(2 * k + 3).points, k - 1)
+    return [np.sqrt(max(h2sq, 0.0)), np.sqrt(l2sq),
+            np.sqrt(np.sum(weights * diff.trace ** 2)),
+            np.sqrt(np.sum(weights * diff.flux ** 2)),
+            np.max(np.abs(diff.trace @ L.T)), np.max(np.abs(diff.flux @ L.T))]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("mesh", [
+    wg.mesh_from_cells(*polygonal_mesh_cells()),
+    wg.build_uniform_triangle_mesh(5)], ids=["polygonal", "tri"])
+def test_batched_error_report_matches_per_cell_reference(mesh, k):
+    problem = wg.get_problem("example2")
+    solved = wg.solve_on_mesh(problem, k, mesh)[0]
+    noise = random_wg_field(mesh, k, np.random.default_rng(k))
+    for u_h in (solved, noise):
+        report = wg.compute_errors(mesh, k, u_h, problem.solution)
+        ref = _per_cell_errors(mesh, k, u_h, problem.solution)
+        assert list(report.as_dict().values()) == pytest.approx(
+            ref, rel=1e-12, abs=0.0)

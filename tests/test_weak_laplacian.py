@@ -21,14 +21,6 @@ from conftest import (monomial_field, random_cell, random_quad_cell,
                       random_triangle_cell, random_wg_field, single_cell_mesh)
 
 
-def test_local_dof_count():
-    tri = wg.build_uniform_triangle_mesh(1)
-    quad = wg.build_uniform_quad_mesh(1)
-    assert wg.local_dof_count(tri, 0, 2) == 6 + 3 * 2 * 2
-    assert wg.local_dof_count(quad, 0, 2) == 6 + 4 * 2 * 2
-    assert wg.local_dof_count(tri, 0, 3) == 10 + 3 * 2 * 3
-
-
 def test_rejects_low_degree():
     mesh = wg.build_uniform_triangle_mesh(1)
     with pytest.raises(ValueError):

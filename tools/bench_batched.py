@@ -1,0 +1,130 @@
+"""Before/after measurement of the batched cell kernel.
+
+    python tools/bench_batched.py --baseline-src PARENT/src --repeat 10 \
+        --out BENCH_batched.json
+
+PARENT is a checkout of the commit to compare against, for example one
+made with ``git worktree add PARENT <rev>``.  Each repeat runs one fresh
+process per side ("before" imports ``wg_biharm`` from PARENT/src, "after"
+from this checkout's ``src/``), alternating which side goes first, with
+BLAS pinned to one thread.  A process builds the case's mesh, times
+``assemble_system``, eliminates the boundary data, solves directly, times
+``compute_errors`` on the solution and reports its peak RSS.  The JSON
+records every sample and, per case and side, the median seconds of the
+two timed calls and the median peak RSS.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import resource  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CASES = {  # name: (mesh, degree)
+    "brick-n24-seed3-k3": ("brick", 3),
+    "tri-n64-k2": ("tri", 2),
+}
+
+
+def child(src, case):
+    """Run one case against the package in ``src``; print one JSON line."""
+    sys.path.insert(0, str(src))
+    import wg_biharm as wg  # the package under test, before bench imports it
+
+    sys.path.insert(1, str(ROOT / "perfbench"))
+    from bench import brick_mesh
+
+    mesh_kind, k = CASES[case]
+    mesh = (brick_mesh(24, 3) if mesh_kind == "brick"
+            else wg.build_uniform_triangle_mesh(64))
+    problem = wg.get_problem("example2")
+    t0 = time.perf_counter()
+    system = wg.assemble_system(mesh, k, problem.source)
+    assemble_s = time.perf_counter() - t0
+    reduced = wg.apply_boundary_conditions(system, problem.trace,
+                                           problem.normal_flux)
+    result = wg.solve(reduced, wg.SolverConfig())
+    u_h = reduced.layout.vector_to_field(reduced.expand(result.x))
+    t0 = time.perf_counter()
+    report = wg.compute_errors(mesh, k, u_h, problem.solution)
+    errors_s = time.perf_counter() - t0
+    print(json.dumps({
+        "assemble_s": assemble_s, "errors_s": errors_s,
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        / 1024.0,
+        "nnz": int(system.matrix.nnz), "h2_energy": report.h2_energy}))
+
+
+def run_side(src, case):
+    out = subprocess.run(
+        [sys.executable, __file__, "--child", str(src), case],
+        check=True, capture_output=True, text=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--baseline-src", type=Path)
+    ap.add_argument("--repeat", type=int, default=10)
+    ap.add_argument("--out", default=None)
+    ap.add_argument("--child", nargs=2, metavar=("SRC", "CASE"),
+                    help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.child:
+        child(*args.child)
+        return
+    if args.baseline_src is None:
+        ap.error("--baseline-src is required")
+
+    import numpy as np
+    import scipy
+
+    sides = {"before": args.baseline_src.resolve(), "after": ROOT / "src"}
+    record = {
+        "command": "python tools/bench_batched.py --baseline-src PARENT/src "
+                   f"--repeat {args.repeat}",
+        "repeat": args.repeat,
+        "env": {"nproc": os.cpu_count(),
+                "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+                "python": platform.python_version(),
+                "numpy": np.__version__, "scipy": scipy.__version__},
+        "problem": "example2, direct solver",
+        "cases": {},
+    }
+    for case in CASES:
+        samples = {side: [] for side in sides}
+        for i in range(args.repeat):
+            order = list(sides) if i % 2 == 0 else list(sides)[::-1]
+            for side in order:
+                samples[side].append(run_side(sides[side], case))
+        row = {}
+        for side, runs in samples.items():
+            row[side] = {
+                f"median_{key}": statistics.median(r[key] for r in runs)
+                for key in ("assemble_s", "errors_s", "peak_rss_mib")}
+            row[side]["nnz"] = runs[0]["nnz"]
+            row[side]["samples"] = runs
+        record["cases"][case] = row
+        print(case, json.dumps({s: {k: v for k, v in r.items()
+                                    if k != "samples"}
+                                for s, r in row.items()}), flush=True)
+    text = json.dumps(record, indent=1) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+if __name__ == "__main__":
+    main()
