@@ -41,8 +41,7 @@ from .basis_quadrature import (CellBasis, edge_points, edge_quadrature,
 from .mesh import edge_geometry
 from .projection import (WgField, _legendre_coefficients, _project_edges,
                          _project_on_rule)
-from .weak_laplacian import (cell_operators, gather_local_dofs,
-                             local_operators)
+from .weak_laplacian import cell_operators, gather_local_dofs
 
 
 @dataclass(frozen=True)
@@ -62,18 +61,19 @@ class ErrorReport:
 
 def energy_norm(mesh, degree, field, cell_exactness=None,
                 edge_exactness=None):
-    """Energy norm of a WgField by quadrature: of the weak Laplacian cell
-    by cell, and of the two edge residuals at every cell-edge incidence."""
+    """Energy norm of a WgField by quadrature: of the weak Laplacian in the
+    batches of ``cell_operators``, and of the two edge residuals at every
+    cell-edge incidence."""
     if edge_exactness is None:
         edge_exactness = 2 * degree + 3
     n2 = polynomial_space_dim(degree - 2)
     total = 0.0
-    for c in range(mesh.n_cells):
-        ops = local_operators(mesh, c, degree, cell_exactness,
-                              edge_exactness)
-        wcoef = ops.weak_laplacian @ gather_local_dofs(field, mesh, c)
-        wvals = ops.values[:, :n2] @ wcoef
-        total += float(ops.rule.weights @ wvals ** 2)
+    for cells, ops in cell_operators(mesh, degree, cell_exactness,
+                                     edge_exactness):
+        wcoef = np.einsum("cij,cj->ci", ops.weak_laplacian,
+                          gather_local_dofs(field, mesh, cells))
+        wvals = np.einsum("cpi,ci->cp", ops.values[..., :n2], wcoef)
+        total += float(np.sum(ops.rule.weights * wvals ** 2))
 
     cell = np.repeat(np.arange(mesh.n_cells), mesh.cell_sizes)
     e = np.concatenate(mesh.cell_edges)[:, 0]

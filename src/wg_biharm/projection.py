@@ -17,7 +17,8 @@ from numpy.polynomial.legendre import legvander
 
 from .basis_quadrature import (CellBasis, edge_points, edge_quadrature,
                                polygon_quadrature, polynomial_space_dim)
-from .mesh import cell_geometry, edge_geometry
+from .mesh import edge_geometry
+from .weak_laplacian import cell_batches
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,13 @@ class WgField:
 
 
 def project_cell(mesh, cell, f, degree, exactness=None):
-    """L2 projection of ``f`` onto P_degree of one cell.
+    """L2 projection of ``f`` onto P_degree of one cell, or of each cell of
+    an index array of cells with one vertex count (one row per cell).
 
     Returns scaled monomial coefficients.  The quadrature exactness
     defaults to 2*degree + 2; raise it when ``f`` is hard to resolve.
+    ``f`` sees the points of one cell as 1-D arrays, and those of c cells
+    as (c, n) arrays.
 
     The coefficients solve the normal equations M c = V^T W f with the
     mass matrix M = V^T W V (V the basis values and W the weights at the
@@ -84,12 +88,15 @@ def project_cell(mesh, cell, f, degree, exactness=None):
     QR of sqrt(W) V is not an option: fan weights are negative on
     non-convex cells.
     """
-    basis = CellBasis.for_cell(cell_geometry(mesh, cell), degree)
     if exactness is None:
         exactness = 2 * degree + 2
-    rule = polygon_quadrature(mesh.cell_vertices(cell), exactness)
+    basis = CellBasis(degree, mesh.cell_centroids[cell],
+                      mesh.cell_diameters[cell])
+    vertex_ids = mesh.cell_rows(np.atleast_1d(cell))[0]
+    rule = polygon_quadrature(
+        mesh.vertices[vertex_ids.reshape(np.shape(cell) + (-1,))], exactness)
     vals, _, _ = basis.evaluate(rule.points)
-    mass = (vals * rule.weights[:, None]).T @ vals
+    mass = (vals * rule.weights[..., None]).mT @ vals
     return _project_on_rule(rule, vals, mass, f)
 
 
@@ -134,21 +141,25 @@ def project_field(mesh, degree, field, cell_exactness=None,
     Needs ``field.gradient`` for the flux block.  Default quadrature
     exactness derives from the field degree (2k + 2 on cells, 2k + 3 on
     edges) so that error reports computed with the same defaults see this
-    projection as exact.
+    projection as exact.  The cells are projected in the batches of
+    ``cell_operators``.
     """
+    if cell_exactness is None:
+        cell_exactness = 2 * degree + 2
+    if edge_exactness is None:
+        edge_exactness = 2 * degree + 3
     trace, flux = _project_edges(mesh, degree, field, edge_exactness)
-    interior = np.array([project_cell(mesh, c, field.value, degree,
-                                      cell_exactness)
-                         for c in range(mesh.n_cells)])
+    interior = np.empty((mesh.n_cells, polynomial_space_dim(degree)))
+    for cells in cell_batches(mesh, degree, cell_exactness, edge_exactness):
+        interior[cells] = project_cell(mesh, cells, field.value, degree,
+                                       cell_exactness)
     return WgField(degree, interior, trace, flux)
 
 
-def _project_edges(mesh, degree, field, edge_exactness=None):
+def _project_edges(mesh, degree, field, edge_exactness):
     """Trace and flux blocks of ``project_field``, all edges at once."""
     if field.gradient is None:
         raise ValueError("project_field needs the field gradient")
-    if edge_exactness is None:
-        edge_exactness = 2 * degree + 3
     rule = edge_quadrature(edge_exactness)
     pts = edge_points(edge_geometry(mesh, np.arange(mesh.n_edges)[:, None]),
                       rule.points)

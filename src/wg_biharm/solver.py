@@ -2,7 +2,7 @@
 
 Two routes: a sparse direct factorization (config name "cholesky", the
 default, sensible up to a few hundred thousand DOFs) and conjugate
-gradients with an optional diagonal preconditioner.  Despite its name the
+gradients preconditioned by the matrix diagonal.  Despite its name the
 direct route is an LU factorization, SuperLU ``splu`` with COLAMD column
 ordering and partial pivoting, not a Cholesky factorization.  Both verify the
 solution they return; failure raises SolverError carrying the residual
@@ -47,14 +47,10 @@ class SolverConfig:
     method: str = "cholesky"          # "cholesky" (sparse LU) | "cg"
     tolerance: float = 1e-10
     max_iterations: Optional[int] = None  # None -> 50 * sqrt(n)
-    preconditioner: str = "diagonal"      # "diagonal" | "none"
 
     def __post_init__(self):
         if self.method not in ("cholesky", "cg"):
             raise ValueError(f"unknown solver method {self.method!r}")
-        if self.preconditioner not in ("diagonal", "none"):
-            raise ValueError(
-                f"unknown preconditioner {self.preconditioner!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError("tolerance must be finite and > 0")
         if self.max_iterations is not None and self.max_iterations < 1:
@@ -105,14 +101,11 @@ def solve_linear(matrix, b, config=None):
     maxiter = config.max_iterations
     if maxiter is None:
         maxiter = max(1, math.ceil(50.0 * math.sqrt(n)))
-    M = None
-    if config.preconditioner == "diagonal":
-        d = matrix.diagonal()
-        if np.any(d <= 0.0):
-            raise SolverError(
-                "diagonal preconditioner needs positive diagonal "
-                "entries; matrix is not SPD")
-        M = spla.LinearOperator((n, n), matvec=lambda v, d=d: v / d)
+    d = matrix.diagonal()
+    if np.any(d <= 0.0):
+        raise SolverError("diagonal preconditioner needs positive diagonal "
+                          "entries; matrix is not SPD")
+    M = spla.LinearOperator((n, n), matvec=lambda v: v / d)
 
     iterations = 0
 

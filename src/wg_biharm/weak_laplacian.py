@@ -106,18 +106,26 @@ def cell_operators(mesh, k, cell_exactness=None, edge_exactness=None,
         if value < low:
             raise ValueError(f"{name} quadrature exactness {value} is below "
                              f"the minimum {low} for k = {k}")
+    erule = edge_quadrature(edge_exactness)
+    for batch in cell_batches(mesh, k, cell_exactness, edge_exactness, cells):
+        yield batch, _batch_operators(mesh, batch, k, cell_exactness, erule)
+
+
+def cell_batches(mesh, k, cell_exactness, edge_exactness, cells=None):
+    """Yield index arrays partitioning the cells (all, or the index array
+    ``cells``), each of one vertex count and of at most _BATCH_ENTRIES
+    values of the P_k basis at the cell and edge quadrature points, or of
+    one cell."""
     if cells is None:
         cells = np.arange(mesh.n_cells)
-    erule = edge_quadrature(edge_exactness)
-    points = _duffy_rule(cell_exactness)[1].size + erule.weights.size
+    points = (_duffy_rule(cell_exactness)[1].size
+              + edge_quadrature(edge_exactness).weights.size)
     sizes = mesh.cell_sizes[cells]
     for m in np.unique(sizes):
         group = cells[sizes == m]
         step = max(1, _BATCH_ENTRIES // (m * points
                                          * polynomial_space_dim(k)))
-        for batch in np.split(group, np.arange(step, group.size, step)):
-            yield batch, _batch_operators(mesh, batch, k, cell_exactness,
-                                          erule)
+        yield from np.split(group, np.arange(step, group.size, step))
 
 
 def _batch_operators(mesh, cells, k, cell_exactness, erule):

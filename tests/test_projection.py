@@ -13,8 +13,8 @@ from numpy.polynomial.legendre import legvander
 
 import wg_biharm as wg
 from wg_biharm.basis_quadrature import edge_points
-from conftest import (monomial_field, random_quad_cell, random_triangle_cell,
-                      single_cell_mesh)
+from conftest import (monomial_field, polygonal_mesh_cells, random_quad_cell,
+                      random_triangle_cell, single_cell_mesh)
 
 UNIT_TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 
@@ -153,6 +153,27 @@ def test_project_field_requires_gradient():
     mesh = wg.build_uniform_triangle_mesh(1)
     with pytest.raises(ValueError, match="gradient"):
         wg.project_field(mesh, 2, wg.ScalarField(lambda x, y: x))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_project_field_rows_equal_one_cell_projections(k):
+    # project_field projects batches of cells at once (at k = 4 the tri
+    # mesh takes several batches); each row must be the one-cell
+    # projection, which still hands the field 1-D point arrays
+    value = wg.get_problem("example2").solution.value
+
+    def one_dimensional(x, y):
+        assert x.ndim == 1 and y.ndim == 1
+        return value(x, y)
+
+    field = wg.ScalarField(value, lambda x, y: (x, y))
+    for mesh in (wg.mesh_from_cells(*polygonal_mesh_cells()),
+                 wg.build_uniform_triangle_mesh(8)):
+        proj = wg.project_field(mesh, k, field)
+        for c in range(mesh.n_cells):
+            one = wg.project_cell(mesh, c, one_dimensional, k)
+            assert np.max(np.abs(proj.interior[c] - one)) <= \
+                1e-14 * np.max(np.abs(one))
 
 
 def test_clamped_plate_solution_projects_to_zero_boundary():

@@ -52,13 +52,6 @@ def test_cg_matches_direct_and_reports_iterations():
         1.0, np.max(np.abs(direct.x)))
 
 
-def test_cg_without_preconditioner():
-    A, b = _random_spd(40, seed=4)
-    cfg = wg.SolverConfig(method="cg", tolerance=1e-12, preconditioner="none")
-    result = wg.solve_linear(A, b, cfg)
-    assert result.residual < 1e-10
-
-
 def test_cg_nonconvergence_raises_with_diagnostics():
     A, b = _random_spd(120, seed=5)
     cfg = wg.SolverConfig(method="cg", tolerance=1e-14, max_iterations=2)
@@ -79,9 +72,6 @@ def test_invalid_configuration_rejected():
     A = sp.identity(3, format="csr")
     with pytest.raises(ValueError, match="method"):
         wg.solve_linear(A, np.ones(3), wg.SolverConfig(method="lu"))
-    with pytest.raises(ValueError, match="preconditioner"):
-        wg.solve_linear(A, np.ones(3),
-                        wg.SolverConfig(method="cg", preconditioner="ilu"))
     with pytest.raises(ValueError, match="shapes"):
         wg.solve_linear(A, np.ones(4))
 
