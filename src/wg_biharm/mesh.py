@@ -132,9 +132,10 @@ class Mesh:
 
     def cell_rows(self, cells):
         """Vertex ids (c, m) and cell_edges rows (c, m, 2) of an index
-        array of c cells that all have m vertices."""
+        array of c cells that all have m vertices; (m,) and (m, 2) of one
+        cell."""
         at = self._cell_starts[cells, None] + np.arange(
-            self.cell_sizes[cells[0]])
+            self.cell_sizes[np.ravel(cells)[0]])
         return self._cell_vertex_ids[at], self._cell_edge_rows[at]
 
 

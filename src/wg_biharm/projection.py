@@ -92,9 +92,8 @@ def project_cell(mesh, cell, f, degree, exactness=None):
         exactness = 2 * degree + 2
     basis = CellBasis(degree, mesh.cell_centroids[cell],
                       mesh.cell_diameters[cell])
-    vertex_ids = mesh.cell_rows(np.atleast_1d(cell))[0]
-    rule = polygon_quadrature(
-        mesh.vertices[vertex_ids.reshape(np.shape(cell) + (-1,))], exactness)
+    rule = polygon_quadrature(mesh.vertices[mesh.cell_rows(cell)[0]],
+                              exactness)
     vals, _, _ = basis.evaluate(rule.points)
     mass = (vals * rule.weights[..., None]).mT @ vals
     return _project_on_rule(rule, vals, mass, f)
@@ -141,8 +140,7 @@ def project_field(mesh, degree, field, cell_exactness=None,
     Needs ``field.gradient`` for the flux block.  Default quadrature
     exactness derives from the field degree (2k + 2 on cells, 2k + 3 on
     edges) so that error reports computed with the same defaults see this
-    projection as exact.  The cells are projected in the batches of
-    ``cell_operators``.
+    projection as exact.
     """
     if cell_exactness is None:
         cell_exactness = 2 * degree + 2

@@ -66,12 +66,10 @@ class LocalOperators:
 def gather_local_dofs(field, mesh, cell):
     """Local DOF vector of a WgField on one cell, in the local order, or
     its (c, nloc) rows for an index array of cells of equal vertex count."""
-    cells = np.atleast_1d(cell)
-    e = mesh.cell_rows(cells)[1][..., 0]
-    out = np.concatenate([field.interior[cells],
-                          field.trace[e].reshape(len(cells), -1),
-                          field.flux[e].reshape(len(cells), -1)], axis=1)
-    return out.reshape(np.shape(cell) + (-1,))
+    e = mesh.cell_rows(cell)[1][..., 0]
+    shape = np.shape(cell) + (-1,)
+    return np.concatenate([field.interior[cell], field.trace[e].reshape(shape),
+                           field.flux[e].reshape(shape)], axis=-1)
 
 
 def local_operators(mesh, cell, k, cell_exactness=None, edge_exactness=None):
