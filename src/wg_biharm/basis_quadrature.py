@@ -7,10 +7,12 @@ polynomials in the arc parameter t in [-1, 1] of the edge's stored
 orientation, so the edge mass matrix is diagonal with entries
 h_e / (2j + 1).
 
-Cell integration fan-triangulates the polygon from its centroid and applies
-a Duffy-transformed tensor Gauss rule on each fan triangle.  Fan Jacobians
-keep their sign, so simple non-convex polygons integrate correctly (some
-weights are then negative).
+Cell integration applies a Duffy-transformed tensor Gauss rule on each of
+the m - 2 fan triangles (v_0, v_i, v_{i+1}) of an m-gon.  Fan Jacobians
+keep their sign and the signed triangles sum to the polygon, so every
+simple polygon integrates exactly (Sommariva and Vianello, BIT 2007).
+Weights are negative on clockwise fan triangles, which only non-convex
+cells have, and zero on fan triangles of zero area.
 
 The reference rules (Gauss-Legendre on [-1, 1] and the Duffy rule on the
 unit triangle) are built once per exactness and cached; their arrays are
@@ -25,8 +27,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-
-from .mesh import polygon_area_centroid
 
 
 def polynomial_space_dim(degree):
@@ -107,19 +107,19 @@ def triangle_quadrature(vertices, exactness):
 
 
 def polygon_quadrature(vertices, exactness):
-    """Rule over a simple polygon by centroid fan triangulation; vertices
+    """Rule over a simple m-gon from Duffy rules on its m - 2 fan triangles
+    (v_0, v_i, v_{i+1}), with signed weights summing to its area; vertices
     (..., m, 2) with leading axes give a rule per polygon on those axes."""
     vertices = np.asarray(vertices, dtype=float)
     if vertices.shape[-2] < 3:
         raise ValueError("polygon needs at least 3 vertices")
-    _, centroid = polygon_area_centroid(vertices)
-    centroid = centroid[..., None, None, :]
-    # All fan triangles (centroid, v_i, v_{i+1}) at once, in the same
-    # arithmetic as triangle_quadrature, points ordered triangle by triangle.
+    # All fan triangles at once, in the same arithmetic as
+    # triangle_quadrature, points ordered triangle by triangle.
     ref_pts, ref_w = _duffy_rule(exactness)
-    d1 = vertices[..., None, :] - centroid
-    d2 = np.roll(vertices, -1, axis=-2)[..., None, :] - centroid
-    pts = (centroid + ref_pts[:, 0:1] * d1) + ref_pts[:, 1:2] * d2
+    p0 = vertices[..., :1, None, :]
+    d1 = vertices[..., 1:-1, None, :] - p0
+    d2 = vertices[..., 2:, None, :] - p0
+    pts = (p0 + ref_pts[:, 0:1] * d1) + ref_pts[:, 1:2] * d2
     det = d1[..., 0, 0] * d2[..., 0, 1] - d1[..., 0, 1] * d2[..., 0, 0]
     w = ref_w * det[..., None]
     return QuadratureRule(pts.reshape(*w.shape[:-2], -1, 2),

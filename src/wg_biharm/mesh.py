@@ -131,9 +131,8 @@ class Mesh:
         return self.vertices[self.cells[cell]]
 
     def cell_rows(self, cells):
-        """Vertex ids (c, m) and cell_edges rows (c, m, 2) of an index
-        array of c cells that all have m vertices; (m,) and (m, 2) of one
-        cell."""
+        """Vertex ids (m,) and cell_edges rows (m, 2) of one cell, or
+        (c, m) and (c, m, 2) of c cells that all have m vertices."""
         at = self._cell_starts[cells, None] + np.arange(
             self.cell_sizes[np.ravel(cells)[0]])
         return self._cell_vertex_ids[at], self._cell_edge_rows[at]

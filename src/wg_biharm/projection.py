@@ -72,21 +72,20 @@ class WgField:
 
 
 def project_cell(mesh, cell, f, degree, exactness=None):
-    """L2 projection of ``f`` onto P_degree of one cell, or of each cell of
-    an index array of cells with one vertex count (one row per cell).
+    """L2 projection of ``f`` onto P_degree of one cell, or of each of an
+    index array of c cells with one vertex count, where ``f`` sees (c, n)
+    point arrays instead of 1-D ones and one row per cell is returned.
 
     Returns scaled monomial coefficients.  The quadrature exactness
     defaults to 2*degree + 2; raise it when ``f`` is hard to resolve.
-    ``f`` sees the points of one cell as 1-D arrays, and those of c cells
-    as (c, n) arrays.
 
     The coefficients solve the normal equations M c = V^T W f with the
     mass matrix M = V^T W V (V the basis values and W the weights at the
     quadrature points).  Their rounding error grows like cond(M) * eps, and
     cond(M) of the scaled monomials grows about 50x per degree; one step of
     residual correction, c += M^-1 V^T W (f - V c), takes most of it back.
-    QR of sqrt(W) V is not an option: fan weights are negative on
-    non-convex cells.
+    QR of sqrt(W) V is not an option: the vertex fan gives negative weights
+    on non-convex cells, jittered brick hexagons included.
     """
     if exactness is None:
         exactness = 2 * degree + 2

@@ -110,19 +110,18 @@ def cell_operators(mesh, k, cell_exactness=None, edge_exactness=None,
 
 
 def cell_batches(mesh, k, cell_exactness, edge_exactness, cells=None):
-    """Yield index arrays partitioning the cells (all, or the index array
-    ``cells``), each of one vertex count and of at most _BATCH_ENTRIES
-    values of the P_k basis at the cell and edge quadrature points, or of
-    one cell."""
+    """Yield index arrays partitioning the cells (all, or ``cells``), each
+    of one vertex count and of at most _BATCH_ENTRIES values of the P_k
+    basis at the cell and edge quadrature points, or of one cell."""
     if cells is None:
         cells = np.arange(mesh.n_cells)
-    points = (_duffy_rule(cell_exactness)[1].size
-              + edge_quadrature(edge_exactness).weights.size)
+    n_duffy = _duffy_rule(cell_exactness)[1].size
+    n_edge = edge_quadrature(edge_exactness).weights.size
     sizes = mesh.cell_sizes[cells]
     for m in np.unique(sizes):
         group = cells[sizes == m]
-        step = max(1, _BATCH_ENTRIES // (m * points
-                                         * polynomial_space_dim(k)))
+        points = (m - 2) * n_duffy + m * n_edge  # per cell
+        step = max(1, _BATCH_ENTRIES // (points * polynomial_space_dim(k)))
         yield from np.split(group, np.arange(step, group.size, step))
 
 

@@ -5,17 +5,18 @@ Key oracles:
   * unit right triangle: int x^a y^b = a! b! / (a + b + 2)!
   * unit square: int x^a y^b = 1 / ((a + 1)(b + 1))
   * mapped-triangle integrals done symbolically with sympy
+  * polygon moments by Green's theorem, one Gauss-Legendre rule per edge
 """
 
 import math
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import legvander
+from numpy.polynomial.legendre import leggauss, legvander
 import sympy as sp
 
 import wg_biharm as wg
-from wg_biharm.basis_quadrature import edge_points
+from wg_biharm.basis_quadrature import _duffy_rule, edge_points
 
 
 def test_polynomial_space_dims_and_exponent_order():
@@ -107,8 +108,6 @@ def test_nonconvex_polygon_rule():
 
 
 def test_cached_reference_rules_are_read_only_and_repeatable():
-    from wg_biharm.basis_quadrature import _duffy_rule
-
     for exactness in (0, 3, 7, 20):
         rule = wg.edge_quadrature(exactness)
         ref_pts, ref_w = _duffy_rule(exactness)
@@ -138,26 +137,60 @@ def test_cached_reference_rules_are_read_only_and_repeatable():
 
 
 def test_polygon_rule_equals_fan_of_triangle_rules():
-    # reference: one triangle_quadrature call per centroid fan triangle;
-    # a (2, 6, 2) stack of polygons gives the rule of each polygon
+    # reference: one triangle_quadrature call per fan triangle
+    # (v_0, v_i, v_{i+1}), i = 1 ... m - 2, in the same arithmetic; a
+    # (2, 6, 2) stack of polygons gives the rule of each polygon
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.5, 0.5],
                       [0.5, 1.0], [0.0, 1.0]])
     stack = np.stack([verts, 0.3 * verts[::-1] * [-1.0, 1.0] + 2.0])
     stacked = wg.polygon_quadrature(stack, 6)
-    assert stacked.points.shape == (2, 6 * 16, 2)
+    assert stacked.points.shape == (2, 4 * 16, 2)
     for p, pts, w in zip(stack, stacked.points, stacked.weights):
         rule = wg.polygon_quadrature(p, 6)
         assert np.array_equal(rule.points, pts)
         assert np.array_equal(rule.weights, w)
-        mesh = wg.mesh_from_cells(p, [list(range(len(p)))])
-        c = wg.cell_geometry(mesh, 0).centroid
-        fan = [wg.triangle_quadrature([c, p[i], p[(i + 1) % 6]], 6)
-               for i in range(6)]
-        assert np.allclose(rule.points, np.vstack([r.points for r in fan]),
-                           rtol=0.0, atol=1e-15 * np.max(np.abs(p)))
-        assert np.allclose(rule.weights,
-                           np.concatenate([r.weights for r in fan]),
-                           rtol=0.0, atol=1e-16)
+        fan = [wg.triangle_quadrature([p[0], p[i], p[i + 1]], 6)
+               for i in range(1, 5)]
+        assert np.array_equal(rule.points, np.vstack([r.points for r in fan]))
+        assert np.array_equal(rule.weights,
+                              np.concatenate([r.weights for r in fan]))
+
+
+def _green_moment(verts, a, b):
+    # int_P x^a y^b = oint x^(a+1) y^b n_x ds / (a + 1), with n_x ds = dy
+    # on a counter-clockwise boundary: one Gauss-Legendre rule per edge,
+    # exact for the degree a + b + 1 integrand, and no triangles
+    t, w = leggauss(a + b + 2)
+    s = 0.5 * (t + 1.0)
+    total = 0.0
+    for p, q in zip(verts, np.roll(verts, -1, axis=0)):
+        x, y = (p + np.outer(s, q - p)).T
+        total += 0.5 * (q[1] - p[1]) * np.sum(w * x ** (a + 1) * y ** b)
+    return total / (a + 1)
+
+
+def test_fan_with_flat_or_reflex_first_vertex_is_exact():
+    # first three vertices collinear: the first fan triangle has zero area,
+    # as on the unjittered boundary cells of a brick mesh
+    flat = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0],
+                     [0.0, 1.0]]) + [1.0, 0.5]
+    # a U whose vertex 0 is reflex: its last fan triangle is clockwise
+    u_cell = np.array([[1.0, 1.0], [1.0, 2.0], [0.0, 2.0], [0.0, 0.0],
+                       [3.0, 0.0], [3.0, 2.0], [2.0, 2.0], [2.0, 1.0]]) / 3.0
+    u_cell += [0.5, 1.0]
+    for verts, area in ((flat, 1.0), (u_cell, 5.0 / 9.0)):
+        for exactness in (2, 5, 8):
+            rule = wg.polygon_quadrature(verts, exactness)
+            n_duffy = _duffy_rule(exactness)[1].size
+            assert rule.weights.shape == ((len(verts) - 2) * n_duffy,)
+            assert np.sum(rule.weights) == pytest.approx(area, rel=1e-14)
+            x, y = rule.points.T
+            for a, b in wg.monomial_exponents(exactness):
+                assert rule.integrate(x ** a * y ** b) == pytest.approx(
+                    _green_moment(verts, a, b), rel=1e-14)
+    n_duffy = _duffy_rule(5)[1].size
+    assert not np.any(wg.polygon_quadrature(flat, 5).weights[:n_duffy])
+    assert np.any(wg.polygon_quadrature(u_cell, 5).weights < 0.0)
 
 
 def test_cell_basis_matches_per_monomial_loop():
