@@ -35,8 +35,9 @@ def _add_common(p):
     p.add_argument("--mesh", default="tri", choices=["tri", "quad"])
     p.add_argument("--solver", default="cholesky",
                    choices=["cholesky", "cg"],
-                   help="cholesky: sparse LU (SuperLU splu, COLAMD "
-                        "ordering), not Cholesky; cg: conjugate gradients")
+                   help="cholesky: sparse LDL^T (SuperLU splu, symmetric "
+                        "minimum-degree ordering, no pivoting, positive "
+                        "pivots checked); cg: conjugate gradients")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="CG tolerance on the reduced system's relative "
                         "residual")

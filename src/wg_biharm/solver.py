@@ -2,11 +2,12 @@
 
 Two routes: a sparse direct factorization (config name "cholesky", the
 default, sensible up to a few hundred thousand DOFs) and conjugate
-gradients preconditioned by the matrix diagonal.  Despite its name the
-direct route is an LU factorization, SuperLU ``splu`` with COLAMD column
-ordering and partial pivoting, not a Cholesky factorization.  Both verify the
-solution they return; failure raises SolverError carrying the residual
-and, for CG, the iteration count, instead of returning garbage silently.
+gradients preconditioned by the matrix diagonal.  The direct route is
+SuperLU ``splu`` with a symmetric minimum-degree ordering and no pivoting:
+LDL^T up to the scaling of U, with a row swap or a pivot <= 0 rejected as
+not SPD.  Both verify the solution they return; failure raises SolverError
+carrying the residual and, for CG, the iteration count, instead of
+returning garbage silently.
 
 ``solve`` condenses a reduced WG system before either route runs.  Cell
 interior unknowns couple only within their own cell, so the interior block
@@ -44,7 +45,7 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = "cholesky"          # "cholesky" (sparse LU) | "cg"
+    method: str = "cholesky"          # "cholesky" (sparse LDL^T) | "cg"
     tolerance: float = 1e-10
     max_iterations: Optional[int] = None  # None -> 50 * sqrt(n)
 
@@ -72,6 +73,35 @@ def _relative_residual(matrix, x, b):
     return float(np.linalg.norm(matrix @ x - b) / scale)
 
 
+def _spd_factor(matrix):
+    """LDL^T (up to U's scaling) of an SPD matrix by SuperLU without
+    pivoting; a row swap or a pivot <= 0 means the matrix is not SPD."""
+    try:
+        factor = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
+    except RuntimeError as err:
+        raise SolverError(f"direct factorization failed: {err}") from err
+    if not (np.array_equal(factor.perm_r, factor.perm_c)
+            and np.all(factor.U.diagonal() > 0.0)):
+        raise SolverError("direct factorization found a pivot that is not "
+                          "positive; matrix is not SPD")
+    return factor
+
+
+def _direct_solve(factor, matrix, b):
+    x = factor.solve(b)
+    if not np.all(np.isfinite(x)):
+        raise SolverError("direct solve produced non-finite values")
+    res = _relative_residual(matrix, x, b)
+    if res > DIRECT_RESIDUAL_LIMIT:
+        raise SolverError(
+            f"direct solve residual {res:.3e} exceeds "
+            f"{DIRECT_RESIDUAL_LIMIT:.1e}; matrix may not be SPD",
+            residual=res)
+    return SolveResult(x, "cholesky", res)
+
+
 def solve_linear(matrix, b, config=None):
     """Solve the SPD system ``matrix @ x = b`` per the config."""
     if config is None:
@@ -83,20 +113,7 @@ def solve_linear(matrix, b, config=None):
         raise ValueError("matrix/right-hand side shapes do not match")
 
     if config.method == "cholesky":
-        try:
-            factor = spla.splu(matrix.tocsc())
-            x = factor.solve(b)
-        except RuntimeError as err:
-            raise SolverError(f"direct factorization failed: {err}") from err
-        if not np.all(np.isfinite(x)):
-            raise SolverError("direct solve produced non-finite values")
-        res = _relative_residual(matrix, x, b)
-        if res > DIRECT_RESIDUAL_LIMIT:
-            raise SolverError(
-                f"direct solve residual {res:.3e} exceeds "
-                f"{DIRECT_RESIDUAL_LIMIT:.1e}; matrix may not be SPD",
-                residual=res)
-        return SolveResult(x, "cholesky", res)
+        return _direct_solve(_spd_factor(matrix), matrix, b)
 
     maxiter = config.max_iterations
     if maxiter is None:
@@ -158,6 +175,7 @@ class _Condensation:
                              np.arange(n_cells + 1)), shape=(m, m))
         self.y = (inv @ matrix[:m, m:]).tocsr()
         self.schur = matrix[m:, m:] - self.y.T.tocsr() @ self.y
+        self.factor = None  # the direct factor of schur, made once
 
     def _lower(self, v, transpose=False):
         v = v.reshape(self.n_cells, -1)
@@ -174,7 +192,12 @@ class _Condensation:
             config = replace(
                 config, tolerance=min(1.0, config.tolerance * scale / norm))
         try:
-            result = solve_linear(self.schur, g, config)
+            if config.method == "cg":
+                result = solve_linear(self.schur, g, config)
+            else:
+                if self.factor is None:
+                    self.factor = _spd_factor(self.schur)
+                result = _direct_solve(self.factor, self.schur, g)
         except SolverError as err:
             res = err.residual
             if res is not None:  # relative to the full right-hand side

@@ -1,8 +1,6 @@
 """Solver route tests: direct and CG agreement, residual verification,
 and failure reporting."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -40,6 +38,13 @@ def test_direct_rejects_singular_matrix():
     A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(wg.SolverError):
         wg.solve_linear(A, np.array([1.0, 1.0]))
+
+
+def test_direct_rejects_symmetric_indefinite_matrix():
+    A = sp.csr_matrix(np.array([[2.0, 0.1, 0.0], [0.1, -1.0, 0.0],
+                                [0.0, 0.0, 3.0]]))
+    with pytest.raises(wg.SolverError, match="SPD"):
+        wg.solve_linear(A, np.array([1.0, 1.0, 1.0]))
 
 
 def test_cg_matches_direct_and_reports_iterations():
@@ -133,23 +138,51 @@ def test_condensed_direct_solve_at_high_degree(degree):
 def test_inexact_condensed_solve_is_corrected_once(monkeypatch, method):
     # spoil the first trace/flux solve; one correction step must repair it
     reduced = _reduced(wg.build_uniform_quad_mesh(3), 3)
-    exact = solver.solve_linear
+    exact = solver._Condensation.solve
     calls = []
 
-    def spoiled(matrix, b, config):
-        result = exact(matrix, b, config)
-        calls.append(result.iterations)
+    def spoiled(cond, rhs, config, scale):
+        x, iterations = exact(cond, rhs, config, scale)
+        calls.append(iterations)
         if len(calls) == 1:
-            result = dataclasses.replace(result, x=result.x * (1.0 + 1e-6))
-        return result
+            x = x * (1.0 + 1e-6)
+        return x, iterations
 
-    monkeypatch.setattr(solver, "solve_linear", spoiled)
+    monkeypatch.setattr(solver._Condensation, "solve", spoiled)
     result = wg.solve(reduced, wg.SolverConfig(method=method))
     assert len(calls) == 2
     assert result.residual <= 1e-10
     assert result.residual == _relative_residual(reduced, result.x)
     if method == "cg":
         assert result.iterations == sum(calls)
+
+
+def test_correction_step_reuses_the_direct_factor(monkeypatch):
+    # a tolerance no solve meets forces the correction step
+    reduced = _reduced(wg.build_uniform_quad_mesh(3), 3)
+    exact = solver.spla.splu
+    factored = []
+
+    def counted(*args, **kwargs):
+        factored.append(args[0].shape)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", counted)
+    result = wg.solve(reduced, wg.SolverConfig(method="cholesky",
+                                               tolerance=1e-30))
+    assert len(factored) == 1
+    assert result.residual <= wg.DIRECT_RESIDUAL_LIMIT
+
+
+def test_indefinite_schur_complement_raises_solver_error():
+    # interior blocks untouched (positive definite), S made indefinite
+    reduced = _reduced(wg.build_uniform_triangle_mesh(2), 2)
+    m = reduced.layout.n_cells * reduced.layout.cell_block
+    matrix = reduced.matrix.tolil()
+    matrix[m, m] = -10.0 * abs(reduced.matrix).max()
+    reduced.matrix = matrix.tocsr()
+    with pytest.raises(wg.SolverError, match="SPD"):
+        wg.solve(reduced)
 
 
 def test_indefinite_interior_block_raises_solver_error():

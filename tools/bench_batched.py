@@ -1,17 +1,21 @@
-"""Before/after measurement of the batched cell kernel.
+"""Before/after measurement of assembly, the direct solve and the error
+report.
 
     python tools/bench_batched.py --baseline-src PARENT/src --repeat 10 \
-        --out BENCH_batched.json
+        --out BENCH_symmetric_lu.json
 
 PARENT is a checkout of the commit to compare against, for example one
 made with ``git worktree add PARENT <rev>``.  Each repeat runs one fresh
 process per side ("before" imports ``wg_biharm`` from PARENT/src, "after"
 from this checkout's ``src/``), alternating which side goes first, with
 BLAS pinned to one thread.  A process builds the case's mesh, times
-``assemble_system``, eliminates the boundary data, solves directly, times
-``compute_errors`` on the solution and reports its peak RSS.  The JSON
-records every sample and, per case and side, the median seconds of the
-two timed calls and the median peak RSS.
+``assemble_system``, eliminates the boundary data, times the direct
+``solve``, times ``compute_errors`` on the solution and reports its peak
+RSS.  After reading the peak it solves once more with ``splu`` wrapped, to
+count the SuperLU fill (L.nnz + U.nnz) of the condensed trace/flux matrix
+without holding its factors through the timed calls.  The JSON records
+every sample and, per case and side, the medians of the three timings, the
+peak RSS and the fill.
 """
 
 import os
@@ -54,15 +58,27 @@ def child(src, case):
     assemble_s = time.perf_counter() - t0
     reduced = wg.apply_boundary_conditions(system, problem.trace,
                                            problem.normal_flux)
+    t0 = time.perf_counter()
     result = wg.solve(reduced, wg.SolverConfig())
+    solve_s = time.perf_counter() - t0
     u_h = reduced.layout.vector_to_field(reduced.expand(result.x))
     t0 = time.perf_counter()
     report = wg.compute_errors(mesh, k, u_h, problem.solution)
     errors_s = time.perf_counter() - t0
+    peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+    splu, fills = wg.solver.spla.splu, []
+
+    def counted(*args, **kwargs):
+        factor = splu(*args, **kwargs)
+        fills.append(int(factor.L.nnz + factor.U.nnz))
+        return factor
+
+    wg.solver.spla.splu = counted
+    wg.solve(reduced, wg.SolverConfig())
     print(json.dumps({
-        "assemble_s": assemble_s, "errors_s": errors_s,
-        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        / 1024.0,
+        "assemble_s": assemble_s, "solve_s": solve_s, "errors_s": errors_s,
+        "peak_rss_mib": peak_rss_mib, "fill": fills[0],
         "nnz": int(system.matrix.nnz), "h2_energy": report.h2_energy}))
 
 
@@ -112,7 +128,8 @@ def main():
         for side, runs in samples.items():
             row[side] = {
                 f"median_{key}": statistics.median(r[key] for r in runs)
-                for key in ("assemble_s", "errors_s", "peak_rss_mib")}
+                for key in ("assemble_s", "solve_s", "errors_s",
+                            "peak_rss_mib", "fill")}
             row[side]["nnz"] = runs[0]["nnz"]
             row[side]["samples"] = runs
         record["cases"][case] = row
