@@ -11,7 +11,8 @@ from .assembly import (DofLayout, ReducedSystem, SparseSymmetricSystem,
                        build_dof_layout, dump_matrix)
 from .basis_quadrature import (CellBasis, QuadratureRule, edge_quadrature,
                                monomial_exponents, polygon_quadrature,
-                               polynomial_space_dim, triangle_quadrature)
+                               polynomial_space_dim, quadrature_exactness,
+                               triangle_quadrature)
 from .mesh import (CellGeometry, EdgeGeometry, Mesh, build_uniform_quad_mesh,
                    build_uniform_triangle_mesh, cell_geometry, edge_geometry,
                    max_cell_diameter, mesh_from_cells, read_mesh, write_mesh)

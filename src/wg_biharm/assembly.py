@@ -6,7 +6,8 @@ the local stiffness-plus-stabilizer matrices in the fixed batch order of
 ``cell_operators``, so the assembled arrays are bitwise reproducible.
 
 Boundary conditions are essential: trace and flux blocks of boundary edges
-are set to edge projections of the prescribed data, eliminated from the
+are set to edge projections of the prescribed data, with the element's edge
+rule (``basis_quadrature.quadrature_exactness``), eliminated from the
 system, and their coupling moved to the right-hand side.
 """
 
@@ -18,7 +19,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .basis_quadrature import polynomial_space_dim
+from .basis_quadrature import polynomial_space_dim, quadrature_exactness
 from .projection import WgField, evaluate_at, project_edge
 from .weak_laplacian import cell_operators, gather_local_dofs
 
@@ -164,6 +165,7 @@ def apply_boundary_conditions(system, trace, flux, edge_exactness=None):
     """
     mesh, layout = system.mesh, system.layout
     k = system.degree
+    _, edge_exactness = quadrature_exactness(k, None, edge_exactness)
     boundary = layout.boundary_dofs(mesh)
 
     # Same order as boundary_dofs: every trace block, then every flux block.

@@ -1,4 +1,5 @@
-"""Polynomial bases and quadrature rules.
+"""Polynomial bases, quadrature rules and the one quadrature policy,
+``quadrature_exactness``, that every exactness parameter resolves through.
 
 Cell spaces use scaled monomials ((x - x_T)/h_T)^a ((y - y_T)/h_T)^b,
 a + b <= degree, ordered by total degree; the basis of a lower degree is
@@ -41,6 +42,27 @@ def monomial_exponents(degree):
     descending a within a degree."""
     out = [(d - i, i) for d in range(degree + 1) for i in range(d + 1)]
     return np.array(out, dtype=np.int64).reshape(-1, 2)
+
+
+def quadrature_exactness(k, cell_exactness=None, edge_exactness=None):
+    """(cell, edge) exactness of the degree-k element's rules: by default
+    2k + 2 and 2k + 3, at least 2k (the P_k mass matrix) and 2k - 1 (the
+    trace projection Q_b of P_k).  Raises ValueError below a minimum or for
+    k < 2."""
+    if k < 2:
+        raise ValueError("the element requires k >= 2")
+    cell = 2 * k + 2 if cell_exactness is None else cell_exactness
+    edge = 2 * k + 3 if edge_exactness is None else edge_exactness
+    check_exactness("cell", cell, 2 * k, f"k = {k}")
+    check_exactness("edge", edge, 2 * k - 1, f"k = {k}")
+    return cell, edge
+
+
+def check_exactness(name, exactness, minimum, what):
+    """Raise ValueError if ``exactness`` is below ``minimum``."""
+    if exactness < minimum:
+        raise ValueError(f"{name} quadrature exactness {exactness} is below "
+                         f"the minimum {minimum} for {what}")
 
 
 @dataclass(frozen=True)

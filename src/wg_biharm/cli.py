@@ -45,9 +45,12 @@ def _add_common(p):
                    help="CG iteration cap on the condensed trace/flux "
                         "system (default 50 sqrt(n))")
     p.add_argument("--cell-exactness", type=int, default=None,
-                   help="override cell quadrature exactness (default 2k+2)")
+                   help="override cell quadrature exactness (default 2k+2, "
+                        "at least 2k)")
     p.add_argument("--edge-exactness", type=int, default=None,
-                   help="override edge quadrature exactness (default 2k+3)")
+                   help="override edge quadrature exactness (default 2k+3, "
+                        "at least 2k-1); the edge rule also projects the "
+                        "boundary data")
 
 
 def make_parser():

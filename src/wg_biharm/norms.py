@@ -27,6 +27,7 @@ Edge L2 columns carry the h_e weight
     ||w||_E^2 = sum_e h_e ||w||_{L2(e)}^2
 
 and the L-inf columns take the maximum over edge quadrature points.
+Both functions take their rules from ``basis_quadrature.quadrature_exactness``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from numpy.polynomial.legendre import legvander
 
 from .basis_quadrature import (CellBasis, edge_points, edge_quadrature,
-                               polynomial_space_dim)
+                               polynomial_space_dim, quadrature_exactness)
 from .mesh import edge_geometry
 from .projection import (WgField, _legendre_coefficients, _project_edges,
                          _project_on_rule)
@@ -64,8 +65,8 @@ def energy_norm(mesh, degree, field, cell_exactness=None,
     """Energy norm of a WgField by quadrature: of the weak Laplacian in the
     batches of ``cell_operators``, and of the two edge residuals at every
     cell-edge incidence."""
-    if edge_exactness is None:
-        edge_exactness = 2 * degree + 3
+    cell_exactness, edge_exactness = quadrature_exactness(
+        degree, cell_exactness, edge_exactness)
     n2 = polynomial_space_dim(degree - 2)
     total = 0.0
     for cells, ops in cell_operators(mesh, degree, cell_exactness,
@@ -98,8 +99,8 @@ def energy_norm(mesh, degree, field, cell_exactness=None,
 def compute_errors(mesh, degree, u_h, exact, cell_exactness=None,
                    edge_exactness=None):
     """Six-norm error report of ``u_h`` against a smooth exact field."""
-    if edge_exactness is None:
-        edge_exactness = 2 * degree + 3
+    cell_exactness, edge_exactness = quadrature_exactness(
+        degree, cell_exactness, edge_exactness)
     trace, flux = _project_edges(mesh, degree, exact, edge_exactness)
     diff = WgField(degree, np.empty_like(u_h.interior), trace - u_h.trace,
                    flux - u_h.flux)

@@ -4,7 +4,8 @@ The discrete unknown of the method is a triple of coefficient blocks: an
 interior polynomial of degree k per cell, and per edge a trace polynomial
 and a normal-flux polynomial of degree k - 1, the flux taken against the
 edge's global normal.  ``project_field`` maps a smooth scalar field onto
-such a triple by L2 projection blockwise.
+such a triple by L2 projection blockwise, with the element's quadrature
+(``basis_quadrature.quadrature_exactness``).
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
-from .basis_quadrature import (CellBasis, edge_points, edge_quadrature,
-                               polygon_quadrature, polynomial_space_dim)
+from .basis_quadrature import (CellBasis, check_exactness, edge_points,
+                               edge_quadrature, polygon_quadrature,
+                               polynomial_space_dim, quadrature_exactness)
 from .mesh import edge_geometry
 from .weak_laplacian import cell_batches
 
@@ -77,7 +79,8 @@ def project_cell(mesh, cell, f, degree, exactness=None):
     point arrays instead of 1-D ones and one row per cell is returned.
 
     Returns scaled monomial coefficients.  The quadrature exactness
-    defaults to 2*degree + 2; raise it when ``f`` is hard to resolve.
+    defaults to 2*degree + 2 and must be at least 2*degree; raise it when
+    ``f`` is hard to resolve.
 
     The coefficients solve the normal equations M c = V^T W f with the
     mass matrix M = V^T W V (V the basis values and W the weights at the
@@ -89,6 +92,7 @@ def project_cell(mesh, cell, f, degree, exactness=None):
     """
     if exactness is None:
         exactness = 2 * degree + 2
+    check_exactness("cell", exactness, 2 * degree, f"degree {degree}")
     basis = CellBasis(degree, mesh.cell_centroids[cell],
                       mesh.cell_diameters[cell])
     rule = polygon_quadrature(mesh.vertices[mesh.cell_rows(cell)[0]],
@@ -115,9 +119,11 @@ def project_edge(mesh, edge, f, degree, exactness=None):
 
     Returns Legendre coefficients in the edge parameter; the Legendre
     orthogonality makes the mass matrix diagonal, so no solve is needed.
+    The exactness defaults to 2*degree + 3 and must be at least 2*degree.
     """
     if exactness is None:
         exactness = 2 * degree + 3
+    check_exactness("edge", exactness, 2 * degree, f"degree {degree}")
     rule = edge_quadrature(exactness)
     pts = edge_points(edge_geometry(mesh, np.asarray(edge)[..., None]),
                       rule.points)
@@ -136,15 +142,12 @@ def project_field(mesh, degree, field, cell_exactness=None,
                   edge_exactness=None):
     """Blockwise L2 projection of a smooth field onto the discrete space.
 
-    Needs ``field.gradient`` for the flux block.  Default quadrature
-    exactness derives from the field degree (2k + 2 on cells, 2k + 3 on
-    edges) so that error reports computed with the same defaults see this
-    projection as exact.
+    Needs ``field.gradient`` for the flux block.  The exactness resolves
+    through ``quadrature_exactness``, as in the error report and the
+    boundary data, so both see this projection as exact.
     """
-    if cell_exactness is None:
-        cell_exactness = 2 * degree + 2
-    if edge_exactness is None:
-        edge_exactness = 2 * degree + 3
+    cell_exactness, edge_exactness = quadrature_exactness(
+        degree, cell_exactness, edge_exactness)
     trace, flux = _project_edges(mesh, degree, field, edge_exactness)
     interior = np.empty((mesh.n_cells, polynomial_space_dim(degree)))
     for cells in cell_batches(mesh, degree, cell_exactness, edge_exactness):

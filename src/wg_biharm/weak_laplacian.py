@@ -19,7 +19,8 @@ boundary,
 
 where Q_b is the edge L2 projection onto the trace degree.  Both mismatch
 terms use the global edge normal, so the two cells sharing an edge penalize
-against the same flux unknown.
+against the same flux unknown.  Quadrature follows
+``basis_quadrature.quadrature_exactness``.
 
 Local degrees of freedom are ordered: interior coefficients, then the trace
 block of each local edge, then the flux block of each local edge, edges in
@@ -35,7 +36,8 @@ from numpy.polynomial.legendre import legvander
 
 from .basis_quadrature import (CellBasis, QuadratureRule, _duffy_rule,
                                edge_points, edge_quadrature,
-                               polygon_quadrature, polynomial_space_dim)
+                               polygon_quadrature, polynomial_space_dim,
+                               quadrature_exactness)
 from .mesh import edge_geometry
 
 _BATCH_ENTRIES = 40_000  # basis values per batch, bounding its memory
@@ -84,29 +86,17 @@ def local_operators(mesh, cell, k, cell_exactness=None, edge_exactness=None):
 
 def cell_operators(mesh, k, cell_exactness=None, edge_exactness=None,
                    cells=None):
-    """Yield (cells, LocalOperators) batches partitioning the cells (all,
-    or the index array ``cells``), each of one vertex count and of at most
-    _BATCH_ENTRIES basis values or one cell, arrays with a leading cell axis.
-
-    Quadrature exactness defaults to 2k + 2 on the cell and 2k + 3 on the
-    edges, enough for every polynomial integrand appearing here.  Lower
-    overrides are accepted down to 2k on the cell (the P_k mass matrix)
-    and 2k - 1 on the edges (the trace projection Q_b of P_k).
+    """Iterator of (cells, LocalOperators) batches partitioning the cells
+    (all, or the index array ``cells``), each of one vertex count and of at
+    most _BATCH_ENTRIES basis values or one cell, arrays with a leading cell
+    axis.  The exactness is resolved and checked at the call.
     """
-    if k < 2:
-        raise ValueError("the element requires k >= 2")
-    if cell_exactness is None:
-        cell_exactness = 2 * k + 2
-    if edge_exactness is None:
-        edge_exactness = 2 * k + 3
-    for name, value, low in (("cell", cell_exactness, 2 * k),
-                             ("edge", edge_exactness, 2 * k - 1)):
-        if value < low:
-            raise ValueError(f"{name} quadrature exactness {value} is below "
-                             f"the minimum {low} for k = {k}")
+    cell_exactness, edge_exactness = quadrature_exactness(
+        k, cell_exactness, edge_exactness)
     erule = edge_quadrature(edge_exactness)
-    for batch in cell_batches(mesh, k, cell_exactness, edge_exactness, cells):
-        yield batch, _batch_operators(mesh, batch, k, cell_exactness, erule)
+    return ((batch, _batch_operators(mesh, batch, k, cell_exactness, erule))
+            for batch in cell_batches(mesh, k, cell_exactness,
+                                      edge_exactness, cells))
 
 
 def cell_batches(mesh, k, cell_exactness, edge_exactness, cells=None):
@@ -152,11 +142,16 @@ def _batch_operators(mesh, cells, k, cell_exactness, erule):
                        np.repeat(eg.normal, ne, axis=1))
     wphys = (erule.weights * (0.5 * eg.length[..., None])).reshape(c, -1)
     sw = (np.repeat(rows[..., 1], ne, axis=1) * wphys)[..., None]
+    # On an edge grad phi . n has degree k - 3 and phi degree k - 2, so the
+    # trace modes j >= k - 2 and the flux mode k - 1 are orthogonal to them;
+    # masking their columns stores exact zeros instead of roundoff.
     leg = legvander(erule.points, k - 1)
     L = np.kron(np.eye(m), leg)
+    j = np.tile(np.arange(k), m)
     B = np.concatenate([(laps[..., :n2] * w).mT @ vals,
-                        -(grad_n[..., :n2] * sw).mT @ L,
-                        (evals[..., :n2] * sw).mT @ L], axis=-1)
+                        -(grad_n[..., :n2] * sw).mT @ (L * (j < k - 2)),
+                        (evals[..., :n2] * sw).mT @ (L * (j < k - 1))],
+                       axis=-1)
 
     # Rows of the two mismatches: grad v_0 . n_e - v_n at the edge points,
     # weighted by the arc quadrature, then Q_b v_0 - v_b in Legendre

@@ -184,8 +184,9 @@ def test_boundary_flux_data_uses_outward_normal():
         if abs(geom.midpoint[0]) > 1e-12:
             continue
         assert geom.normal == pytest.approx([-1.0, 0.0], abs=1e-14)
+        # the element's edge rule at k = 2, exactness 2k + 3
         expected = wg.project_edge(
-            mesh, e, lambda x, y: -np.pi * np.sin(np.pi * y), 1)
+            mesh, e, lambda x, y: -np.pi * np.sin(np.pi * y), 1, 7)
         lo = layout.flux_offset + e * layout.edge_block
         got = [reduced.boundary_values[pos[d]] for d in range(lo, lo + 2)]
         assert got == pytest.approx(expected, abs=1e-13)
@@ -205,6 +206,43 @@ def test_boundary_trace_data_projection():
         lo = system.layout.trace_offset + e * system.layout.edge_block
         got = [reduced.boundary_values[pos[d]] for d in range(lo, lo + 2)]
         assert got == pytest.approx(expected, abs=1e-13)
+
+
+def test_boundary_data_equal_projection_of_exact_solution():
+    # the imposed boundary DOFs and the error report's projection use one
+    # edge rule, so the boundary part of the reported error is zero
+    mesh = wg.build_uniform_triangle_mesh(4)
+    problem = wg.get_problem("example2")
+    u_h, _, _, _ = wg.solve_on_mesh(problem, 2, mesh)
+    proj = wg.project_field(mesh, 2, problem.solution)
+    edges = mesh.boundary_edges
+    assert np.max(np.abs(u_h.trace[edges] - proj.trace[edges])) <= 1e-14
+    assert np.max(np.abs(u_h.flux[edges] - proj.flux[edges])) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("mesh_name", sorted(MIXED_MESHES))
+def test_legendre_orthogonal_couplings_are_not_stored(mesh_name, k):
+    # grad phi . n has degree k - 3 and phi degree k - 2 on an edge, so the
+    # weak Laplacian does not see trace modes j >= k - 2 nor the flux mode
+    # k - 1: such a trace DOF couples to no edge DOF but itself, and such a
+    # flux DOF to no trace DOF and no flux DOF of another edge
+    mesh = MIXED_MESHES[mesh_name]()
+    system = wg.assemble_system(mesh, k, lambda x, y: np.zeros_like(x))
+    layout = system.layout
+    numbering = layout.vector_to_field(np.arange(layout.total))
+
+    rows = numbering.trace[:, k - 2:].ravel()
+    coo = system.matrix[rows].tocoo()
+    edge_col = coo.col >= layout.trace_offset
+    assert np.array_equal(coo.col[edge_col], rows[coo.row[edge_col]])
+
+    rows = numbering.flux[:, k - 1]
+    coo = system.matrix[rows].tocoo()
+    edge_col = coo.col >= layout.trace_offset
+    assert np.all(coo.col[edge_col] >= layout.flux_offset)
+    assert np.array_equal((coo.col[edge_col] - layout.flux_offset) // k,
+                          coo.row[edge_col])
 
 
 def test_reduced_matrix_positive_definite_small():

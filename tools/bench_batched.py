@@ -15,7 +15,8 @@ RSS.  After reading the peak it solves once more with ``splu`` wrapped, to
 count the SuperLU fill (L.nnz + U.nnz) of the condensed trace/flux matrix
 without holding its factors through the timed calls.  The JSON records
 every sample and, per case and side, the medians of the three timings, the
-peak RSS and the fill.
+peak RSS and the fill, and the stored entries (nnz) of the assembled and
+of the reduced matrix.
 """
 
 import os
@@ -79,7 +80,9 @@ def child(src, case):
     print(json.dumps({
         "assemble_s": assemble_s, "solve_s": solve_s, "errors_s": errors_s,
         "peak_rss_mib": peak_rss_mib, "fill": fills[0],
-        "nnz": int(system.matrix.nnz), "h2_energy": report.h2_energy}))
+        "nnz": int(system.matrix.nnz),
+        "reduced_nnz": int(reduced.matrix.nnz),
+        "h2_energy": report.h2_energy}))
 
 
 def run_side(src, case):
@@ -131,6 +134,7 @@ def main():
                 for key in ("assemble_s", "solve_s", "errors_s",
                             "peak_rss_mib", "fill")}
             row[side]["nnz"] = runs[0]["nnz"]
+            row[side]["reduced_nnz"] = runs[0]["reduced_nnz"]
             row[side]["samples"] = runs
         record["cases"][case] = row
         print(case, json.dumps({s: {k: v for k, v in r.items()
