@@ -86,8 +86,7 @@ class DofLayout:
 
 
 def build_dof_layout(mesh, degree):
-    if degree < 2:
-        raise ValueError("the element requires k >= 2")
+    quadrature_exactness(degree)  # raises for k < 2
     return DofLayout(degree, mesh.n_cells, mesh.n_edges)
 
 

@@ -40,8 +40,8 @@ from numpy.polynomial.legendre import legvander
 from .basis_quadrature import (CellBasis, edge_points, edge_quadrature,
                                polynomial_space_dim, quadrature_exactness)
 from .mesh import edge_geometry
-from .projection import (WgField, _legendre_coefficients, _project_edges,
-                         _project_on_rule)
+from .projection import (WgField, _edge_flux, _legendre_coefficients,
+                         _project_on_rule, project_edge)
 from .weak_laplacian import cell_operators, gather_local_dofs
 
 
@@ -101,7 +101,10 @@ def compute_errors(mesh, degree, u_h, exact, cell_exactness=None,
     """Six-norm error report of ``u_h`` against a smooth exact field."""
     cell_exactness, edge_exactness = quadrature_exactness(
         degree, cell_exactness, edge_exactness)
-    trace, flux = _project_edges(mesh, degree, exact, edge_exactness)
+    edges = np.arange(mesh.n_edges)
+    flux = project_edge(mesh, edges, _edge_flux(mesh, exact), degree - 1,
+                        edge_exactness)
+    trace = project_edge(mesh, edges, exact.value, degree - 1, edge_exactness)
     diff = WgField(degree, np.empty_like(u_h.interior), trace - u_h.trace,
                    flux - u_h.flux)
 

@@ -148,7 +148,10 @@ def project_field(mesh, degree, field, cell_exactness=None,
     """
     cell_exactness, edge_exactness = quadrature_exactness(
         degree, cell_exactness, edge_exactness)
-    trace, flux = _project_edges(mesh, degree, field, edge_exactness)
+    edges = np.arange(mesh.n_edges)
+    flux = project_edge(mesh, edges, _edge_flux(mesh, field), degree - 1,
+                        edge_exactness)
+    trace = project_edge(mesh, edges, field.value, degree - 1, edge_exactness)
     interior = np.empty((mesh.n_cells, polynomial_space_dim(degree)))
     for cells in cell_batches(mesh, degree, cell_exactness, edge_exactness):
         interior[cells] = project_cell(mesh, cells, field.value, degree,
@@ -156,16 +159,13 @@ def project_field(mesh, degree, field, cell_exactness=None,
     return WgField(degree, interior, trace, flux)
 
 
-def _project_edges(mesh, degree, field, edge_exactness):
-    """Trace and flux blocks of ``project_field``, all edges at once."""
+def _edge_flux(mesh, field):
+    """grad f . n_e at (n_edges, p) points, n_e each edge's global normal."""
     if field.gradient is None:
-        raise ValueError("project_field needs the field gradient")
-    rule = edge_quadrature(edge_exactness)
-    pts = edge_points(edge_geometry(mesh, np.arange(mesh.n_edges)[:, None]),
-                      rule.points)
-    gx, gy = field.gradient(pts[..., 0], pts[..., 1])
+        raise ValueError("the edge flux needs the field gradient")
     normal = mesh.edge_normals[:, None, :]
-    flux = gx * normal[..., 0] + gy * normal[..., 1]
-    values = evaluate_at(field.value, pts)
-    return (_legendre_coefficients(rule, degree - 1, values),
-            _legendre_coefficients(rule, degree - 1, flux))
+
+    def flux(x, y):
+        gx, gy = field.gradient(x, y)
+        return gx * normal[..., 0] + gy * normal[..., 1]
+    return flux

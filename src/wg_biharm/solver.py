@@ -1,30 +1,29 @@
 """Linear solvers for the reduced symmetric positive definite system.
 
-Two routes: a sparse direct factorization (config name "cholesky", the
-default, sensible up to a few hundred thousand DOFs) and conjugate
-gradients preconditioned by the matrix diagonal.  The direct route is
+One pipeline serves both entry points.  It condenses the leading
+block-diagonal interior block: with A = [[A_ii, A_ib], [A_bi, A_bb]] and
+A_ii = L L^T cell by cell (one batched Cholesky call), Y = L^-1 A_ib and
+S = A_bb - Y^T Y.  It solves S, recovers the interiors cell by cell,
+verifies the full residual and, if that misses the tolerance, takes one
+residual-correction step with the same factors.  ``solve`` condenses the
+cell interiors of a reduced WG system; ``solve_linear`` condenses an empty
+interior, so S is the matrix itself.
+
+S is solved by the route the config names, chosen once per solve.
+"cholesky" (the default, sensible up to a few hundred thousand DOFs) is
 SuperLU ``splu`` with a symmetric minimum-degree ordering and no pivoting:
 LDL^T up to the scaling of U, with a row swap or a pivot <= 0 rejected as
-not SPD.  Both verify the solution they return; failure raises SolverError
-carrying the residual and, for CG, the iteration count, instead of
-returning garbage silently.
-
-``solve`` condenses a reduced WG system before either route runs.  Cell
-interior unknowns couple only within their own cell, so the interior block
-is block diagonal.  Its blocks are Cholesky factored in one batched call,
-both methods solve only the Schur complement on the trace and flux
-unknowns, and the interiors are recovered cell by cell.  CG's tolerance is
-scaled so that the full system's residual meets it; if the verified full
-residual misses the tolerance, one residual-correction step reuses the same
-factors.  CG's ``iterations`` and the default ``max_iterations``
-(50 sqrt(n)) refer to the condensed system; the reported residual is that
-of the full reduced system.
+not SPD.  "cg" is conjugate gradients preconditioned by the diagonal of S,
+stopped at the absolute residual ``tolerance * ||b||``; its ``iterations``
+and the default ``max_iterations`` (50 sqrt(n)) refer to S.  Failure raises
+SolverError carrying the residual relative to b and, for CG, the iteration
+count, instead of returning garbage silently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -67,10 +66,7 @@ class SolveResult:
 
 
 def _relative_residual(matrix, x, b):
-    scale = np.linalg.norm(b)
-    if scale == 0.0:
-        scale = 1.0
-    return float(np.linalg.norm(matrix @ x - b) / scale)
+    return float(np.linalg.norm(matrix @ x - b) / (np.linalg.norm(b) or 1.0))
 
 
 def _spd_factor(matrix):
@@ -89,143 +85,107 @@ def _spd_factor(matrix):
     return factor
 
 
-def _direct_solve(factor, matrix, b):
-    x = factor.solve(b)
-    if not np.all(np.isfinite(x)):
-        raise SolverError("direct solve produced non-finite values")
-    res = _relative_residual(matrix, x, b)
-    if res > DIRECT_RESIDUAL_LIMIT:
-        raise SolverError(
-            f"direct solve residual {res:.3e} exceeds "
-            f"{DIRECT_RESIDUAL_LIMIT:.1e}; matrix may not be SPD",
-            residual=res)
-    return SolveResult(x, "cholesky", res)
+def _condense(matrix, n_cells, block):
+    """(L^-1 cell by cell, Y, S) of the leading ``n_cells`` interior blocks
+    of size ``block`` of a CSR matrix."""
+    m = n_cells * block
+    end = matrix.indptr[m]
+    rows = np.repeat(np.arange(m), np.diff(matrix.indptr[:m + 1]))
+    cols = matrix.indices[:end]
+    inner = cols < m
+    rows, cols = rows[inner], cols[inner]
+    if np.any(rows // block != cols // block):
+        raise SolverError("interior unknowns couple across cells; the "
+                          "interior block is not block diagonal")
+    blocks = np.bincount(rows * block + cols % block,
+                         weights=matrix.data[:end][inner],
+                         minlength=m * block)
+    try:
+        chol = np.linalg.cholesky(blocks.reshape(n_cells, block, block))
+    except np.linalg.LinAlgError as err:
+        raise SolverError("an interior block is not positive "
+                          "definite") from err
+    if not np.all(np.isfinite(chol)):
+        raise SolverError("an interior block is not finite")
+    inv = np.linalg.inv(chol)
+    y = (sp.bsr_matrix((inv, np.arange(n_cells), np.arange(n_cells + 1)),
+                       shape=(m, m)) @ matrix[:m, m:]).tocsr()
+    return inv, y, matrix[m:, m:] - y.T.tocsr() @ y
 
 
-def solve_linear(matrix, b, config=None):
-    """Solve the SPD system ``matrix @ x = b`` per the config."""
-    if config is None:
-        config = SolverConfig()
-    matrix = sp.csr_matrix(matrix)
-    b = np.asarray(b, dtype=float)
-    n = matrix.shape[0]
-    if matrix.shape != (n, n) or b.shape != (n,):
-        raise ValueError("matrix/right-hand side shapes do not match")
+def _lower(inv, v, transpose=False):
+    """L^-1 v, or L^-T v, cell by cell."""
+    spec = "cji,cj->ci" if transpose else "cij,cj->ci"
+    return np.einsum(spec, inv, v.reshape(inv.shape[:2])).ravel()
 
+
+def _route(schur, config, scale):
+    """(route, limit): route(g) -> (x, iterations) solves S x = g by the
+    configured method; limit bounds the full relative residual."""
     if config.method == "cholesky":
-        return _direct_solve(_spd_factor(matrix), matrix, b)
+        factor = _spd_factor(schur)
 
-    maxiter = config.max_iterations
-    if maxiter is None:
-        maxiter = max(1, math.ceil(50.0 * math.sqrt(n)))
-    d = matrix.diagonal()
+        def direct(g):
+            x = factor.solve(g)
+            res = _relative_residual(schur, x, g)
+            if res > DIRECT_RESIDUAL_LIMIT:
+                raise SolverError(
+                    f"direct solve residual {res:.3e} exceeds "
+                    f"{DIRECT_RESIDUAL_LIMIT:.1e}; matrix may not be SPD",
+                    residual=res)
+            return x, None
+        return direct, DIRECT_RESIDUAL_LIMIT
+
+    n = schur.shape[0]
+    maxiter = config.max_iterations or max(1, math.ceil(50.0 * math.sqrt(n)))
+    d = schur.diagonal()
     if np.any(d <= 0.0):
         raise SolverError("diagonal preconditioner needs positive diagonal "
                           "entries; matrix is not SPD")
     M = spla.LinearOperator((n, n), matvec=lambda v: v / d)
 
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    x, info = spla.cg(matrix, b, rtol=config.tolerance, atol=0.0,
-                      maxiter=maxiter, M=M, callback=count)
-    res = _relative_residual(matrix, x, b)
-    if info != 0:
-        raise SolverError(
-            f"conjugate gradients did not converge in {iterations} "
-            f"iterations (residual {res:.3e}, target "
-            f"{config.tolerance:.1e})",
-            residual=res, iterations=iterations)
-    return SolveResult(x, "cg", res, iterations)
+    def cg(g):
+        calls = []  # one entry per iteration
+        x, info = spla.cg(schur, g, rtol=0.0, atol=config.tolerance * scale,
+                          maxiter=maxiter, M=M,
+                          callback=lambda _: calls.append(None))
+        if info != 0:
+            res = float(np.linalg.norm(schur @ x - g) / scale)
+            raise SolverError(
+                f"conjugate gradients on the condensed system did not "
+                f"converge in {len(calls)} iterations (residual {res:.3e}, "
+                f"target {config.tolerance:.1e})",
+                residual=res, iterations=len(calls))
+        return x, len(calls)
+    return cg, config.tolerance
 
 
-class _Condensation:
-    """Static condensation of the leading block-diagonal interior block.
-
-    With A = [[A_ii, A_ib], [A_bi, A_bb]] and A_ii = L L^T block by block,
-    Y = L^-1 A_ib and the Schur complement is S = A_bb - Y^T Y.
-    """
-
-    def __init__(self, matrix, n_cells, block):
-        m = n_cells * block
-        end = matrix.indptr[m]
-        rows = np.repeat(np.arange(m), np.diff(matrix.indptr[:m + 1]))
-        cols = matrix.indices[:end]
-        inner = cols < m
-        rows, cols = rows[inner], cols[inner]
-        if np.any(rows // block != cols // block):
-            raise SolverError("interior unknowns couple across cells; the "
-                              "interior block is not block diagonal")
-        blocks = np.bincount(rows * block + cols % block,
-                             weights=matrix.data[:end][inner],
-                             minlength=m * block)
-        try:
-            chol = np.linalg.cholesky(blocks.reshape(n_cells, block, block))
-        except np.linalg.LinAlgError as err:
-            raise SolverError("an interior block is not positive "
-                              "definite") from err
-        if not np.all(np.isfinite(chol)):
-            raise SolverError("an interior block is not finite")
-        self.m, self.n_cells = m, n_cells
-        self.inv = np.linalg.inv(chol)  # L^-1, cell by cell
-        inv = sp.bsr_matrix((self.inv, np.arange(n_cells),
-                             np.arange(n_cells + 1)), shape=(m, m))
-        self.y = (inv @ matrix[:m, m:]).tocsr()
-        self.schur = matrix[m:, m:] - self.y.T.tocsr() @ self.y
-        self.factor = None  # the direct factor of schur, made once
-
-    def _lower(self, v, transpose=False):
-        v = v.reshape(self.n_cells, -1)
-        spec = "cji,cj->ci" if transpose else "cij,cj->ci"
-        return np.einsum(spec, self.inv, v).ravel()
-
-    def solve(self, rhs, config, scale):
-        """Solve A x = rhs through S; CG's tolerance is set so that the
-        full residual relative to ``scale`` meets config.tolerance."""
-        z = self._lower(rhs[:self.m])
-        g = rhs[self.m:] - self.y.T @ z
-        norm = np.linalg.norm(g)
-        if config.method == "cg" and norm > 0.0:
-            config = replace(
-                config, tolerance=min(1.0, config.tolerance * scale / norm))
-        try:
-            if config.method == "cg":
-                result = solve_linear(self.schur, g, config)
-            else:
-                if self.factor is None:
-                    self.factor = _spd_factor(self.schur)
-                result = _direct_solve(self.factor, self.schur, g)
-        except SolverError as err:
-            res = err.residual
-            if res is not None:  # relative to the full right-hand side
-                res *= norm / scale
-            raise SolverError(f"condensed trace/flux system: {err}",
-                              residual=res, iterations=err.iterations) from err
-        x_i = self._lower(z - self.y @ result.x, transpose=True)
-        return np.concatenate([x_i, result.x]), result.iterations
-
-
-def solve(system, config=None):
-    """Solve a reduced system by static condensation of its cell
-    interiors (anything with .matrix, .rhs and a DofLayout .layout whose
-    interior DOFs lead the free DOFs)."""
-    if config is None:
-        config = SolverConfig()
-    matrix = sp.csr_matrix(system.matrix)
-    b = np.asarray(system.rhs, dtype=float)
-    layout = system.layout
-    cond = _Condensation(matrix, layout.n_cells, layout.cell_block)
+def _solve(matrix, b, config, n_cells, block):
+    """Solve A x = b by condensing the leading ``n_cells`` interior blocks
+    of size ``block``, verified and corrected at most once."""
+    config = config or SolverConfig()
+    matrix = sp.csr_matrix(matrix)
+    b = np.asarray(b, dtype=float)
+    n = matrix.shape[0]
+    if matrix.shape != (n, n) or b.shape != (n,):
+        raise ValueError("matrix/right-hand side shapes do not match")
+    m = n_cells * block
+    inv, y, schur = _condense(matrix, n_cells, block)
     scale = np.linalg.norm(b) or 1.0
-    x, iterations = cond.solve(b, config, scale)
+    route, limit = _route(schur, config, scale)
+
+    def through_schur(rhs):
+        z = _lower(inv, rhs[:m])
+        x_b, iterations = route(rhs[m:] - y.T @ z)
+        x = np.concatenate([_lower(inv, z - y @ x_b, transpose=True), x_b])
+        if not np.all(np.isfinite(x)):
+            raise SolverError("solve produced non-finite values")
+        return x, iterations
+
+    x, iterations = through_schur(b)
     res = _relative_residual(matrix, x, b)
-    limit = (DIRECT_RESIDUAL_LIMIT if config.method == "cholesky"
-             else config.tolerance)
     if res > min(limit, config.tolerance):
-        # one residual-correction step with the same factors
-        dx, more = cond.solve(b - matrix @ x, config, scale)
+        dx, more = through_schur(b - matrix @ x)
         x = x + dx
         res = _relative_residual(matrix, x, b)
         iterations = None if more is None else iterations + more
@@ -235,3 +195,17 @@ def solve(system, config=None):
             f"after one correction step", residual=res,
             iterations=iterations)
     return SolveResult(x, config.method, res, iterations)
+
+
+def solve_linear(matrix, b, config=None):
+    """Solve the SPD system ``matrix @ x = b`` per the config, uncondensed."""
+    return _solve(matrix, b, config, 0, 1)
+
+
+def solve(system, config=None):
+    """Solve a reduced system by static condensation of its cell
+    interiors (anything with .matrix, .rhs and a DofLayout .layout whose
+    interior DOFs lead the free DOFs)."""
+    layout = system.layout
+    return _solve(system.matrix, system.rhs, config, layout.n_cells,
+                  layout.cell_block)

@@ -123,6 +123,13 @@ def test_error_report_dict_keys():
     assert all(v >= 0.0 for v in report.as_dict().values())
 
 
+def test_error_report_requires_exact_gradient():
+    mesh = wg.build_uniform_triangle_mesh(1)
+    with pytest.raises(ValueError, match="gradient"):
+        wg.compute_errors(mesh, 2, wg.WgField.zeros(mesh, 2),
+                          wg.ScalarField(lambda x, y: x))
+
+
 def test_energy_controls_l2_on_homogeneous_subspace():
     # lambda_min of the reduced matrix gives a Poincare-type floor
     mesh = wg.build_uniform_triangle_mesh(2)

@@ -57,6 +57,15 @@ def test_cg_matches_direct_and_reports_iterations():
         1.0, np.max(np.abs(direct.x)))
 
 
+def test_cg_reports_its_verified_full_residual():
+    A, b = _random_spd(80, seed=4)
+    cfg = wg.SolverConfig(method="cg", tolerance=1e-8)
+    result = wg.solve_linear(A, b, cfg)
+    assert result.residual == float(np.linalg.norm(A @ result.x - b)
+                                    / np.linalg.norm(b))
+    assert result.residual <= cfg.tolerance
+
+
 def test_cg_nonconvergence_raises_with_diagnostics():
     A, b = _random_spd(120, seed=5)
     cfg = wg.SolverConfig(method="cg", tolerance=1e-14, max_iterations=2)
@@ -134,27 +143,76 @@ def test_condensed_direct_solve_at_high_degree(degree):
     assert _relative_residual(reduced, result.x) <= 1e-9
 
 
-@pytest.mark.parametrize("method", ["cholesky", "cg"])
-def test_inexact_condensed_solve_is_corrected_once(monkeypatch, method):
-    # spoil the first trace/flux solve; one correction step must repair it
-    reduced = _reduced(wg.build_uniform_quad_mesh(3), 3)
-    exact = solver._Condensation.solve
+def _spoil_route(monkeypatch, spoil):
+    """Pass every answer of the S route through ``spoil(x, call)``; returns
+    the iteration counts of the route calls."""
+    exact = solver._route
     calls = []
 
-    def spoiled(cond, rhs, config, scale):
-        x, iterations = exact(cond, rhs, config, scale)
-        calls.append(iterations)
-        if len(calls) == 1:
-            x = x * (1.0 + 1e-6)
-        return x, iterations
+    def spoiling(*args):
+        route, limit = exact(*args)
 
-    monkeypatch.setattr(solver._Condensation, "solve", spoiled)
-    result = wg.solve(reduced, wg.SolverConfig(method=method))
+        def spoiled(g):
+            x, iterations = route(g)
+            calls.append(iterations)
+            return spoil(x, len(calls)), iterations
+        return spoiled, limit
+
+    monkeypatch.setattr(solver, "_route", spoiling)
+    return calls
+
+
+def _solve_by(entry, reduced, cfg):
+    if entry == "solve":
+        return wg.solve(reduced, cfg)
+    return wg.solve_linear(reduced.matrix, reduced.rhs, cfg)
+
+
+@pytest.mark.parametrize("entry", ["solve", "solve_linear"])
+@pytest.mark.parametrize("method", ["cholesky", "cg"])
+def test_inexact_condensed_solve_is_corrected_once(monkeypatch, method, entry):
+    # spoil the first route answer; one correction step must repair it
+    reduced = _reduced(wg.build_uniform_quad_mesh(3), 3)
+    calls = _spoil_route(
+        monkeypatch, lambda x, call: x * (1.0 + 1e-6) if call == 1 else x)
+    result = _solve_by(entry, reduced, wg.SolverConfig(method=method))
     assert len(calls) == 2
     assert result.residual <= 1e-10
     assert result.residual == _relative_residual(reduced, result.x)
     if method == "cg":
         assert result.iterations == sum(calls)
+
+
+@pytest.mark.parametrize("entry", ["solve", "solve_linear"])
+@pytest.mark.parametrize("method", ["cholesky", "cg"])
+def test_uncorrectable_solve_raises_after_one_correction(monkeypatch, method,
+                                                         entry):
+    reduced = _reduced(wg.build_uniform_quad_mesh(3), 3)
+    calls = _spoil_route(monkeypatch, lambda x, call: x * (1.0 + 1e-3))
+    cfg = wg.SolverConfig(method=method)
+    with pytest.raises(wg.SolverError, match="after one correction") as exc:
+        _solve_by(entry, reduced, cfg)
+    assert len(calls) == 2
+    assert exc.value.residual > cfg.tolerance
+    if method == "cg":
+        assert exc.value.iterations == sum(calls)
+
+
+@pytest.mark.parametrize("entry", ["solve", "solve_linear"])
+def test_non_finite_solution_raises_solver_error(monkeypatch, entry):
+    reduced = _reduced(wg.build_uniform_quad_mesh(3), 3)
+    _spoil_route(monkeypatch, lambda x, call: x * np.nan)
+    with pytest.raises(wg.SolverError, match="non-finite"):
+        _solve_by(entry, reduced, wg.SolverConfig())
+
+
+def test_inexact_direct_factor_fails_the_schur_residual_check(monkeypatch):
+    A, b = _random_spd(30, seed=8)
+    exact = solver._spd_factor
+    monkeypatch.setattr(solver, "_spd_factor", lambda m: exact(2.0 * m))
+    with pytest.raises(wg.SolverError, match="may not be SPD") as excinfo:
+        wg.solve_linear(A, b)
+    assert excinfo.value.residual > wg.DIRECT_RESIDUAL_LIMIT
 
 
 def test_correction_step_reuses_the_direct_factor(monkeypatch):
@@ -195,6 +253,15 @@ def test_indefinite_interior_block_raises_solver_error():
     for method in ("cholesky", "cg"):
         with pytest.raises(wg.SolverError, match="positive definite"):
             wg.solve(reduced, wg.SolverConfig(method=method))
+
+
+def test_non_finite_interior_block_raises_solver_error():
+    reduced = _reduced(wg.build_uniform_triangle_mesh(2), 2)
+    matrix = reduced.matrix.copy()
+    matrix[0, 0] = np.inf
+    reduced.matrix = matrix
+    with pytest.raises(wg.SolverError, match="not finite"):
+        wg.solve(reduced)
 
 
 def test_interior_coupling_across_cells_raises_solver_error():

@@ -34,7 +34,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import wg_biharm as wg  # noqa: E402
 from bench import brick_mesh  # noqa: E402
-from wg_biharm.solver import _Condensation  # noqa: E402
+from wg_biharm.solver import _condense  # noqa: E402
 
 CASES = [  # name, mesh, degree, solver method
     ("quad-n24-k4-cg", lambda: wg.build_uniform_quad_mesh(24), 4, "cg"),
@@ -56,8 +56,8 @@ def measure(mesh, degree, method, repeat):
     reduced = wg.apply_boundary_conditions(system, problem.trace,
                                            problem.normal_flux)
     layout = reduced.layout
-    schur = _Condensation(reduced.matrix, layout.n_cells,
-                          layout.cell_block).schur
+    _, _, schur = _condense(reduced.matrix, layout.n_cells,
+                            layout.cell_block)
     config = wg.SolverConfig(method=method)
     seconds = {"before": [], "after": []}
     runs = {}
