@@ -129,8 +129,8 @@ def assemble_system(mesh, degree, source, cell_exactness=None,
     """
     layout = build_dof_layout(mesh, degree)
     nnz = int(np.sum((layout.cell_block + 2 * degree * mesh.cell_sizes) ** 2))
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
+    rows = np.empty(nnz, dtype=np.int32)
+    cols = np.empty(nnz, dtype=np.int32)
     data = np.empty(nnz)
     load = np.zeros(layout.total)
     at = 0
@@ -176,7 +176,9 @@ def apply_boundary_conditions(system, trace, flux, edge_exactness=None):
         k - 1, edge_exactness)
     values = np.concatenate([traces.ravel(), fluxes.ravel()])
 
-    free = np.setdiff1d(np.arange(layout.total), boundary)
+    free = np.ones(layout.total, dtype=bool)
+    free[boundary] = False
+    free = np.flatnonzero(free)
 
     lift = system.matrix[:, boundary] @ values
     rhs = (system.load - lift)[free]

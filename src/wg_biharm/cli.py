@@ -37,7 +37,9 @@ def _add_common(p):
                    choices=["cholesky", "cg"],
                    help="cholesky: sparse LDL^T (SuperLU splu, symmetric "
                         "minimum-degree ordering, no pivoting, positive "
-                        "pivots checked); cg: conjugate gradients")
+                        "pivots checked); cg: conjugate gradients with a "
+                        "two-level preconditioner (edge-block smoother, "
+                        "coarse solve on edge modes 0-1)")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="CG tolerance on the reduced system's relative "
                         "residual")

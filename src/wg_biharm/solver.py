@@ -13,9 +13,15 @@ S is solved by the route the config names, chosen once per solve.
 "cholesky" (the default, sensible up to a few hundred thousand DOFs) is
 SuperLU ``splu`` with a symmetric minimum-degree ordering and no pivoting:
 LDL^T up to the scaling of U, with a row swap or a pivot <= 0 rejected as
-not SPD.  "cg" is conjugate gradients preconditioned by the diagonal of S,
-stopped at the absolute residual ``tolerance * ||b||``; its ``iterations``
-and the default ``max_iterations`` (50 sqrt(n)) refer to S.  Failure raises
+not SPD.  "cg" is conjugate gradients on S, stopped at the absolute
+residual ``tolerance * ||b||``; its ``iterations`` and the default
+``max_iterations`` (50 sqrt(n)) refer to S.  Its preconditioner is
+symmetric multiplicative two-level Schwarz (Pavarino; Brenner): a damped
+block-Jacobi smoother whose blocks are each edge's trace and flux modes,
+and an exact coarse solve on the Legendre modes < 2 (< 1 for k = 2) of
+every block, the k = 2 element's edge space, selected by column and
+factored once like the direct route.  ``solve_linear`` has no edge
+structure, so its CG runs damped symmetric point Jacobi.  Failure raises
 SolverError carrying the residual relative to b and, for CG, the iteration
 count, instead of returning garbage silently.
 """
@@ -31,6 +37,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 DIRECT_RESIDUAL_LIMIT = 1e-9
+POWER_STEPS = 10
 
 
 class SolverError(RuntimeError):
@@ -119,7 +126,64 @@ def _lower(inv, v, transpose=False):
     return np.einsum(spec, inv, v.reshape(inv.shape[:2])).ravel()
 
 
-def _route(schur, config, scale):
+def _two_level(schur, edge_block):
+    """Symmetric multiplicative two-level preconditioner of S: a damped
+    block-Jacobi pre-smooth, an exact coarse correction, a post-smooth.
+
+    With ``edge_block`` = k > 0, S holds every edge's k Legendre trace
+    modes, then every edge's k flux modes; a block is one edge's trace and
+    flux modes and the coarse space is modes < 2 (< 1 for k = 2).  With 0
+    the blocks are 1 x 1 and there is no coarse space.  The preconditioner
+    is SPD while the damping w keeps w lambda_max(D^-1 S) < 2; w is
+    min(1, 1 / lambda), lambda a Rayleigh quotient after POWER_STEPS power
+    steps on D^-1 S from the ones vector (no RNG: the solve repeats
+    bitwise)."""
+    n = schur.shape[0]
+    if n == 0:  # every edge is on the boundary
+        return spla.LinearOperator((0, 0), matvec=np.ravel)
+    j = np.arange(n)
+    if edge_block:
+        k = edge_block
+        blocks = j.reshape(2, -1, k).transpose(1, 0, 2).reshape(-1, 2 * k)
+        coarse = j[j % k < min(2, k - 1)]
+    else:
+        blocks, coarse = j[:, None], j[:0]
+    size = blocks.shape[1]
+    diag = schur[np.repeat(blocks, size, axis=1).ravel(),
+                 np.tile(blocks, size).ravel()]
+    try:
+        chol = np.linalg.cholesky(np.asarray(diag).reshape(-1, size, size))
+    except np.linalg.LinAlgError as err:
+        raise SolverError("block-diagonal smoother needs positive definite "
+                          "diagonal blocks; matrix is not SPD") from err
+    inv = np.linalg.inv(chol)
+
+    def jacobi(r):
+        """D^-1 r, block by block."""
+        out = np.empty(n)
+        out[blocks] = _lower(inv, _lower(inv, r[blocks]),
+                             transpose=True).reshape(blocks.shape)
+        return out
+
+    v = np.ones(n)
+    for _ in range(POWER_STEPS):
+        u = schur @ v
+        w = jacobi(u)
+        lam = (w @ u) / (v @ u)
+        v = w / np.linalg.norm(w)
+    omega = min(1.0, 1.0 / lam)
+    factor = _spd_factor(schur[coarse][:, coarse]) if coarse.size else None
+
+    def apply(r):
+        r = np.ravel(r)
+        x = omega * jacobi(r)
+        if factor is not None:
+            x[coarse] += factor.solve((r - schur @ x)[coarse])
+        return x + omega * jacobi(r - schur @ x)
+    return spla.LinearOperator((n, n), matvec=apply)
+
+
+def _route(schur, config, scale, edge_block):
     """(route, limit): route(g) -> (x, iterations) solves S x = g by the
     configured method; limit bounds the full relative residual."""
     if config.method == "cholesky":
@@ -138,11 +202,7 @@ def _route(schur, config, scale):
 
     n = schur.shape[0]
     maxiter = config.max_iterations or max(1, math.ceil(50.0 * math.sqrt(n)))
-    d = schur.diagonal()
-    if np.any(d <= 0.0):
-        raise SolverError("diagonal preconditioner needs positive diagonal "
-                          "entries; matrix is not SPD")
-    M = spla.LinearOperator((n, n), matvec=lambda v: v / d)
+    M = _two_level(schur, edge_block)
 
     def cg(g):
         calls = []  # one entry per iteration
@@ -160,9 +220,10 @@ def _route(schur, config, scale):
     return cg, config.tolerance
 
 
-def _solve(matrix, b, config, n_cells, block):
+def _solve(matrix, b, config, n_cells, block, edge_block):
     """Solve A x = b by condensing the leading ``n_cells`` interior blocks
-    of size ``block``, verified and corrected at most once."""
+    of size ``block``, verified and corrected at most once; ``edge_block``
+    is the number of modes per edge block of S (``_two_level``)."""
     config = config or SolverConfig()
     matrix = sp.csr_matrix(matrix)
     b = np.asarray(b, dtype=float)
@@ -172,7 +233,7 @@ def _solve(matrix, b, config, n_cells, block):
     m = n_cells * block
     inv, y, schur = _condense(matrix, n_cells, block)
     scale = np.linalg.norm(b) or 1.0
-    route, limit = _route(schur, config, scale)
+    route, limit = _route(schur, config, scale, edge_block)
 
     def through_schur(rhs):
         z = _lower(inv, rhs[:m])
@@ -199,7 +260,7 @@ def _solve(matrix, b, config, n_cells, block):
 
 def solve_linear(matrix, b, config=None):
     """Solve the SPD system ``matrix @ x = b`` per the config, uncondensed."""
-    return _solve(matrix, b, config, 0, 1)
+    return _solve(matrix, b, config, 0, 1, 0)
 
 
 def solve(system, config=None):
@@ -208,4 +269,4 @@ def solve(system, config=None):
     interior DOFs lead the free DOFs)."""
     layout = system.layout
     return _solve(system.matrix, system.rhs, config, layout.n_cells,
-                  layout.cell_block)
+                  layout.cell_block, layout.edge_block)

@@ -143,6 +143,68 @@ def test_condensed_direct_solve_at_high_degree(degree):
     assert _relative_residual(reduced, result.x) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_two_level_cg_iterations_stay_bounded_under_refinement(n):
+    # 9, 13 and 16 iterations; diagonal scaling needed 107, 294 and 561
+    reduced = _reduced(wg.build_uniform_quad_mesh(n), 3)
+    result = wg.solve(reduced, wg.SolverConfig(method="cg", tolerance=1e-12))
+    assert result.iterations <= 25
+
+
+@pytest.mark.parametrize("degree, bound", [(5, 2e-6), (6, 3e-5)])
+def test_cg_converges_at_high_degree_and_agrees_with_direct(degree, bound):
+    # measured gaps 1.8e-7 (k = 5) and 3.0e-6 (k = 6) at tolerance 1e-12,
+    # the residual amplified by the basis conditioning; bounds are 10x
+    reduced = _reduced(wg.build_uniform_triangle_mesh(8), degree)
+    direct = wg.solve(reduced)
+    cg = wg.solve(reduced, wg.SolverConfig(method="cg", tolerance=1e-12))
+    assert cg.residual <= 1e-12
+    gap = np.linalg.norm(cg.x - direct.x) / np.linalg.norm(direct.x)
+    assert gap <= bound
+
+
+def test_cg_solves_a_mesh_without_interior_edges():
+    reduced = _reduced(wg.build_uniform_quad_mesh(1), 3)
+    direct = wg.solve(reduced)
+    cg = wg.solve(reduced, wg.SolverConfig(method="cg"))
+    assert cg.iterations == 0
+    assert np.array_equal(cg.x, direct.x)
+
+
+def _dense(operator):
+    return operator @ np.eye(operator.shape[0])
+
+
+def _assert_spd(matrix):
+    scale = np.abs(matrix).max()
+    assert np.abs(matrix - matrix.T).max() <= 1e-12 * scale
+    assert np.linalg.eigvalsh(0.5 * (matrix + matrix.T))[0] > 0.0
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+def test_two_level_preconditioner_is_spd(degree):
+    reduced = _reduced(wg.build_uniform_triangle_mesh(4), degree)
+    layout = reduced.layout
+    _, _, schur = solver._condense(reduced.matrix, layout.n_cells,
+                                   layout.cell_block)
+    _assert_spd(_dense(solver._two_level(schur, layout.edge_block)))
+
+
+def test_pointwise_preconditioner_of_solve_linear_is_spd():
+    A, _ = _random_spd(40, seed=9)
+    _assert_spd(_dense(solver._two_level(A, 0)))
+
+
+@pytest.mark.parametrize("entry", ["solve", "solve_linear"])
+def test_cg_solves_are_bitwise_repeatable(entry):
+    reduced = _reduced(wg.build_uniform_quad_mesh(6), 4)
+    cfg = wg.SolverConfig(method="cg")
+    first, second = (_solve_by(entry, reduced, cfg) for _ in range(2))
+    assert np.array_equal(first.x, second.x)
+    assert first.iterations == second.iterations
+    assert first.residual == second.residual
+
+
 def _spoil_route(monkeypatch, spoil):
     """Pass every answer of the S route through ``spoil(x, call)``; returns
     the iteration counts of the route calls."""

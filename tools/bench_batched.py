@@ -1,22 +1,27 @@
-"""Before/after measurement of assembly, the direct solve and the error
-report.
+"""Before/after measurement of assembly, the solve and the error report.
 
     python tools/bench_batched.py --baseline-src PARENT/src --repeat 10 \
         --out BENCH_symmetric_lu.json
+    python tools/bench_batched.py --baseline-src PARENT/src --repeat 5 \
+        --solver cg --cases quad-n24-k4,quad-n64-k3,tri-n128-k2 \
+        --out BENCH_two_level.json
 
 PARENT is a checkout of the commit to compare against, for example one
 made with ``git worktree add PARENT <rev>``.  Each repeat runs one fresh
 process per side ("before" imports ``wg_biharm`` from PARENT/src, "after"
 from this checkout's ``src/``), alternating which side goes first, with
 BLAS pinned to one thread.  A process builds the case's mesh, times
-``assemble_system``, eliminates the boundary data, times the direct
-``solve``, times ``compute_errors`` on the solution and reports its peak
-RSS.  After reading the peak it solves once more with ``splu`` wrapped, to
-count the SuperLU fill (L.nnz + U.nnz) of the condensed trace/flux matrix
-without holding its factors through the timed calls.  The JSON records
-every sample and, per case and side, the medians of the three timings, the
-peak RSS and the fill, and the stored entries (nnz) of the assembled and
-of the reduced matrix.
+``assemble_system``, eliminates the boundary data, times ``solve`` with
+the ``--solver`` method, times ``compute_errors`` on the solution and
+reports its peak RSS and the CG iterations.  After reading the peak it
+solves once more with ``splu`` wrapped, to count the SuperLU fill
+(L.nnz + U.nnz) without holding factors through the timed calls: ``fill``
+is that of the method's first factor (the condensed trace/flux matrix for
+the direct route, the coarse matrix for CG; null if it factors nothing),
+``direct_fill`` that of the direct route.  The JSON records every sample
+and, per case and side, the medians of the timings, the peak RSS, the
+iterations and the fills, and the stored entries (nnz) of the assembled
+and of the reduced matrix.
 """
 
 import os
@@ -36,13 +41,18 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 
-CASES = {  # name: (mesh, degree)
-    "brick-n24-seed3-k3": ("brick", 3),
-    "tri-n64-k2": ("tri", 2),
+CASES = {  # name: (mesh, n, degree)
+    "brick-n24-seed3-k3": ("brick", 24, 3),
+    "tri-n64-k2": ("tri", 64, 2),
+    "quad-n24-k4": ("quad", 24, 4),
+    "quad-n64-k3": ("quad", 64, 3),
+    "tri-n128-k2": ("tri", 128, 2),
 }
+MEDIANS = ("assemble_s", "solve_s", "errors_s", "peak_rss_mib", "iterations",
+           "fill", "direct_fill")
 
 
-def child(src, case):
+def child(src, case, method):
     """Run one case against the package in ``src``; print one JSON line."""
     sys.path.insert(0, str(src))
     import wg_biharm as wg  # the package under test, before bench imports it
@@ -50,9 +60,11 @@ def child(src, case):
     sys.path.insert(1, str(ROOT / "perfbench"))
     from bench import brick_mesh
 
-    mesh_kind, k = CASES[case]
-    mesh = (brick_mesh(24, 3) if mesh_kind == "brick"
-            else wg.build_uniform_triangle_mesh(64))
+    mesh_kind, n, k = CASES[case]
+    mesh = {"brick": lambda: brick_mesh(n, 3),
+            "tri": lambda: wg.build_uniform_triangle_mesh(n),
+            "quad": lambda: wg.build_uniform_quad_mesh(n)}[mesh_kind]()
+    config = wg.SolverConfig(method=method)
     problem = wg.get_problem("example2")
     t0 = time.perf_counter()
     system = wg.assemble_system(mesh, k, problem.source)
@@ -60,7 +72,7 @@ def child(src, case):
     reduced = wg.apply_boundary_conditions(system, problem.trace,
                                            problem.normal_flux)
     t0 = time.perf_counter()
-    result = wg.solve(reduced, wg.SolverConfig())
+    result = wg.solve(reduced, config)
     solve_s = time.perf_counter() - t0
     u_h = reduced.layout.vector_to_field(reduced.expand(result.x))
     t0 = time.perf_counter()
@@ -68,26 +80,34 @@ def child(src, case):
     errors_s = time.perf_counter() - t0
     peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
-    splu, fills = wg.solver.spla.splu, []
+    splu = wg.solver.spla.splu
 
-    def counted(*args, **kwargs):
-        factor = splu(*args, **kwargs)
-        fills.append(int(factor.L.nnz + factor.U.nnz))
-        return factor
+    def first_fill(config):
+        fills = []
 
-    wg.solver.spla.splu = counted
-    wg.solve(reduced, wg.SolverConfig())
+        def counted(*args, **kwargs):
+            factor = splu(*args, **kwargs)
+            fills.append(int(factor.L.nnz + factor.U.nnz))
+            return factor
+
+        wg.solver.spla.splu = counted
+        wg.solve(reduced, config)
+        return fills[0] if fills else None
+
+    fill = first_fill(config)
     print(json.dumps({
         "assemble_s": assemble_s, "solve_s": solve_s, "errors_s": errors_s,
-        "peak_rss_mib": peak_rss_mib, "fill": fills[0],
+        "peak_rss_mib": peak_rss_mib, "iterations": result.iterations,
+        "fill": fill, "direct_fill": (fill if method == "cholesky"
+                                      else first_fill(wg.SolverConfig())),
         "nnz": int(system.matrix.nnz),
         "reduced_nnz": int(reduced.matrix.nnz),
         "h2_energy": report.h2_energy}))
 
 
-def run_side(src, case):
+def run_side(src, case, method):
     out = subprocess.run(
-        [sys.executable, __file__, "--child", str(src), case],
+        [sys.executable, __file__, "--child", str(src), case, method],
         check=True, capture_output=True, text=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -96,8 +116,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--baseline-src", type=Path)
     ap.add_argument("--repeat", type=int, default=10)
+    ap.add_argument("--solver", default="cholesky", choices=["cholesky", "cg"])
+    ap.add_argument("--cases", default="brick-n24-seed3-k3,tri-n64-k2",
+                    help="comma-separated names from: " + ", ".join(CASES))
     ap.add_argument("--out", default=None)
-    ap.add_argument("--child", nargs=2, metavar=("SRC", "CASE"),
+    ap.add_argument("--child", nargs=3, metavar=("SRC", "CASE", "SOLVER"),
                     help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
@@ -105,6 +128,9 @@ def main():
         return
     if args.baseline_src is None:
         ap.error("--baseline-src is required")
+    cases = args.cases.split(",")
+    if not set(cases) <= set(CASES):
+        ap.error(f"unknown case in {args.cases!r}")
 
     import numpy as np
     import scipy
@@ -112,27 +138,28 @@ def main():
     sides = {"before": args.baseline_src.resolve(), "after": ROOT / "src"}
     record = {
         "command": "python tools/bench_batched.py --baseline-src PARENT/src "
-                   f"--repeat {args.repeat}",
+                   f"--repeat {args.repeat} --solver {args.solver} "
+                   f"--cases {args.cases}",
         "repeat": args.repeat,
         "env": {"nproc": os.cpu_count(),
                 "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
                 "python": platform.python_version(),
                 "numpy": np.__version__, "scipy": scipy.__version__},
-        "problem": "example2, direct solver",
+        "problem": f"example2, {args.solver} solver",
         "cases": {},
     }
-    for case in CASES:
+    for case in cases:
         samples = {side: [] for side in sides}
         for i in range(args.repeat):
             order = list(sides) if i % 2 == 0 else list(sides)[::-1]
             for side in order:
-                samples[side].append(run_side(sides[side], case))
+                samples[side].append(run_side(sides[side], case,
+                                              args.solver))
         row = {}
         for side, runs in samples.items():
             row[side] = {
                 f"median_{key}": statistics.median(r[key] for r in runs)
-                for key in ("assemble_s", "solve_s", "errors_s",
-                            "peak_rss_mib", "fill")}
+                if runs[0][key] is not None else None for key in MEDIANS}
             row[side]["nnz"] = runs[0]["nnz"]
             row[side]["reduced_nnz"] = runs[0]["reduced_nnz"]
             row[side]["samples"] = runs
