@@ -137,19 +137,20 @@ def assemble_system(mesh, degree, source, cell_exactness=None,
     for cells, op in cell_operators(mesh, degree, cell_exactness,
                                     edge_exactness):
         g = layout.cell_dofs(mesh, cells)
-        c, n = g.shape
-        end = at + c * n * n
-        rows[at:end].reshape(c, n, n)[:] = g[:, :, None]
-        cols[at:end].reshape(c, n, n)[:] = g[:, None, :]
-        data[at:end] = (op.stiffness + op.stabilizer).ravel()
+        local = op.stiffness + op.stabilizer
+        keep = local != 0.0  # the exact zeros of the masked couplings
+        end = at + np.count_nonzero(keep)
+        rows[at:end] = np.broadcast_to(g[:, :, None], local.shape)[keep]
+        cols[at:end] = np.broadcast_to(g[:, None, :], local.shape)[keep]
+        data[at:end] = local[keep]
         at = end
 
         wf = op.rule.weights * evaluate_at(source, op.rule.points)
         load[g[:, :layout.cell_block]] = (op.values.mT @ wf[..., None])[..., 0]
 
-    matrix = sp.coo_matrix((data, (rows, cols)),
+    matrix = sp.coo_matrix((data[:at], (rows[:at], cols[:at])),
                            shape=(layout.total, layout.total)).tocsr()
-    matrix.eliminate_zeros()
+    matrix.eliminate_zeros()  # duplicates that cancel
     return SparseSymmetricSystem(matrix, load, layout, mesh, degree)
 
 

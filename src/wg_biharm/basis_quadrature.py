@@ -3,10 +3,11 @@
 
 Cell spaces use scaled monomials ((x - x_T)/h_T)^a ((y - y_T)/h_T)^b,
 a + b <= degree, ordered by total degree; the basis of a lower degree is
-therefore a prefix of the basis of a higher one.  Edge spaces use Legendre
-polynomials in the arc parameter t in [-1, 1] of the edge's stored
-orientation, so the edge mass matrix is diagonal with entries
-h_e / (2j + 1).
+therefore a prefix of the basis of a higher one.  Gradients and Laplacians
+are read off the values: a monomial's derivative is a multiple of a lower
+monomial, located through index tables cached per degree.  Edge spaces use
+Legendre polynomials in the arc parameter t in [-1, 1] of the edge's stored
+orientation, so the edge mass matrix is diagonal with entries h_e / (2j + 1).
 
 Cell integration applies a Duffy-transformed tensor Gauss rule on each of
 the m - 2 fan triangles (v_0, v_i, v_{i+1}) of an m-gon.  Fan Jacobians
@@ -148,6 +149,17 @@ def polygon_quadrature(vertices, exactness):
                           w.reshape(*w.shape[:-2], -1), exactness)
 
 
+@lru_cache(maxsize=16)
+def _lowering(degree):
+    """Read-only exponents a, b of the monomials of P_degree, then the basis
+    positions of x^(a-1) y^b, x^a y^(b-1), x^(a-2) y^b and x^a y^(b-2),
+    exponents clipped at zero where the derivative's factor vanishes."""
+    a, b = monomial_exponents(degree).T
+    low = [(np.maximum(a - i, 0), np.maximum(b - j, 0))
+           for i, j in ((1, 0), (0, 1), (2, 0), (0, 2))]
+    return _read_only(a, b, *((x + y) * (x + y + 1) // 2 + y for x, y in low))
+
+
 @dataclass(frozen=True)
 class CellBasis:
     """Scaled monomial basis of P_degree on one cell, or on a stack of
@@ -161,32 +173,48 @@ class CellBasis:
     def dimension(self):
         return polynomial_space_dim(self.degree)
 
-    def evaluate(self, points):
+    @property
+    def _h(self):
+        return np.asarray(self.scale, dtype=float)[..., None, None]
+
+    def evaluate(self, points, derivatives=True):
         """Values, gradients and Laplacians at the given (n, 2) points.
 
         Returns (values (n, dim), gradients (n, dim, 2), laplacians
-        (n, dim)).  A stack of bases evaluates each on its own points
-        (..., n, 2), and every output gains the same leading axes.
+        (n, dim)), or the values alone if not ``derivatives``.  A stack of
+        bases evaluates each on its own points (..., n, 2), and every output
+        gains the same leading axes.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        h = np.asarray(self.scale, dtype=float)[..., None, None]
-        XY = (points - np.asarray(self.center)[..., None, :]) / h
-        a, b = monomial_exponents(self.degree).T
+        XY = (points - np.asarray(self.center)[..., None, :]) / self._h
+        a, b = _lowering(self.degree)[:2]
 
         # P[..., i, j] = XY[..., i] ** j as a running product
-        P = np.cumprod(np.concatenate([np.ones(XY.shape + (1,)), np.repeat(
-            XY[..., None], self.degree, axis=-1)], axis=-1), axis=-1)
-        PX, PY = P[..., 0, :], P[..., 1, :]
-        # Lowered exponents are clipped at zero; their coefficients a, b,
-        # a(a-1), b(b-1) vanish exactly where the clip applies.
-        a1, b1 = np.maximum(a - 1, 0), np.maximum(b - 1, 0)
-        a2, b2 = np.maximum(a - 2, 0), np.maximum(b - 2, 0)
-        vals = PX[..., a] * PY[..., b]
-        grads = np.stack([(a / h) * (PX[..., a1] * PY[..., b]),
-                          (b / h) * (PX[..., a] * PY[..., b1])], axis=-1)
-        laps = ((a * (a - 1) / h ** 2) * (PX[..., a2] * PY[..., b])
-                + (b * (b - 1) / h ** 2) * (PX[..., a] * PY[..., b2]))
-        return vals, grads, laps
+        P = np.empty(XY.shape + (self.degree + 1,))
+        P[..., 0] = 1.0
+        for j in range(self.degree):
+            np.multiply(P[..., j], XY, out=P[..., j + 1])
+        vals = P[..., 0, a] * P[..., 1, b]
+        if not derivatives:
+            return vals
+        return vals, self.gradients(vals), self.laplacians(vals)
+
+    # A monomial's derivatives are multiples of lower monomials, so they are
+    # read off the values (..., n, dim), the products being the same ones.
+    def gradients(self, vals, direction=None):
+        """Gradients (..., n, dim, 2), or derivatives along (..., n, 2)."""
+        a, b, a1, b1 = _lowering(self.degree)[:4]
+        gx, gy = (a / self._h) * vals[..., a1], (b / self._h) * vals[..., b1]
+        if direction is None:
+            return np.stack([gx, gy], axis=-1)
+        return gx * direction[..., None, 0] + gy * direction[..., None, 1]
+
+    def laplacians(self, vals):
+        """Laplacians (..., n, dim) of the basis, or of a prefix of it."""
+        a, b, _, _, a2, b2 = (t[:vals.shape[-1]]
+                              for t in _lowering(self.degree))
+        return ((a * (a - 1) / self._h ** 2) * vals[..., a2]
+                + (b * (b - 1) / self._h ** 2) * vals[..., b2])
 
     @classmethod
     def for_cell(cls, geom, degree):

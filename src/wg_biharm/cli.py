@@ -17,7 +17,7 @@ import sys
 from .assembly import dump_matrix
 from .norms import compute_errors
 from .problems import get_problem
-from .solver import SolverConfig, SolverError
+from .solver import DIRECT_RESIDUAL_LIMIT, SolverConfig, SolverError
 from .study import (NORM_COLUMNS, StudyConfig, build_mesh, emit_table,
                     run_study, solve_on_mesh)
 
@@ -41,8 +41,12 @@ def _add_common(p):
                         "two-level preconditioner (edge-block smoother, "
                         "coarse solve on edge modes 0-1)")
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="CG tolerance on the reduced system's relative "
-                        "residual")
+                   help="CG stops once the condensed system's residual "
+                        "is at most tol times the norm of the full "
+                        "right-hand side; either solver then takes one "
+                        "correction step if the full relative residual "
+                        f"exceeds tol (or {DIRECT_RESIDUAL_LIMIT:g} on the "
+                        "direct route, if smaller)")
     p.add_argument("--max-iterations", type=int, default=None,
                    help="CG iteration cap on the condensed trace/flux "
                         "system (default 50 sqrt(n))")

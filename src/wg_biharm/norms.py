@@ -83,10 +83,9 @@ def energy_norm(mesh, degree, field, cell_exactness=None,
     eg = edge_geometry(mesh, e[:, None])
     basis = CellBasis(degree, mesh.cell_centroids[cell],
                       mesh.cell_diameters[cell])
-    evals, egrads, _ = basis.evaluate(edge_points(eg, erule.points))
+    evals = basis.evaluate(edge_points(eg, erule.points), False)
+    grad_n = basis.gradients(evals, eg.normal)
     v0 = field.interior[cell, None, :]
-    grad_n = (egrads[..., 0] * eg.normal[..., None, 0]
-              + egrads[..., 1] * eg.normal[..., None, 1])
     flux_gap = np.sum(grad_n * v0, axis=-1) - field.flux[e] @ L.T
     qb = _legendre_coefficients(erule, degree - 1, np.sum(evals * v0, axis=-1))
     trace_gap = (qb - field.trace[e]) @ L.T

@@ -97,7 +97,7 @@ def project_cell(mesh, cell, f, degree, exactness=None):
                       mesh.cell_diameters[cell])
     rule = polygon_quadrature(mesh.vertices[mesh.cell_rows(cell)[0]],
                               exactness)
-    vals, _, _ = basis.evaluate(rule.points)
+    vals = basis.evaluate(rule.points, False)
     mass = (vals * rule.weights[..., None]).mT @ vals
     return _project_on_rule(rule, vals, mass, f)
 

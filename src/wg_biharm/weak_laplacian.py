@@ -30,17 +30,20 @@ the cell's boundary order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
 from .basis_quadrature import (CellBasis, QuadratureRule, _duffy_rule,
-                               edge_points, edge_quadrature,
+                               _read_only, edge_points, edge_quadrature,
                                polygon_quadrature, polynomial_space_dim,
                                quadrature_exactness)
 from .mesh import edge_geometry
 
-_BATCH_ENTRIES = 40_000  # basis values per batch, bounding its memory
+# P_k basis values at a batch's cell and edge points, bounding its memory;
+# gradients (edge points) and Laplacians (P_{k-2}) are read off subsets.
+_BATCH_ENTRIES = 40_000
 
 
 @dataclass(frozen=True)
@@ -93,8 +96,8 @@ def cell_operators(mesh, k, cell_exactness=None, edge_exactness=None,
     """
     cell_exactness, edge_exactness = quadrature_exactness(
         k, cell_exactness, edge_exactness)
-    erule = edge_quadrature(edge_exactness)
-    return ((batch, _batch_operators(mesh, batch, k, cell_exactness, erule))
+    return ((batch, _batch_operators(mesh, batch, k, cell_exactness,
+                                     edge_exactness))
             for batch in cell_batches(mesh, k, cell_exactness,
                                       edge_exactness, cells))
 
@@ -102,7 +105,8 @@ def cell_operators(mesh, k, cell_exactness=None, edge_exactness=None,
 def cell_batches(mesh, k, cell_exactness, edge_exactness, cells=None):
     """Yield index arrays partitioning the cells (all, or ``cells``), each
     of one vertex count and of at most _BATCH_ENTRIES values of the P_k
-    basis at the cell and edge quadrature points, or of one cell."""
+    basis at the cell and edge quadrature points (the kernel's one basis
+    evaluation), or of one cell."""
     if cells is None:
         cells = np.arange(mesh.n_cells)
     n_duffy = _duffy_rule(cell_exactness)[1].size
@@ -115,60 +119,73 @@ def cell_batches(mesh, k, cell_exactness, edge_exactness, cells=None):
         yield from np.split(group, np.arange(step, group.size, step))
 
 
-def _batch_operators(mesh, cells, k, cell_exactness, erule):
-    """LocalOperators of c cells that all have m edges."""
-    vertex_ids, rows = mesh.cell_rows(cells)
-    c, m = vertex_ids.shape
-    ne = erule.weights.size
-    h_cell = mesh.cell_diameters[cells, None]
-    basis = CellBasis(k, mesh.cell_centroids[cells], h_cell[:, 0])
-    n0 = basis.dimension
-    n2 = polynomial_space_dim(k - 2)
-
-    # One basis evaluation on the cell points stacked with the edge points.
-    rule = polygon_quadrature(mesh.vertices[vertex_ids], cell_exactness)
-    eg = edge_geometry(mesh, rows[..., 0])
-    nq = rule.weights.shape[1]
-    allvals, allgrads, alllaps = basis.evaluate(np.concatenate(
-        [rule.points, edge_points(eg, erule.points)], axis=1))
-    vals, laps, evals = allvals[:, :nq], alllaps[:, :nq], allvals[:, nq:]
-    w = rule.weights[..., None]
-    mass = (vals * w).mT @ vals
-
-    # At the m * ne edge points: grad v_0 . n_e, the signed arc weights (the
-    # outward normal is sign * n_e; the sign flips are exact), and L, whose
-    # product with a trace or flux block gives its values there.
-    grad_n = np.einsum("cpjd,cpd->cpj", allgrads[:, nq:],
-                       np.repeat(eg.normal, ne, axis=1))
-    wphys = (erule.weights * (0.5 * eg.length[..., None])).reshape(c, -1)
-    sw = (np.repeat(rows[..., 1], ne, axis=1) * wphys)[..., None]
+@lru_cache(maxsize=64)
+def _edge_constants(k, m, edge_exactness):
+    """Read-only L, giving a trace or flux block's values at the m * ne edge
+    points of a cell with m edges, L masked for the trace and for the flux
+    term of the weak Laplacian, and Q_b, from those values to Legendre."""
+    erule = edge_quadrature(edge_exactness)
+    leg = legvander(erule.points, k - 1)
+    L = np.kron(np.eye(m), leg)
     # On an edge grad phi . n has degree k - 3 and phi degree k - 2, so the
     # trace modes j >= k - 2 and the flux mode k - 1 are orthogonal to them;
     # masking their columns stores exact zeros instead of roundoff.
-    leg = legvander(erule.points, k - 1)
-    L = np.kron(np.eye(m), leg)
     j = np.tile(np.arange(k), m)
-    B = np.concatenate([(laps[..., :n2] * w).mT @ vals,
-                        -(grad_n[..., :n2] * sw).mT @ (L * (j < k - 2)),
-                        (evals[..., :n2] * sw).mT @ (L * (j < k - 1))],
-                       axis=-1)
+    Qb = np.kron(np.eye(m), (j[:k, None] + 0.5) * (leg.T * erule.weights))
+    return _read_only(L, L * (j < k - 2), L * (j < k - 1), Qb)
 
-    # Rows of the two mismatches: grad v_0 . n_e - v_n at the edge points,
-    # weighted by the arc quadrature, then Q_b v_0 - v_b in Legendre
-    # coefficients (exact), weighted by the edge mass h_e / (2j + 1).
-    Qb = np.kron(np.eye(m), (np.arange(k)[:, None] + 0.5)
-                 * (leg.T * erule.weights))
-    Q = np.zeros((c, m * (ne + k), n0 + 2 * m * k))
-    Q[:, :m * ne, :n0] = grad_n
-    Q[:, :m * ne, n0 + m * k:] = -L
-    Q[:, m * ne:, :n0] = Qb @ evals
-    Q[:, m * ne:, n0:n0 + m * k] = -np.eye(m * k)
-    edge_mass = eg.length[..., None] / (2.0 * np.arange(k) + 1.0)
-    qw = np.concatenate([wphys / h_cell,
-                         edge_mass.reshape(c, -1) / h_cell ** 3], axis=1)
-    S = (Q.mT * qw[:, None, :]) @ Q
+
+def _batch_operators(mesh, cells, k, cell_exactness, edge_exactness):
+    """LocalOperators of c cells that all have m edges."""
+    vertex_ids, rows = mesh.cell_rows(cells)
+    c, m = vertex_ids.shape
+    erule = edge_quadrature(edge_exactness)
+    ne = erule.weights.size
+    h_cell = mesh.cell_diameters[cells, None]
+    basis = CellBasis(k, mesh.cell_centroids[cells], h_cell[:, 0])
+    n2 = polynomial_space_dim(k - 2)
+    L, L_trace, L_flux, Qb = _edge_constants(k, m, edge_exactness)
+
+    # One evaluation of the basis values on the cell points stacked with the
+    # edge points; the derivatives are read off them where they are used.
+    rule = polygon_quadrature(mesh.vertices[vertex_ids], cell_exactness)
+    eg = edge_geometry(mesh, rows[..., 0])
+    nq = rule.weights.shape[1]
+    allvals = basis.evaluate(np.concatenate(
+        [rule.points, edge_points(eg, erule.points)], axis=1), False)
+    vals, evals = allvals[:, :nq], allvals[:, nq:]
+    w = rule.weights[..., None]
+    mass = (vals * w).mT @ vals
+
+    # At the m * ne edge points: grad v_0 . n_e and the signed arc weights
+    # (the outward normal is sign * n_e; the sign flips are exact).
+    grad_n = basis.gradients(evals, np.repeat(eg.normal, ne, axis=1))
+    wphys = (erule.weights * (0.5 * eg.length[..., None])).reshape(c, -1)
+    sw = (np.repeat(rows[..., 1], ne, axis=1) * wphys)[..., None]
+    B = np.concatenate([(basis.laplacians(vals[..., :n2]) * w).mT @ vals,
+                        -(grad_n[..., :n2] * sw).mT @ L_trace,
+                        (evals[..., :n2] * sw).mT @ L_flux], axis=-1)
+
+    # The stabilizer, by blocks: the Gram matrix of the mismatches G v_0 -
+    # L v_n at the edge points (G = grad_n), weighted by w1, and E v_0 - v_b
+    # in Legendre coefficients (E = Q_b v_0, exact), weighted by w2.  The
+    # interior-flux block is the mean of its two roundings, G^T W L and
+    # (L^T W G)^T, as in the symmetrized Gram matrix, so it stores the same
+    # entries where the coupling cancels.
+    w1 = (wphys / h_cell)[..., None]
+    w2 = (eg.length[..., None] / (2.0 * np.arange(k) + 1.0)).reshape(c, -1)
+    w2 /= h_cell ** 3
+    E = Qb @ evals
+    GW, EW, LW = (grad_n * w1).mT, (E * w2[..., None]).mT, L.T * w1.mT
+    IF = -0.5 * (GW @ L + (LW @ grad_n).mT)
+    Z = np.zeros((c, m * k, m * k))
+    S = np.block([[_sym(GW @ grad_n + EW @ E), -EW, IF],
+                  [-EW.mT, w2[..., None] * np.eye(m * k), Z],
+                  [IF.mT, Z, _sym(LW @ L)]])
 
     D = np.linalg.solve(mass[:, :n2, :n2], B)
-    A = B.mT @ D
-    return LocalOperators(D, 0.5 * (A + A.mT), 0.5 * (S + S.mT), mass, rule,
-                          vals)
+    return LocalOperators(D, _sym(B.mT @ D), S, mass, rule, vals)
+
+
+def _sym(A):
+    return 0.5 * (A + A.mT)

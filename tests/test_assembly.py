@@ -122,7 +122,8 @@ def test_batched_assembly_matches_per_cell_scatter(name, k):
     if name == "tri" and k == 4:
         assert len(batches) > 1  # the batch-size bound cuts this group
 
-    # reference: one local_operators call and one scatter per cell
+    # reference: one local_operators call and one scatter per cell, exact
+    # zeros included, which assemble_system leaves out
     A = np.zeros((layout.total, layout.total))
     load = np.zeros(layout.total)
     for c in range(mesh.n_cells):
@@ -137,14 +138,17 @@ def test_batched_assembly_matches_per_cell_scatter(name, k):
 
 
 def test_assembled_matrices_store_no_exact_zeros():
-    # at k = 2 the gradient of a constant zeroes whole columns of B
-    mesh = wg.build_uniform_triangle_mesh(8)
+    # at k = 2 the gradient of a constant zeroes whole columns of B; at
+    # k >= 3 the Legendre column mask leaves exact zeros in every cell
     problem = wg.get_problem("example2")
-    system = wg.assemble_system(mesh, 2, problem.source)
-    reduced = wg.apply_boundary_conditions(system, problem.trace,
-                                           problem.normal_flux)
-    assert np.all(system.matrix.data != 0.0)
-    assert np.all(reduced.matrix.data != 0.0)
+    cases = [(wg.build_uniform_triangle_mesh(8), 2)] + [
+        (make(), k) for make in MIXED_MESHES.values() for k in (3, 4)]
+    for mesh, k in cases:
+        system = wg.assemble_system(mesh, k, problem.source)
+        reduced = wg.apply_boundary_conditions(system, problem.trace,
+                                               problem.normal_flux)
+        assert np.all(system.matrix.data != 0.0)
+        assert np.all(reduced.matrix.data != 0.0)
 
 
 def test_boundary_dofs_and_zero_data_elimination():

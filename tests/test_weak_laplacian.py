@@ -13,7 +13,7 @@ k) are checked on random triangles and quads.
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import legvander
+from numpy.polynomial.legendre import Legendre, leggauss, legvander
 
 import wg_biharm as wg
 from wg_biharm.basis_quadrature import edge_points
@@ -210,6 +210,60 @@ def test_stabilizer_flux_penalty_oracle():
     vloc = wg.gather_local_dofs(field, mesh, 0)
     expected = 1.0 / np.sqrt(2.0)
     assert vloc @ ops.stabilizer @ vloc == pytest.approx(expected, rel=1e-14)
+
+
+def _jittered_hexagon():
+    rng = np.random.default_rng(5)
+    angles = np.arange(6) * np.pi / 3.0 + rng.uniform(-0.15, 0.15, 6)
+    radii = rng.uniform(0.8, 1.2, 6)
+    return single_cell_mesh(np.column_stack([radii * np.cos(angles),
+                                             radii * np.sin(angles)]) + 0.3)
+
+
+def _arrow():
+    # non-convex: reflex vertices at (1, 0.3) and (1, 0.9), so the vertex
+    # fan has clockwise triangles
+    return single_cell_mesh([[0.0, 0.3], [1.0, 0.3], [1.0, 0.0], [1.8, 0.6],
+                             [1.0, 1.2], [1.0, 0.9], [0.0, 0.9]])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("make", [_jittered_hexagon, _arrow])
+def test_stabilizer_equals_gram_matrix_of_mismatch_rows(make, k):
+    # per edge, from the definition: the flux row grad v_0 . n_e - v_n at
+    # Gauss points and the trace row Q_b v_0 - v_b in Legendre coefficients,
+    # under h_T^-1 arc weights and h_T^-3 edge mass weights
+    mesh = make()
+    exps = wg.monomial_exponents(k)
+    n0, m = len(exps), mesh.cell_sizes[0]
+    center, h = mesh.cell_centroids[0], mesh.cell_diameters[0]
+    t, wt = leggauss(k + 2)
+    P = np.array([Legendre.basis(j)(t) for j in range(k)])  # (k, q)
+    expected = np.zeros((n0 + 2 * m * k,) * 2)
+    for i, (e, _) in enumerate(mesh.cell_edges[0]):
+        geom = wg.edge_geometry(mesh, e)
+        x, y = (geom.midpoint + np.outer(t * geom.length / 2.0,
+                                         geom.tangent)).T
+        X, Y = (x - center[0]) / h, (y - center[1]) / h
+        vals = np.array([X ** a * Y ** b for a, b in exps])
+        grad_n = np.array([
+            geom.normal[0] * a / h * X ** max(a - 1, 0) * Y ** b
+            + geom.normal[1] * b / h * X ** a * Y ** max(b - 1, 0)
+            for a, b in exps])
+        trace = slice(n0 + i * k, n0 + (i + 1) * k)
+        flux = slice(n0 + (m + i) * k, n0 + (m + i + 1) * k)
+        flux_rows = np.zeros((t.size, expected.shape[0]))
+        flux_rows[:, :n0] = grad_n.T
+        flux_rows[:, flux] = -P.T
+        trace_rows = np.zeros((k, expected.shape[0]))
+        trace_rows[:, :n0] = ((np.arange(k)[:, None] + 0.5) * P * wt) @ vals.T
+        trace_rows[:, trace] = -np.eye(k)
+        arc = wt * geom.length / 2.0 / h
+        edge_mass = geom.length / (2.0 * np.arange(k) + 1.0) / h ** 3
+        expected += flux_rows.T @ (arc[:, None] * flux_rows)
+        expected += trace_rows.T @ (edge_mass[:, None] * trace_rows)
+    S = wg.local_operators(mesh, 0, k).stabilizer
+    assert np.max(np.abs(S - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_local_forms_symmetric_positive_semidefinite():
