@@ -155,6 +155,8 @@ def mesh_from_cells(vertices, cells):
 
     # All cells' vertex ids in one flat array and the cell owning each.
     cells = [np.asarray(cell, dtype=np.int64) for cell in cells]
+    if not cells:
+        raise ValueError("a mesh needs at least one cell")
     sizes = np.array([cell.size for cell in cells], dtype=np.int64)
     owner = np.repeat(np.arange(sizes.size), sizes)
     a = np.concatenate(cells)
@@ -287,6 +289,10 @@ def read_mesh(path):
         return out
 
     nv, ne, nf = (int(t) for t in take(3))
+    if min(nv, ne, nf) < 0:
+        raise ValueError(f"{path}: negative count in header {nv} {ne} {nf}")
+    if nf == 0:
+        raise ValueError(f"{path}: header declares no cells")
     coords = np.array([float(t) for t in take(2 * nv)]).reshape(nv, 2)
     cells = []
     for _ in range(nf):

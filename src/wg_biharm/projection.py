@@ -16,11 +16,10 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
-from .basis_quadrature import (CellBasis, check_exactness, edge_points,
-                               edge_quadrature, polygon_quadrature,
+from .basis_quadrature import (check_exactness, edge_points, edge_quadrature,
                                polynomial_space_dim, quadrature_exactness)
 from .mesh import edge_geometry
-from .weak_laplacian import cell_batches
+from .weak_laplacian import _cell_values, cell_batches
 
 
 @dataclass(frozen=True)
@@ -93,12 +92,7 @@ def project_cell(mesh, cell, f, degree, exactness=None):
     if exactness is None:
         exactness = 2 * degree + 2
     check_exactness("cell", exactness, 2 * degree, f"degree {degree}")
-    basis = CellBasis(degree, mesh.cell_centroids[cell],
-                      mesh.cell_diameters[cell])
-    rule = polygon_quadrature(mesh.vertices[mesh.cell_rows(cell)[0]],
-                              exactness)
-    vals = basis.evaluate(rule.points, False)
-    mass = (vals * rule.weights[..., None]).mT @ vals
+    _, rule, vals, mass = _cell_values(mesh, cell, degree, exactness)
     return _project_on_rule(rule, vals, mass, f)
 
 

@@ -78,45 +78,53 @@ def gather_local_dofs(field, mesh, cell):
 
 
 def local_operators(mesh, cell, k, cell_exactness=None, edge_exactness=None):
-    """LocalOperators of one cell: the one-cell batch of cell_operators."""
-    (_, op), = cell_operators(mesh, k, cell_exactness, edge_exactness,
-                              cells=np.array([cell]))
+    """LocalOperators of one cell: the kernel on a one-cell batch."""
+    op = _batch_operators(mesh, np.array([cell]), k, *quadrature_exactness(
+        k, cell_exactness, edge_exactness))
     rule = QuadratureRule(op.rule.points[0], op.rule.weights[0],
                           op.rule.exactness)
     return LocalOperators(op.weak_laplacian[0], op.stiffness[0],
                           op.stabilizer[0], op.mass[0], rule, op.values[0])
 
 
-def cell_operators(mesh, k, cell_exactness=None, edge_exactness=None,
-                   cells=None):
-    """Iterator of (cells, LocalOperators) batches partitioning the cells
-    (all, or the index array ``cells``), each of one vertex count and of at
-    most _BATCH_ENTRIES basis values or one cell, arrays with a leading cell
-    axis.  The exactness is resolved and checked at the call.
+def cell_operators(mesh, k, cell_exactness=None, edge_exactness=None):
+    """Iterator of (cells, LocalOperators) batches partitioning the cells,
+    each of one vertex count and of at most _BATCH_ENTRIES basis values or
+    one cell, arrays with a leading cell axis.  The exactness is resolved
+    and checked at the call.
     """
     cell_exactness, edge_exactness = quadrature_exactness(
         k, cell_exactness, edge_exactness)
     return ((batch, _batch_operators(mesh, batch, k, cell_exactness,
                                      edge_exactness))
             for batch in cell_batches(mesh, k, cell_exactness,
-                                      edge_exactness, cells))
+                                      edge_exactness))
 
 
-def cell_batches(mesh, k, cell_exactness, edge_exactness, cells=None):
-    """Yield index arrays partitioning the cells (all, or ``cells``), each
-    of one vertex count and of at most _BATCH_ENTRIES values of the P_k
-    basis at the cell and edge quadrature points (the kernel's one basis
-    evaluation), or of one cell."""
-    if cells is None:
-        cells = np.arange(mesh.n_cells)
+def cell_batches(mesh, k, cell_exactness, edge_exactness):
+    """Yield index arrays partitioning the cells, each of one vertex count
+    and of at most _BATCH_ENTRIES values of the P_k basis at the cell and
+    edge quadrature points, or of one cell."""
     n_duffy = _duffy_rule(cell_exactness)[1].size
     n_edge = edge_quadrature(edge_exactness).weights.size
-    sizes = mesh.cell_sizes[cells]
-    for m in np.unique(sizes):
-        group = cells[sizes == m]
+    for m in np.unique(mesh.cell_sizes):
+        group = np.flatnonzero(mesh.cell_sizes == m)
         points = (m - 2) * n_duffy + m * n_edge  # per cell
         step = max(1, _BATCH_ENTRIES // (points * polynomial_space_dim(k)))
         yield from np.split(group, np.arange(step, group.size, step))
+
+
+def _cell_values(mesh, cells, degree, exactness):
+    """P_degree basis, cell rule, basis values there and their Gram (mass)
+    matrix of one cell, or of an index array of cells of one vertex count
+    with a leading cell axis."""
+    basis = CellBasis(degree, mesh.cell_centroids[cells],
+                      mesh.cell_diameters[cells])
+    rule = polygon_quadrature(mesh.vertices[mesh.cell_rows(cells)[0]],
+                              exactness)
+    values = basis.evaluate(rule.points, False)
+    mass = (values * rule.weights[..., None]).mT @ values
+    return basis, rule, values, mass
 
 
 @lru_cache(maxsize=64)
@@ -137,28 +145,20 @@ def _edge_constants(k, m, edge_exactness):
 
 def _batch_operators(mesh, cells, k, cell_exactness, edge_exactness):
     """LocalOperators of c cells that all have m edges."""
-    vertex_ids, rows = mesh.cell_rows(cells)
-    c, m = vertex_ids.shape
+    rows = mesh.cell_rows(cells)[1]
+    c, m = rows.shape[:2]
     erule = edge_quadrature(edge_exactness)
     ne = erule.weights.size
     h_cell = mesh.cell_diameters[cells, None]
-    basis = CellBasis(k, mesh.cell_centroids[cells], h_cell[:, 0])
     n2 = polynomial_space_dim(k - 2)
     L, L_trace, L_flux, Qb = _edge_constants(k, m, edge_exactness)
-
-    # One evaluation of the basis values on the cell points stacked with the
-    # edge points; the derivatives are read off them where they are used.
-    rule = polygon_quadrature(mesh.vertices[vertex_ids], cell_exactness)
-    eg = edge_geometry(mesh, rows[..., 0])
-    nq = rule.weights.shape[1]
-    allvals = basis.evaluate(np.concatenate(
-        [rule.points, edge_points(eg, erule.points)], axis=1), False)
-    vals, evals = allvals[:, :nq], allvals[:, nq:]
+    basis, rule, vals, mass = _cell_values(mesh, cells, k, cell_exactness)
     w = rule.weights[..., None]
-    mass = (vals * w).mT @ vals
 
-    # At the m * ne edge points: grad v_0 . n_e and the signed arc weights
-    # (the outward normal is sign * n_e; the sign flips are exact).
+    # At the m * ne edge points: values, grad v_0 . n_e and the signed arc
+    # weights (the outward normal is sign * n_e; the sign flips are exact).
+    eg = edge_geometry(mesh, rows[..., 0])
+    evals = basis.evaluate(edge_points(eg, erule.points), False)
     grad_n = basis.gradients(evals, np.repeat(eg.normal, ne, axis=1))
     wphys = (erule.weights * (0.5 * eg.length[..., None])).reshape(c, -1)
     sw = (np.repeat(rows[..., 1], ne, axis=1) * wphys)[..., None]
@@ -170,8 +170,8 @@ def _batch_operators(mesh, cells, k, cell_exactness, edge_exactness):
     # L v_n at the edge points (G = grad_n), weighted by w1, and E v_0 - v_b
     # in Legendre coefficients (E = Q_b v_0, exact), weighted by w2.  The
     # interior-flux block is the mean of its two roundings, G^T W L and
-    # (L^T W G)^T, as in the symmetrized Gram matrix, so it stores the same
-    # entries where the coupling cancels.
+    # (L^T W G)^T; one product alone moves roundoff-level entries and, with
+    # them, the direct factor's fill.
     w1 = (wphys / h_cell)[..., None]
     w2 = (eg.length[..., None] / (2.0 * np.arange(k) + 1.0)).reshape(c, -1)
     w2 /= h_cell ** 3

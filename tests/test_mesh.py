@@ -5,6 +5,7 @@ triangles have V = (n+1)^2, F = 2n^2, E = 3n^2 + 2n; quads have F = n^2 and
 E = 2n(n+1).
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -182,6 +183,15 @@ def test_read_mesh_rejects_bad_files(tmp_path):
     with pytest.raises(ValueError, match="trailing"):
         wg.read_mesh(trailing)
 
+    header = tmp_path / "header.txt"
+    for counts, message in (("-3 3 1", "negative count"),
+                            ("3 3 -1", "negative count"),
+                            ("3 3 0", "declares no cells")):
+        header.write_text(counts + "\n0 0\n1 0\n0 1\n")
+        where = re.escape(str(header))
+        with pytest.raises(ValueError, match=f"{where}: .*{message}"):
+            wg.read_mesh(header)
+
 
 def test_mesh_from_cells_leaves_caller_vertices_alone():
     v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -204,6 +214,8 @@ def test_mesh_from_cells_validation():
         wg.mesh_from_cells(square, [[0, 1]])
     with pytest.raises(ValueError, match="finite"):
         wg.mesh_from_cells([[0.0, 0.0], [1.0, np.nan], [0.0, 1.0]], [[0, 1, 2]])
+    with pytest.raises(ValueError, match="at least one cell"):
+        wg.mesh_from_cells(square, [])
     # a collinear cell has zero area and is rejected without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")

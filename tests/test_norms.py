@@ -63,13 +63,20 @@ def test_energy_norm_homogeneity():
                                                             rel=1e-12)
 
 
-def test_errors_vanish_when_solution_is_the_projection():
-    mesh = wg.build_uniform_triangle_mesh(2)
-    problem = wg.get_problem("example1")
-    proj = wg.project_field(mesh, 3, problem.solution)
-    report = wg.compute_errors(mesh, 3, proj, problem.solution)
-    for value in report.as_dict().values():
-        assert value < 1e-12
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("name", ["example1", "example2"])
+@pytest.mark.parametrize("mesh", [
+    wg.build_uniform_triangle_mesh(2),
+    wg.build_uniform_quad_mesh(3),
+    wg.mesh_from_cells(*polygonal_mesh_cells())],
+    ids=["tri", "quad", "polygonal"])
+def test_errors_vanish_when_solution_is_the_projection(mesh, name, k):
+    # the report compares against project_field's projection, built from
+    # the same cell rules, basis values and mass matrices
+    problem = wg.get_problem(name)
+    proj = wg.project_field(mesh, k, problem.solution)
+    report = wg.compute_errors(mesh, k, proj, problem.solution)
+    assert report.as_dict() == dict.fromkeys(report.as_dict(), 0.0)
 
 
 def test_interior_l2_perturbation_scale():
