@@ -295,8 +295,10 @@ def read_mesh(path):
         raise ValueError(f"{path}: header declares no cells")
     coords = np.array([float(t) for t in take(2 * nv)]).reshape(nv, 2)
     cells = []
-    for _ in range(nf):
+    for c in range(nf):
         m = int(take(1)[0])
+        if m < 3:
+            raise ValueError(f"{path}: cell {c} has {m} vertices (< 3)")
         cells.append([int(t) for t in take(m)])
     if pos != len(tokens):
         raise ValueError(f"{path}: trailing data after last cell")

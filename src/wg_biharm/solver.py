@@ -18,12 +18,13 @@ residual ``tolerance * ||b||``; its ``iterations`` and the default
 ``max_iterations`` (50 sqrt(n)) refer to S.  Its preconditioner is
 symmetric multiplicative two-level Schwarz (Pavarino; Brenner): a damped
 block-Jacobi smoother whose blocks are each edge's trace and flux modes,
-and an exact coarse solve on the Legendre modes < 2 (< 1 for k = 2) of
-every block, the k = 2 element's edge space, selected by column and
-factored once like the direct route.  ``solve_linear`` has no edge
-structure, so its CG runs damped symmetric point Jacobi.  Failure raises
-SolverError carrying the residual relative to b and, for CG, the iteration
-count, instead of returning garbage silently.
+and an exact coarse solve, selected by column and factored once like the
+direct route, on every edge's Legendre trace modes < 2 (< 1 for k = 2)
+and flux modes < k - 1, the flux modes the weak Laplacian reads.
+``solve_linear`` has no edge structure, so its CG runs damped symmetric
+point Jacobi.  Failure raises SolverError carrying the residual relative
+to b and, for CG, the iteration count, instead of returning garbage
+silently.
 """
 
 from __future__ import annotations
@@ -132,12 +133,12 @@ def _two_level(schur, edge_block):
 
     With ``edge_block`` = k > 0, S holds every edge's k Legendre trace
     modes, then every edge's k flux modes; a block is one edge's trace and
-    flux modes and the coarse space is modes < 2 (< 1 for k = 2).  With 0
-    the blocks are 1 x 1 and there is no coarse space.  The preconditioner
-    is SPD while the damping w keeps w lambda_max(D^-1 S) < 2; w is
-    min(1, 1 / lambda), lambda a Rayleigh quotient after POWER_STEPS power
-    steps on D^-1 S from the ones vector (no RNG: the solve repeats
-    bitwise)."""
+    flux modes and the coarse space is trace modes < 2 (< 1 for k = 2)
+    and flux modes < k - 1.  With 0 the blocks are 1 x 1 and there is no
+    coarse space.  The preconditioner is SPD while the damping w keeps
+    w lambda_max(D^-1 S) < 2; w is min(1, 1 / lambda), lambda a Rayleigh
+    quotient after POWER_STEPS power steps on D^-1 S from the ones vector
+    (no RNG: the solve repeats bitwise)."""
     n = schur.shape[0]
     if n == 0:  # every edge is on the boundary
         return spla.LinearOperator((0, 0), matvec=np.ravel)
@@ -145,7 +146,8 @@ def _two_level(schur, edge_block):
     if edge_block:
         k = edge_block
         blocks = j.reshape(2, -1, k).transpose(1, 0, 2).reshape(-1, 2 * k)
-        coarse = j[j % k < min(2, k - 1)]
+        # flux modes < k - 1: the weak Laplacian's flux mask (_edge_constants)
+        coarse = j[j % k < np.where(j < n // 2, min(2, k - 1), k - 1)]
     else:
         blocks, coarse = j[:, None], j[:0]
     size = blocks.shape[1]

@@ -192,6 +192,14 @@ def test_read_mesh_rejects_bad_files(tmp_path):
         with pytest.raises(ValueError, match=f"{where}: .*{message}"):
             wg.read_mesh(header)
 
+    short_cell = tmp_path / "short_cell.txt"
+    for count in ("-1", "2"):
+        short_cell.write_text(f"3 3 1\n0 0\n1 0\n0 1\n{count} 0 1 2\n")
+        where = re.escape(str(short_cell))
+        with pytest.raises(ValueError,
+                           match=f"{where}: cell 0 has {count} vertices"):
+            wg.read_mesh(short_cell)
+
 
 def test_mesh_from_cells_leaves_caller_vertices_alone():
     v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

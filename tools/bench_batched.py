@@ -5,6 +5,9 @@
     python tools/bench_batched.py --baseline-src PARENT/src --repeat 5 \
         --solver cg --cases quad-n24-k4,quad-n64-k3,tri-n128-k2 \
         --out BENCH_two_level.json
+    python tools/bench_batched.py --baseline-src PARENT/src --repeat 5 \
+        --solver cg --cases quad-n24-k4,tri-n32-k4,tri-n16-k5,quad-n64-k3 \
+        --out BENCH_coarse_flux.json
 
 PARENT is a checkout of the commit to compare against, for example one
 made with ``git worktree add PARENT <rev>``.  Each repeat runs one fresh
@@ -47,6 +50,8 @@ CASES = {  # name: (mesh, n, degree)
     "quad-n24-k4": ("quad", 24, 4),
     "quad-n64-k3": ("quad", 64, 3),
     "tri-n128-k2": ("tri", 128, 2),
+    "tri-n32-k4": ("tri", 32, 4),
+    "tri-n16-k5": ("tri", 16, 5),
 }
 MEDIANS = ("assemble_s", "solve_s", "errors_s", "peak_rss_mib", "iterations",
            "fill", "direct_fill")
