@@ -121,8 +121,7 @@ class ReducedSystem:
         return full
 
 
-def assemble_system(mesh, degree, source, cell_exactness=None,
-                    edge_exactness=None):
+def assemble_system(mesh, degree, source):
     """Assemble stiffness + stabilizer and the load (source, v_0).
 
     ``source`` is a broadcastable callable f(x, y).
@@ -134,8 +133,7 @@ def assemble_system(mesh, degree, source, cell_exactness=None,
     data = np.empty(nnz)
     load = np.zeros(layout.total)
     at = 0
-    for cells, op in cell_operators(mesh, degree, cell_exactness,
-                                    edge_exactness):
+    for cells, op in cell_operators(mesh, degree):
         g = layout.cell_dofs(mesh, cells)
         local = op.stiffness + op.stabilizer
         keep = local != 0.0  # the exact zeros of the masked couplings
@@ -154,7 +152,7 @@ def assemble_system(mesh, degree, source, cell_exactness=None,
     return SparseSymmetricSystem(matrix, load, layout, mesh, degree)
 
 
-def apply_boundary_conditions(system, trace, flux, edge_exactness=None):
+def apply_boundary_conditions(system, trace, flux):
     """Eliminate boundary trace/flux DOFs with prescribed data.
 
     ``trace`` is g(x, y); ``flux`` is the normal derivative datum
@@ -165,7 +163,7 @@ def apply_boundary_conditions(system, trace, flux, edge_exactness=None):
     """
     mesh, layout = system.mesh, system.layout
     k = system.degree
-    _, edge_exactness = quadrature_exactness(k, None, edge_exactness)
+    _, edge_exactness = quadrature_exactness(k)
     boundary = layout.boundary_dofs(mesh)
 
     # Same order as boundary_dofs: every trace block, then every flux block.

@@ -1,5 +1,5 @@
-"""Polynomial bases, quadrature rules and the one quadrature policy,
-``quadrature_exactness``, that every exactness parameter resolves through.
+"""Polynomial bases, quadrature rules and the element's quadrature policy,
+``quadrature_exactness``: the cell and edge rules are a function of k.
 
 Cell spaces use scaled monomials ((x - x_T)/h_T)^a ((y - y_T)/h_T)^b,
 a + b <= degree, ordered by total degree; the basis of a lower degree is
@@ -45,25 +45,21 @@ def monomial_exponents(degree):
     return np.array(out, dtype=np.int64).reshape(-1, 2)
 
 
-def quadrature_exactness(k, cell_exactness=None, edge_exactness=None):
-    """(cell, edge) exactness of the degree-k element's rules: by default
-    2k + 2 and 2k + 3, at least 2k (the P_k mass matrix) and 2k - 1 (the
-    trace projection Q_b of P_k).  Raises ValueError below a minimum or for
-    k < 2."""
+def quadrature_exactness(k):
+    """(cell, edge) exactness of the degree-k element's rules, 2k + 2 and
+    2k + 3: above the 2k of the P_k mass matrix and the 2k - 1 of the trace
+    projection Q_b of P_k.  Raises ValueError for k < 2."""
     if k < 2:
         raise ValueError("the element requires k >= 2")
-    cell = 2 * k + 2 if cell_exactness is None else cell_exactness
-    edge = 2 * k + 3 if edge_exactness is None else edge_exactness
-    check_exactness("cell", cell, 2 * k, f"k = {k}")
-    check_exactness("edge", edge, 2 * k - 1, f"k = {k}")
-    return cell, edge
+    return 2 * k + 2, 2 * k + 3
 
 
-def check_exactness(name, exactness, minimum, what):
-    """Raise ValueError if ``exactness`` is below ``minimum``."""
-    if exactness < minimum:
+def check_exactness(name, exactness, degree):
+    """Raise ValueError if ``exactness`` is below 2 * degree, the least
+    that integrates the mass matrix of a degree-``degree`` projection."""
+    if exactness < 2 * degree:
         raise ValueError(f"{name} quadrature exactness {exactness} is below "
-                         f"the minimum {minimum} for {what}")
+                         f"the minimum {2 * degree} for degree {degree}")
 
 
 @dataclass(frozen=True)

@@ -51,13 +51,6 @@ def _add_common(p):
     p.add_argument("--max-iterations", type=int, default=None,
                    help="CG iteration cap on the condensed trace/flux "
                         "system (default 50 sqrt(n))")
-    p.add_argument("--cell-exactness", type=int, default=None,
-                   help="override cell quadrature exactness (default 2k+2, "
-                        "at least 2k)")
-    p.add_argument("--edge-exactness", type=int, default=None,
-                   help="override edge quadrature exactness (default 2k+3, "
-                        "at least 2k-1); the edge rule also projects the "
-                        "boundary data")
 
 
 def make_parser():
@@ -91,9 +84,7 @@ def _cmd_study(args):
         raise ValueError("--levels must list at least one mesh level")
     config = StudyConfig(problem=args.problem, degree=args.k,
                          mesh_family=args.mesh, levels=levels,
-                         solver=_solver_config(args),
-                         cell_exactness=args.cell_exactness,
-                         edge_exactness=args.edge_exactness)
+                         solver=_solver_config(args))
     text = emit_table(run_study(config), args.format)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -107,13 +98,11 @@ def _cmd_solve(args):
     config = _solver_config(args)
     problem = get_problem(args.problem)
     mesh = build_mesh(args.mesh, args.n)
-    u_h, reduced, result, seconds = solve_on_mesh(
-        problem, args.k, mesh, config, args.cell_exactness,
-        args.edge_exactness)
+    u_h, reduced, result, seconds = solve_on_mesh(problem, args.k, mesh,
+                                                  config)
     if args.dump_matrix:
         dump_matrix(reduced.matrix, args.dump_matrix)
-    report = compute_errors(mesh, args.k, u_h, problem.solution,
-                            args.cell_exactness, args.edge_exactness)
+    report = compute_errors(mesh, args.k, u_h, problem.solution)
     print(f"problem {problem.name}  k {args.k}  mesh {args.mesh}  "
           f"n {args.n}  dofs {reduced.layout.total}  "
           f"free {reduced.free_dofs.size}")

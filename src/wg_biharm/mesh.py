@@ -141,10 +141,10 @@ class Mesh:
 def mesh_from_cells(vertices, cells):
     """Build a validated mesh from vertex coordinates and CCW cell lists.
 
-    Raises ValueError on non-finite coordinates, degenerate or clockwise
-    cells, edges shared by more than two cells, inconsistently oriented
-    neighbours, or a topology that is not a simply connected disk
-    (Euler relation V - E + F = 1).
+    Raises ValueError on non-finite coordinates, non-integer vertex ids,
+    degenerate or clockwise cells, edges shared by more than two cells,
+    inconsistently oriented neighbours, or a topology that is not a simply
+    connected disk (Euler relation V - E + F = 1).
     """
     # a copy: Mesh makes its arrays read-only, never the caller's
     vertices = np.array(vertices, dtype=float, order="C")
@@ -154,15 +154,18 @@ def mesh_from_cells(vertices, cells):
         raise ValueError("vertex coordinates must be finite")
 
     # All cells' vertex ids in one flat array and the cell owning each.
-    cells = [np.asarray(cell, dtype=np.int64) for cell in cells]
+    cells = [np.asarray(cell, dtype=float) for cell in cells]
     if not cells:
         raise ValueError("a mesh needs at least one cell")
     sizes = np.array([cell.size for cell in cells], dtype=np.int64)
     owner = np.repeat(np.arange(sizes.size), sizes)
-    a = np.concatenate(cells)
+    ids = np.concatenate(cells)
+    with np.errstate(invalid="ignore"):  # nan and inf ids fail below
+        a = ids.astype(np.int64)
     _, once = np.unique(owner * len(vertices) + a, return_index=True)
     for bad, problem in (
             (np.flatnonzero(sizes < 3), "has fewer than 3 vertices"),
+            (owner[a != ids], "has a non-integer vertex id"),
             (owner[(a < 0) | (a >= len(vertices))],
              "references a missing vertex"),
             (np.delete(owner, once), "repeats a vertex")):
@@ -288,7 +291,15 @@ def read_mesh(path):
         pos += count
         return out
 
-    nv, ne, nf = (int(t) for t in take(3))
+    def integers(count, what):
+        out = take(count)
+        try:
+            return [int(t) for t in out]
+        except ValueError:
+            raise ValueError(f"{path}: {what} must be integers, got "
+                             f"{' '.join(out)}") from None
+
+    nv, ne, nf = integers(3, "header counts")
     if min(nv, ne, nf) < 0:
         raise ValueError(f"{path}: negative count in header {nv} {ne} {nf}")
     if nf == 0:
@@ -296,10 +307,10 @@ def read_mesh(path):
     coords = np.array([float(t) for t in take(2 * nv)]).reshape(nv, 2)
     cells = []
     for c in range(nf):
-        m = int(take(1)[0])
+        m, = integers(1, f"cell {c}'s vertex count")
         if m < 3:
             raise ValueError(f"{path}: cell {c} has {m} vertices (< 3)")
-        cells.append([int(t) for t in take(m)])
+        cells.append(integers(m, f"cell {c}'s vertex ids"))
     if pos != len(tokens):
         raise ValueError(f"{path}: trailing data after last cell")
     mesh = mesh_from_cells(coords, cells)

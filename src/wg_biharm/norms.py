@@ -27,7 +27,8 @@ Edge L2 columns carry the h_e weight
     ||w||_E^2 = sum_e h_e ||w||_{L2(e)}^2
 
 and the L-inf columns take the maximum over edge quadrature points.
-Both functions take their rules from ``basis_quadrature.quadrature_exactness``.
+Both functions integrate with the element's rules,
+``basis_quadrature.quadrature_exactness(degree)``, and take none of their own.
 """
 
 from __future__ import annotations
@@ -60,17 +61,13 @@ class ErrorReport:
         return asdict(self)
 
 
-def energy_norm(mesh, degree, field, cell_exactness=None,
-                edge_exactness=None):
+def energy_norm(mesh, degree, field):
     """Energy norm of a WgField by quadrature: of the weak Laplacian in the
     batches of ``cell_operators``, and of the two edge residuals at every
     cell-edge incidence."""
-    cell_exactness, edge_exactness = quadrature_exactness(
-        degree, cell_exactness, edge_exactness)
     n2 = polynomial_space_dim(degree - 2)
     total = 0.0
-    for cells, ops in cell_operators(mesh, degree, cell_exactness,
-                                     edge_exactness):
+    for cells, ops in cell_operators(mesh, degree):
         wcoef = np.einsum("cij,cj->ci", ops.weak_laplacian,
                           gather_local_dofs(field, mesh, cells))
         wvals = np.einsum("cpi,ci->cp", ops.values[..., :n2], wcoef)
@@ -78,7 +75,7 @@ def energy_norm(mesh, degree, field, cell_exactness=None,
 
     cell = np.repeat(np.arange(mesh.n_cells), mesh.cell_sizes)
     e = np.concatenate(mesh.cell_edges)[:, 0]
-    erule = edge_quadrature(edge_exactness)
+    erule = edge_quadrature(quadrature_exactness(degree)[1])
     L = legvander(erule.points, degree - 1)
     eg = edge_geometry(mesh, e[:, None])
     basis = CellBasis(degree, mesh.cell_centroids[cell],
@@ -95,11 +92,9 @@ def energy_norm(mesh, degree, field, cell_exactness=None,
     return float(np.sqrt(total))
 
 
-def compute_errors(mesh, degree, u_h, exact, cell_exactness=None,
-                   edge_exactness=None):
+def compute_errors(mesh, degree, u_h, exact):
     """Six-norm error report of ``u_h`` against a smooth exact field."""
-    cell_exactness, edge_exactness = quadrature_exactness(
-        degree, cell_exactness, edge_exactness)
+    _, edge_exactness = quadrature_exactness(degree)
     edges = np.arange(mesh.n_edges)
     flux = project_edge(mesh, edges, _edge_flux(mesh, exact), degree - 1,
                         edge_exactness)
@@ -108,8 +103,7 @@ def compute_errors(mesh, degree, u_h, exact, cell_exactness=None,
                    flux - u_h.flux)
 
     h2sq = l2sq = 0.0
-    for cells, ops in cell_operators(mesh, degree, cell_exactness,
-                                     edge_exactness):
+    for cells, ops in cell_operators(mesh, degree):
         d = (_project_on_rule(ops.rule, ops.values, ops.mass, exact.value)
              - u_h.interior[cells])
         diff.interior[cells] = d

@@ -4,8 +4,10 @@ The discrete unknown of the method is a triple of coefficient blocks: an
 interior polynomial of degree k per cell, and per edge a trace polynomial
 and a normal-flux polynomial of degree k - 1, the flux taken against the
 edge's global normal.  ``project_field`` maps a smooth scalar field onto
-such a triple by L2 projection blockwise, with the element's quadrature
-(``basis_quadrature.quadrature_exactness``).
+such a triple by L2 projection blockwise, with the element's rules
+(``basis_quadrature.quadrature_exactness``); ``project_cell`` and
+``project_edge`` project onto any degree d with a rule of their own,
+exact to at least 2d.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def project_cell(mesh, cell, f, degree, exactness=None):
     """
     if exactness is None:
         exactness = 2 * degree + 2
-    check_exactness("cell", exactness, 2 * degree, f"degree {degree}")
+    check_exactness("cell", exactness, degree)
     _, rule, vals, mass = _cell_values(mesh, cell, degree, exactness)
     return _project_on_rule(rule, vals, mass, f)
 
@@ -117,7 +119,7 @@ def project_edge(mesh, edge, f, degree, exactness=None):
     """
     if exactness is None:
         exactness = 2 * degree + 3
-    check_exactness("edge", exactness, 2 * degree, f"degree {degree}")
+    check_exactness("edge", exactness, degree)
     rule = edge_quadrature(exactness)
     pts = edge_points(edge_geometry(mesh, np.asarray(edge)[..., None]),
                       rule.points)
@@ -132,22 +134,20 @@ def _legendre_coefficients(rule, degree, fvals):
     return (2.0 * j + 1.0) / 2.0 * ((fvals * rule.weights) @ vals)
 
 
-def project_field(mesh, degree, field, cell_exactness=None,
-                  edge_exactness=None):
+def project_field(mesh, degree, field):
     """Blockwise L2 projection of a smooth field onto the discrete space.
 
-    Needs ``field.gradient`` for the flux block.  The exactness resolves
-    through ``quadrature_exactness``, as in the error report and the
-    boundary data, so both see this projection as exact.
+    Needs ``field.gradient`` for the flux block.  It uses the element's
+    rules, ``quadrature_exactness(degree)``, as the error report and the
+    boundary data do, so both see this projection as exact.
     """
-    cell_exactness, edge_exactness = quadrature_exactness(
-        degree, cell_exactness, edge_exactness)
+    cell_exactness, edge_exactness = quadrature_exactness(degree)
     edges = np.arange(mesh.n_edges)
     flux = project_edge(mesh, edges, _edge_flux(mesh, field), degree - 1,
                         edge_exactness)
     trace = project_edge(mesh, edges, field.value, degree - 1, edge_exactness)
     interior = np.empty((mesh.n_cells, polynomial_space_dim(degree)))
-    for cells in cell_batches(mesh, degree, cell_exactness, edge_exactness):
+    for cells in cell_batches(mesh, degree):
         interior[cells] = project_cell(mesh, cells, field.value, degree,
                                        cell_exactness)
     return WgField(degree, interior, trace, flux)

@@ -30,6 +30,7 @@ silently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,8 +62,10 @@ class SolverConfig:
             raise ValueError(f"unknown solver method {self.method!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError("tolerance must be finite and > 0")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if self.max_iterations is not None and not (
+                isinstance(self.max_iterations, numbers.Integral)
+                and self.max_iterations >= 1):
+            raise ValueError("max_iterations must be an integer >= 1")
 
 
 @dataclass(frozen=True)

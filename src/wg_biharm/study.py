@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -44,8 +44,6 @@ class StudyConfig:
     mesh_family: str = "tri"            # "tri" | "quad"
     levels: tuple = (4, 8, 16, 32)
     solver: SolverConfig = field(default_factory=SolverConfig)
-    cell_exactness: Optional[int] = None
-    edge_exactness: Optional[int] = None
 
 
 @dataclass
@@ -93,14 +91,12 @@ def build_mesh(mesh_family, n):
     raise ValueError(f"unknown mesh family {mesh_family!r}")
 
 
-def solve_on_mesh(problem, degree, mesh, solver_config=None,
-                  cell_exactness=None, edge_exactness=None):
+def solve_on_mesh(problem, degree, mesh, solver_config=None):
     """Assemble, apply boundary data, solve; returns (field, reduced
     system, solve result, solve seconds)."""
-    system = assemble_system(mesh, degree, problem.source, cell_exactness,
-                             edge_exactness)
+    system = assemble_system(mesh, degree, problem.source)
     reduced = apply_boundary_conditions(system, problem.trace,
-                                        problem.normal_flux, edge_exactness)
+                                        problem.normal_flux)
     t0 = time.perf_counter()
     result = solve(reduced, solver_config)
     seconds = time.perf_counter() - t0
@@ -109,6 +105,9 @@ def solve_on_mesh(problem, degree, mesh, solver_config=None,
 
 
 def run_study(config):
+    for i, n in enumerate(config.levels):
+        if n in config.levels[:i]:  # an order between equal h is 0 / 0
+            raise ValueError(f"levels repeat the mesh level {n}")
     problem = config.problem
     if isinstance(problem, str):
         problem = get_problem(problem)
@@ -116,10 +115,8 @@ def run_study(config):
     for n in config.levels:
         mesh = build_mesh(config.mesh_family, n)
         u_h, reduced, _, seconds = solve_on_mesh(
-            problem, config.degree, mesh, config.solver,
-            config.cell_exactness, config.edge_exactness)
-        report = compute_errors(mesh, config.degree, u_h, problem.solution,
-                                config.cell_exactness, config.edge_exactness)
+            problem, config.degree, mesh, config.solver)
+        report = compute_errors(mesh, config.degree, u_h, problem.solution)
         rows.append(StudyRow(n, max_cell_diameter(mesh),
                              reduced.layout.total, report, seconds))
     return ConvergenceTable(problem.name, config.degree,

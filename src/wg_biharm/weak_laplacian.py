@@ -19,8 +19,8 @@ boundary,
 
 where Q_b is the edge L2 projection onto the trace degree.  Both mismatch
 terms use the global edge normal, so the two cells sharing an edge penalize
-against the same flux unknown.  Quadrature follows
-``basis_quadrature.quadrature_exactness``.
+against the same flux unknown.  The cell and edge rules are the element's,
+``basis_quadrature.quadrature_exactness(k)``.
 
 Local degrees of freedom are ordered: interior coefficients, then the trace
 block of each local edge, then the flux block of each local edge, edges in
@@ -77,41 +77,39 @@ def gather_local_dofs(field, mesh, cell):
                            field.flux[e].reshape(shape)], axis=-1)
 
 
-def local_operators(mesh, cell, k, cell_exactness=None, edge_exactness=None):
+def local_operators(mesh, cell, k):
     """LocalOperators of one cell: the kernel on a one-cell batch."""
-    op = _batch_operators(mesh, np.array([cell]), k, *quadrature_exactness(
-        k, cell_exactness, edge_exactness))
+    op = _batch_operators(mesh, np.array([cell]), k)
     rule = QuadratureRule(op.rule.points[0], op.rule.weights[0],
                           op.rule.exactness)
     return LocalOperators(op.weak_laplacian[0], op.stiffness[0],
                           op.stabilizer[0], op.mass[0], rule, op.values[0])
 
 
-def cell_operators(mesh, k, cell_exactness=None, edge_exactness=None):
+def cell_operators(mesh, k):
     """Iterator of (cells, LocalOperators) batches partitioning the cells,
     each of one vertex count and of at most _BATCH_ENTRIES basis values or
-    one cell, arrays with a leading cell axis.  The exactness is resolved
-    and checked at the call.
+    one cell, arrays with a leading cell axis.  The degree is checked at
+    the call.
     """
-    cell_exactness, edge_exactness = quadrature_exactness(
-        k, cell_exactness, edge_exactness)
-    return ((batch, _batch_operators(mesh, batch, k, cell_exactness,
-                                     edge_exactness))
-            for batch in cell_batches(mesh, k, cell_exactness,
-                                      edge_exactness))
+    batches = cell_batches(mesh, k)
+    return ((batch, _batch_operators(mesh, batch, k)) for batch in batches)
 
 
-def cell_batches(mesh, k, cell_exactness, edge_exactness):
-    """Yield index arrays partitioning the cells, each of one vertex count
+def cell_batches(mesh, k):
+    """List of index arrays partitioning the cells, each of one vertex count
     and of at most _BATCH_ENTRIES values of the P_k basis at the cell and
     edge quadrature points, or of one cell."""
+    cell_exactness, edge_exactness = quadrature_exactness(k)
     n_duffy = _duffy_rule(cell_exactness)[1].size
     n_edge = edge_quadrature(edge_exactness).weights.size
+    batches = []
     for m in np.unique(mesh.cell_sizes):
         group = np.flatnonzero(mesh.cell_sizes == m)
         points = (m - 2) * n_duffy + m * n_edge  # per cell
         step = max(1, _BATCH_ENTRIES // (points * polynomial_space_dim(k)))
-        yield from np.split(group, np.arange(step, group.size, step))
+        batches += np.split(group, np.arange(step, group.size, step))
+    return batches
 
 
 def _cell_values(mesh, cells, degree, exactness):
@@ -128,11 +126,11 @@ def _cell_values(mesh, cells, degree, exactness):
 
 
 @lru_cache(maxsize=64)
-def _edge_constants(k, m, edge_exactness):
+def _edge_constants(k, m):
     """Read-only L, giving a trace or flux block's values at the m * ne edge
     points of a cell with m edges, L masked for the trace and for the flux
     term of the weak Laplacian, and Q_b, from those values to Legendre."""
-    erule = edge_quadrature(edge_exactness)
+    erule = edge_quadrature(quadrature_exactness(k)[1])
     leg = legvander(erule.points, k - 1)
     L = np.kron(np.eye(m), leg)
     # On an edge grad phi . n has degree k - 3 and phi degree k - 2, so the
@@ -143,15 +141,16 @@ def _edge_constants(k, m, edge_exactness):
     return _read_only(L, L * (j < k - 2), L * (j < k - 1), Qb)
 
 
-def _batch_operators(mesh, cells, k, cell_exactness, edge_exactness):
+def _batch_operators(mesh, cells, k):
     """LocalOperators of c cells that all have m edges."""
+    cell_exactness, edge_exactness = quadrature_exactness(k)
     rows = mesh.cell_rows(cells)[1]
     c, m = rows.shape[:2]
     erule = edge_quadrature(edge_exactness)
     ne = erule.weights.size
     h_cell = mesh.cell_diameters[cells, None]
     n2 = polynomial_space_dim(k - 2)
-    L, L_trace, L_flux, Qb = _edge_constants(k, m, edge_exactness)
+    L, L_trace, L_flux, Qb = _edge_constants(k, m)
     basis, rule, vals, mass = _cell_values(mesh, cells, k, cell_exactness)
     w = rule.weights[..., None]
 

@@ -55,6 +55,22 @@ def test_criterion_01_polynomial_exactness():
                    f"max norm {worst:.3e} <= 1e-08, {seconds:.2f}s < 5s")
 
 
+def _project_blocks(mesh, k, u, exactness):
+    """The blockwise L2 projection of ``project_field``, every block's rule
+    of the given exactness."""
+    edges = np.arange(mesh.n_edges)
+    normal = mesh.edge_normals[:, None, :]
+
+    def flux(x, y):  # grad u . n_e, n_e the edge's global normal
+        gx, gy = u.gradient(x, y)
+        return gx * normal[..., 0] + gy * normal[..., 1]
+    return wg.WgField(
+        k, wg.project_cell(mesh, np.arange(mesh.n_cells), u.value, k,
+                           exactness),
+        wg.project_edge(mesh, edges, u.value, k - 1, exactness),
+        wg.project_edge(mesh, edges, flux, k - 1, exactness))
+
+
 def test_criterion_02_commuting_projections():
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
@@ -64,15 +80,14 @@ def test_criterion_02_commuting_projections():
         mesh = random_triangle_cell(rng) if i % 2 else random_quad_cell(rng)
         for k in (2, 3):
             ops = wg.local_operators(mesh, 0, k)
-            fields = [monomial_field(a, b)
-                      for a in range(k + 1) for b in range(k + 1 - a)]
-            exactness = [(None, None)] * len(fields)
+            cases = [(monomial_field(a, b), None)
+                     for a in range(k + 1) for b in range(k + 1 - a)]
             # the sine field needs quadrature resolving ~2 periods on the
             # largest random cells; exactness 20 puts the residual at 5e-13
-            fields.append(ex2.solution)
-            exactness.append((20, 20))
-            for u, (ce, ee) in zip(fields, exactness):
-                proj = wg.project_field(mesh, k, u, ce, ee)
+            cases.append((ex2.solution, 20))
+            for u, ce in cases:
+                proj = (wg.project_field(mesh, k, u) if ce is None
+                        else _project_blocks(mesh, k, u, ce))
                 dw = ops.weak_laplacian @ wg.gather_local_dofs(proj, mesh, 0)
                 qlap = wg.project_cell(mesh, 0, u.laplacian, k - 2, ce)
                 worst = max(worst, float(np.max(np.abs(dw - qlap))))

@@ -362,38 +362,15 @@ def test_negative_exactness_rejected():
 
 
 def _exactness_calls():
-    # (name, call(value), minimum) at k = 3: every public function with an
-    # exactness parameter, its cell and edge rule taken in turn
-    k, mesh = 3, wg.build_uniform_triangle_mesh(2)
-    problem = wg.get_problem("example2")
-    u = problem.solution
-    field = wg.WgField.zeros(mesh, k)
-    elementwise = {
-        "quadrature_exactness": lambda c, e: wg.quadrature_exactness(k, c, e),
-        "cell_operators": lambda c, e: wg.cell_operators(mesh, k, c, e),
-        "local_operators": lambda c, e: wg.local_operators(mesh, 0, k, c, e),
-        "assemble_system": lambda c, e: wg.assemble_system(
-            mesh, k, problem.source, c, e),
-        "solve_on_mesh": lambda c, e: wg.solve_on_mesh(
-            problem, k, mesh, None, c, e),
-        "project_field": lambda c, e: wg.project_field(mesh, k, u, c, e),
-        "energy_norm": lambda c, e: wg.energy_norm(mesh, k, field, c, e),
-        "compute_errors": lambda c, e: wg.compute_errors(
-            mesh, k, field, u, c, e),
-    }
-    calls = []
-    for name, call in elementwise.items():
-        calls.append((f"{name}-cell", lambda v, f=call: f(v, None), 2 * k))
-        calls.append((f"{name}-edge", lambda v, f=call: f(None, v),
-                      2 * k - 1))
-    calls += [
-        ("apply_boundary_conditions", lambda v: wg.apply_boundary_conditions(
-            wg.assemble_system(mesh, k, problem.source), problem.trace,
-            problem.normal_flux, v), 2 * k - 1),
-        ("project_cell", lambda v: wg.project_cell(mesh, 0, u.value, k, v),
-         2 * k),
-        ("project_edge", lambda v: wg.project_edge(mesh, 0, u.value, k - 1,
-                                                   v), 2 * k - 2),
+    # (name, call(value), minimum): the projections that take a rule, at
+    # P_3 on the cell and P_2 on the edge
+    mesh = wg.build_uniform_triangle_mesh(2)
+    u = wg.get_problem("example2").solution
+    calls = [
+        ("project_cell", lambda v: wg.project_cell(mesh, 0, u.value, 3, v),
+         6),
+        ("project_edge", lambda v: wg.project_edge(mesh, 0, u.value, 2, v),
+         4),
     ]
     return [pytest.param(call, minimum, id=name)
             for name, call, minimum in calls]
@@ -407,9 +384,9 @@ def test_exactness_below_minimum_rejected(call, minimum):
 
 
 def test_cell_operators_checks_at_call_time():
-    # a bad degree or exactness raises at the call, not at the first batch
+    # a bad degree raises at the call, not at the first batch
     mesh = wg.build_uniform_triangle_mesh(1)
     with pytest.raises(ValueError, match="k >= 2"):
         wg.cell_operators(mesh, 1)
-    with pytest.raises(ValueError, match="minimum 6 "):
-        wg.cell_operators(mesh, 3, 2)
+    with pytest.raises(ValueError, match="k >= 2"):
+        wg.weak_laplacian.cell_batches(mesh, 1)

@@ -63,6 +63,10 @@ def test_bad_levels_exit_2(capsys):
                  "--levels", ","])
     assert code == 2
     assert "levels" in capsys.readouterr().err
+    code = main(["study", "--problem", "example1", "--k", "2",
+                 "--levels", "4,4"])
+    assert code == 2
+    assert "levels repeat the mesh level 4" in capsys.readouterr().err
 
 
 def test_low_degree_exits_2(capsys):
@@ -71,28 +75,14 @@ def test_low_degree_exits_2(capsys):
     assert "k >= 2" in capsys.readouterr().err
 
 
-def test_quadrature_override_changes_nothing_for_polynomials(tmp_path):
-    out1 = tmp_path / "a.csv"
-    out2 = tmp_path / "b.csv"
-    base = ["study", "--problem", "patch-2", "--k", "2", "--levels", "2",
-            "--format", "csv"]
-    assert main(base + ["--out", str(out1)]) == 0
-    assert main(base + ["--cell-exactness", "9", "--edge-exactness", "9",
-                        "--out", str(out2)]) == 0
-    r1 = wg.parse_csv_table(out1.read_text())[0]
-    r2 = wg.parse_csv_table(out2.read_text())[0]
-    assert r2["err_h2"] == pytest.approx(r1["err_h2"], abs=1e-10)
-    assert r2["err_l2"] == pytest.approx(r1["err_l2"], abs=1e-10)
-
-
-@pytest.mark.parametrize("flag, minimum", [("--cell-exactness", 6),
-                                           ("--edge-exactness", 5)])
-def test_too_low_quadrature_override_exits_2(capsys, flag, minimum):
-    code = main(["solve", "--problem", "example2", "--k", "3", "--n", "2",
-                 flag, "3"])
-    assert code == 2
-    assert f"exactness 3 is below the minimum {minimum} for k = 3" in \
-        capsys.readouterr().err
+@pytest.mark.parametrize("flag", ["--cell-exactness", "--edge-exactness"])
+def test_quadrature_flags_are_unrecognized(capsys, flag):
+    # the element's rules are fixed by k; no option overrides them
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", "--problem", "patch-2", "--k", "2", "--n", "2",
+              flag, "9"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 9" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", [["--max-iterations", "0"],

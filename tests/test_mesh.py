@@ -200,6 +200,19 @@ def test_read_mesh_rejects_bad_files(tmp_path):
                            match=f"{where}: cell 0 has {count} vertices"):
             wg.read_mesh(short_cell)
 
+    not_integer = tmp_path / "not_integer.txt"
+    for text, what in (("3 3.0 1\n0 0\n1 0\n0 1\n3 0 1 2\n",
+                        "header counts"),
+                       ("3 3 1\n0 0\n1 0\n0 1\n3.5 0 1 2\n",
+                        "cell 0's vertex count"),
+                       ("3 3 1\n0 0\n1 0\n0 1\n3 0 1 2.5\n",
+                        "cell 0's vertex ids")):
+        not_integer.write_text(text)
+        where = re.escape(str(not_integer))
+        with pytest.raises(ValueError,
+                           match=f"{where}: {what} must be integers"):
+            wg.read_mesh(not_integer)
+
 
 def test_mesh_from_cells_leaves_caller_vertices_alone():
     v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -218,6 +231,9 @@ def test_mesh_from_cells_validation():
         wg.mesh_from_cells(square, [[0, 1, 1, 2]])
     with pytest.raises(ValueError, match="missing vertex"):
         wg.mesh_from_cells(square, [[0, 1, 7]])
+    for ids in ([0.0, 1.0, 2.9], [0, 1, np.nan]):
+        with pytest.raises(ValueError, match="cell 1 has a non-integer"):
+            wg.mesh_from_cells(square, [[0, 1, 2], ids])
     with pytest.raises(ValueError, match="fewer than 3"):
         wg.mesh_from_cells(square, [[0, 1]])
     with pytest.raises(ValueError, match="finite"):

@@ -94,7 +94,7 @@ def test_invalid_configuration_rejected():
 def test_invalid_iteration_settings_rejected_before_solving(method):
     # scipy's cg reports success with maxiter=0 and returns its zero start
     A, b = _random_spd(20, seed=7)
-    for bad in (0, -3):
+    for bad in (0, -3, 2.5):
         with pytest.raises(ValueError, match="max_iterations"):
             cfg = wg.SolverConfig(method=method, max_iterations=bad)
             wg.solve_linear(A, b, cfg)

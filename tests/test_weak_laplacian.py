@@ -27,25 +27,6 @@ def test_rejects_low_degree():
         wg.local_operators(mesh, 0, 1)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_minimum_quadrature_reproduces_patch(k):
-    # cell exactness 2k integrates the P_k mass matrix and edge exactness
-    # 2k - 1 the trace projection of P_k; one less is rejected
-    mesh = wg.build_uniform_quad_mesh(2)
-    with pytest.raises(ValueError, match=f"cell .* minimum {2 * k} "):
-        wg.local_operators(mesh, 0, k, 2 * k - 1, 2 * k - 1)
-    with pytest.raises(ValueError, match=f"edge .* minimum {2 * k - 1} "):
-        wg.local_operators(mesh, 0, k, 2 * k, 2 * k - 2)
-    problem = wg.get_problem(f"patch-{k}")
-    for family in ("tri", "quad"):
-        mesh = wg.study.build_mesh(family, 2)
-        u_h, _, _, _ = wg.solve_on_mesh(problem, k, mesh, None, 2 * k,
-                                        2 * k - 1)
-        report = wg.compute_errors(mesh, k, u_h, problem.solution, 2 * k,
-                                   2 * k - 1)
-        assert max(report.as_dict().values()) <= 1e-8
-
-
 def test_constant_flux_on_hypotenuse_oracle():
     mesh = single_cell_mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     hyp = next(i for i in range(mesh.n_edges)
