@@ -24,6 +24,7 @@ triangle or polygon are fresh arrays.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,7 +49,10 @@ def monomial_exponents(degree):
 def quadrature_exactness(k):
     """(cell, edge) exactness of the degree-k element's rules, 2k + 2 and
     2k + 3: above the 2k of the P_k mass matrix and the 2k - 1 of the trace
-    projection Q_b of P_k.  Raises ValueError for k < 2."""
+    projection Q_b of P_k.  Raises ValueError unless k is an integer
+    >= 2."""
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"the element degree must be an integer, got {k!r}")
     if k < 2:
         raise ValueError("the element requires k >= 2")
     return 2 * k + 2, 2 * k + 3

@@ -79,7 +79,11 @@ def make_parser():
 
 
 def _cmd_study(args):
-    levels = tuple(int(tok) for tok in args.levels.split(",") if tok)
+    try:
+        levels = tuple(int(tok) for tok in args.levels.split(",") if tok)
+    except ValueError:
+        raise ValueError(f"--levels must be comma separated integers, got "
+                         f"{args.levels!r}") from None
     if not levels:
         raise ValueError("--levels must list at least one mesh level")
     config = StudyConfig(problem=args.problem, degree=args.k,

@@ -304,7 +304,12 @@ def read_mesh(path):
         raise ValueError(f"{path}: negative count in header {nv} {ne} {nf}")
     if nf == 0:
         raise ValueError(f"{path}: header declares no cells")
-    coords = np.array([float(t) for t in take(2 * nv)]).reshape(nv, 2)
+    coords = take(2 * nv)
+    try:
+        coords = np.array([float(t) for t in coords]).reshape(nv, 2)
+    except ValueError as err:
+        raise ValueError(f"{path}: vertex coordinates must be numbers: "
+                         f"{err}") from None
     cells = []
     for c in range(nf):
         m, = integers(1, f"cell {c}'s vertex count")

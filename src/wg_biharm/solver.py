@@ -3,11 +3,16 @@
 One pipeline serves both entry points.  It condenses the leading
 block-diagonal interior block: with A = [[A_ii, A_ib], [A_bi, A_bb]] and
 A_ii = L L^T cell by cell (one batched Cholesky call), Y = L^-1 A_ib and
-S = A_bb - Y^T Y.  It solves S, recovers the interiors cell by cell,
-verifies the full residual and, if that misses the tolerance, takes one
-residual-correction step with the same factors.  ``solve`` condenses the
-cell interiors of a reduced WG system; ``solve_linear`` condenses an empty
-interior, so S is the matrix itself.
+S = A_bb - Y^T Y.  Y and Y^T Y are block sparse products: every free
+unknown past the interiors belongs to an edge block of k trace or k flux
+modes, so Y is formed from (cell x k) blocks and Y^T Y from (k x k)
+blocks; both return to CSR without the exact zeros the blocks pad with,
+so S holds the entries (and splu sees the fill) of scalar products.  It
+solves S, recovers the interiors cell by cell, verifies the full
+residual and, if that misses the tolerance, takes one residual-correction
+step with the same factors.  ``solve`` condenses the cell interiors of a
+reduced WG system; ``solve_linear`` condenses an empty interior, so S is
+the matrix itself.
 
 S is solved by the route the config names, chosen once per solve.
 "cholesky" (the default, sensible up to a few hundred thousand DOFs) is
@@ -20,17 +25,20 @@ symmetric multiplicative two-level Schwarz (Pavarino; Brenner): a damped
 block-Jacobi smoother whose blocks are each edge's trace and flux modes,
 and an exact coarse solve, selected by column and factored once like the
 direct route, on every edge's Legendre trace modes < 2 (< 1 for k = 2)
-and flux modes < k - 1, the flux modes the weak Laplacian reads.
-``solve_linear`` has no edge structure, so its CG runs damped symmetric
-point Jacobi.  Failure raises SolverError carrying the residual relative
-to b and, for CG, the iteration count, instead of returning garbage
-silently.
+and flux modes < k - 1, the flux modes the weak Laplacian reads.  Its
+set-up takes two cores: a worker thread, alive for one set-up, builds the
+smoother while the calling thread factors the coarse block (SuperLU
+releases the GIL).  ``solve_linear`` has no edge structure, so its CG
+runs damped symmetric point Jacobi.  Failure raises SolverError carrying
+the residual relative to b and, for CG, the iteration count, instead of
+returning garbage silently.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -96,10 +104,13 @@ def _spd_factor(matrix):
     return factor
 
 
-def _condense(matrix, n_cells, block):
+def _condense(matrix, n_cells, block, edge_block):
     """(L^-1 cell by cell, Y, S) of the leading ``n_cells`` interior blocks
-    of size ``block`` of a CSR matrix."""
+    of size ``block`` of a CSR matrix whose remaining unknowns come in
+    blocks of ``edge_block``; Y and S are CSR without stored zeros."""
     m = n_cells * block
+    if m == 0:
+        return np.empty((0, block, block)), matrix[:0], matrix
     end = matrix.indptr[m]
     rows = np.repeat(np.arange(m), np.diff(matrix.indptr[:m + 1]))
     cols = matrix.indices[:end]
@@ -120,8 +131,21 @@ def _condense(matrix, n_cells, block):
         raise SolverError("an interior block is not finite")
     inv = np.linalg.inv(chol)
     y = (sp.bsr_matrix((inv, np.arange(n_cells), np.arange(n_cells + 1)),
-                       shape=(m, m)) @ matrix[:m, m:]).tocsr()
-    return inv, y, matrix[m:, m:] - y.T.tocsr() @ y
+                       shape=(m, m))
+         @ matrix[:m, m:].tobsr((block, edge_block)))
+    # the blocks pad with exact zeros, which would move the splu fill;
+    # the block Y is dropped before S is formed, to lower peak memory
+    yty = _csr(y.T @ y)
+    y = _csr(y)
+    return inv, y, matrix[m:, m:] - yty
+
+
+def _csr(matrix):
+    """CSR copy of a block matrix without its stored zeros."""
+    out = matrix.tocsr()
+    out.eliminate_zeros()
+    out.sort_indices()
+    return out
 
 
 def _lower(inv, v, transpose=False):
@@ -154,30 +178,46 @@ def _two_level(schur, edge_block):
     else:
         blocks, coarse = j[:, None], j[:0]
     size = blocks.shape[1]
-    diag = schur[np.repeat(blocks, size, axis=1).ravel(),
-                 np.tile(blocks, size).ravel()]
-    try:
-        chol = np.linalg.cholesky(np.asarray(diag).reshape(-1, size, size))
-    except np.linalg.LinAlgError as err:
-        raise SolverError("block-diagonal smoother needs positive definite "
-                          "diagonal blocks; matrix is not SPD") from err
-    inv = np.linalg.inv(chol)
 
-    def jacobi(r):
-        """D^-1 r, block by block."""
-        out = np.empty(n)
-        out[blocks] = _lower(inv, _lower(inv, r[blocks]),
-                             transpose=True).reshape(blocks.shape)
-        return out
+    def smoother():
+        """(r -> D^-1 r, the damping w)."""
+        diag = schur[np.repeat(blocks, size, axis=1).ravel(),
+                     np.tile(blocks, size).ravel()]
+        try:
+            chol = np.linalg.cholesky(
+                np.asarray(diag).reshape(-1, size, size))
+        except np.linalg.LinAlgError as err:
+            raise SolverError("block-diagonal smoother needs positive "
+                              "definite diagonal blocks; matrix is not "
+                              "SPD") from err
+        inv = np.linalg.inv(chol)
 
-    v = np.ones(n)
-    for _ in range(POWER_STEPS):
-        u = schur @ v
-        w = jacobi(u)
-        lam = (w @ u) / (v @ u)
-        v = w / np.linalg.norm(w)
-    omega = min(1.0, 1.0 / lam)
-    factor = _spd_factor(schur[coarse][:, coarse]) if coarse.size else None
+        def jacobi(r):
+            """D^-1 r, block by block."""
+            out = np.empty(n)
+            out[blocks] = _lower(inv, _lower(inv, r[blocks]),
+                                 transpose=True).reshape(blocks.shape)
+            return out
+
+        v = np.ones(n)
+        for _ in range(POWER_STEPS):
+            u = schur @ v
+            w = jacobi(u)
+            lam = (w @ u) / (v @ u)
+            v = w / np.linalg.norm(w)
+        return jacobi, min(1.0, 1.0 / lam)
+
+    # the smoother is built while this thread factors the coarse block
+    # (SuperLU releases the GIL); the smoother's error is raised first
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        smoothing = pool.submit(smoother)
+        try:
+            factor = (_spd_factor(schur[coarse][:, coarse]) if coarse.size
+                      else None)
+        except SolverError:
+            smoothing.result()
+            raise
+        jacobi, omega = smoothing.result()
 
     def apply(r):
         r = np.ravel(r)
@@ -236,7 +276,7 @@ def _solve(matrix, b, config, n_cells, block, edge_block):
     if matrix.shape != (n, n) or b.shape != (n,):
         raise ValueError("matrix/right-hand side shapes do not match")
     m = n_cells * block
-    inv, y, schur = _condense(matrix, n_cells, block)
+    inv, y, schur = _condense(matrix, n_cells, block, edge_block)
     scale = np.linalg.norm(b) or 1.0
     route, limit = _route(schur, config, scale, edge_block)
 

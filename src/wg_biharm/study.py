@@ -9,6 +9,7 @@ table reproduces the computed values exactly.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import List, Union
@@ -106,6 +107,8 @@ def solve_on_mesh(problem, degree, mesh, solver_config=None):
 
 def run_study(config):
     for i, n in enumerate(config.levels):
+        if not isinstance(n, numbers.Integral):
+            raise ValueError(f"mesh level {n!r} is not an integer")
         if n in config.levels[:i]:  # an order between equal h is 0 / 0
             raise ValueError(f"levels repeat the mesh level {n}")
     problem = config.problem

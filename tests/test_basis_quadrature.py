@@ -383,6 +383,12 @@ def test_exactness_below_minimum_rejected(call, minimum):
     call(minimum)
 
 
+@pytest.mark.parametrize("degree", [2.5, 3.0, "3"])
+def test_non_integer_degree_rejected(degree):
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        wg.quadrature_exactness(degree)
+
+
 def test_cell_operators_checks_at_call_time():
     # a bad degree raises at the call, not at the first batch
     mesh = wg.build_uniform_triangle_mesh(1)

@@ -67,6 +67,11 @@ def test_bad_levels_exit_2(capsys):
                  "--levels", "4,4"])
     assert code == 2
     assert "levels repeat the mesh level 4" in capsys.readouterr().err
+    code = main(["study", "--problem", "example1", "--k", "2",
+                 "--levels", "2,x"])
+    assert code == 2
+    assert "--levels must be comma separated integers, got '2,x'" in (
+        capsys.readouterr().err)
 
 
 def test_low_degree_exits_2(capsys):

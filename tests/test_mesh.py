@@ -214,6 +214,15 @@ def test_read_mesh_rejects_bad_files(tmp_path):
             wg.read_mesh(not_integer)
 
 
+def test_read_mesh_names_the_file_of_a_non_numeric_coordinate(tmp_path):
+    path = tmp_path / "word.txt"
+    path.write_text("3 3 1\n0 0\n1 zero\n0 1\n3 0 1 2\n")
+    where = re.escape(str(path))
+    with pytest.raises(ValueError,
+                       match=f"{where}: vertex coordinates .*'zero'"):
+        wg.read_mesh(path)
+
+
 def test_mesh_from_cells_leaves_caller_vertices_alone():
     v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     mesh = wg.mesh_from_cells(v, [[0, 1, 2]])

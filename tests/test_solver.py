@@ -202,8 +202,46 @@ def test_two_level_preconditioner_is_spd(degree):
     reduced = _reduced(wg.build_uniform_triangle_mesh(4), degree)
     layout = reduced.layout
     _, _, schur = solver._condense(reduced.matrix, layout.n_cells,
-                                   layout.cell_block)
+                                   layout.cell_block, layout.edge_block)
     _assert_spd(_dense(solver._two_level(schur, layout.edge_block)))
+
+
+@pytest.mark.parametrize("mesh, degree", [
+    (wg.build_uniform_triangle_mesh(8), 2),
+    (wg.build_uniform_triangle_mesh(4), 5),
+    (wg.build_uniform_quad_mesh(6), 3),
+    (wg.build_uniform_quad_mesh(6), 4),
+    (wg.mesh_from_cells(*polygonal_mesh_cells()), 3),
+], ids=["tri8-k2", "tri4-k5", "quad6-k3", "quad6-k4", "polygons-k3"])
+def test_edge_block_condensation_matches_scalar_products(mesh, degree):
+    reduced = _reduced(mesh, degree)
+    layout, matrix = reduced.layout, reduced.matrix
+    inv, y, schur = solver._condense(matrix, layout.n_cells,
+                                     layout.cell_block, layout.edge_block)
+    # the scalar SpGEMM reference; scipy's products drop exact zeros
+    m = layout.n_cells * layout.cell_block
+    ref_y = sp.block_diag(inv, format="csr") @ matrix[:m, m:]
+    ref_schur = matrix[m:, m:] - ref_y.T.tocsr() @ ref_y
+    for ref, new in ((ref_y, y), (ref_schur, schur)):
+        assert (ref != new).nnz == 0
+        assert new.nnz == ref.nnz
+        assert np.all(new.data != 0.0)
+    ref_csc, new_csc = ref_schur.tocsc(), schur.tocsc()
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(ref_csc, part), getattr(new_csc, part))
+
+
+@pytest.mark.parametrize("mode", [0, 1], ids=["coarse", "smoother-only"])
+def test_indefinite_edge_block_raises_the_smoother_error(mode):
+    # k = 2: trace mode 0 is in the coarse space, mode 1 is not; with mode
+    # 0 the coarse factor fails too, and the smoother's error still wins
+    reduced = _reduced(wg.build_uniform_triangle_mesh(2), 2)
+    m = reduced.layout.n_cells * reduced.layout.cell_block
+    matrix = reduced.matrix.tolil()
+    matrix[m + mode, m + mode] = -10.0 * abs(reduced.matrix).max()
+    reduced.matrix = matrix.tocsr()
+    with pytest.raises(wg.SolverError, match="block-diagonal smoother"):
+        wg.solve(reduced, wg.SolverConfig(method="cg"))
 
 
 def test_pointwise_preconditioner_of_solve_linear_is_spd():

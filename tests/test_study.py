@@ -43,6 +43,16 @@ def test_solve_on_mesh_patch_is_exact():
     assert reduced.layout.total == 4 * 6 + 12 * 4  # n=2 quad mesh at k=2
 
 
+def test_non_integer_degree_or_level_rejected():
+    problem = wg.get_problem("example2")
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        wg.solve_on_mesh(problem, 2.5, build_mesh("tri", 2))
+    with pytest.raises(ValueError, match="mesh level 4.5 is not an integer"):
+        wg.run_study(wg.StudyConfig("example2", 2, levels=(2, 4.5)))
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        wg.run_study(wg.StudyConfig("example2", 2.5, levels=(2,)))
+
+
 def test_run_study_errors_decrease_monotonically():
     table = wg.run_study(wg.StudyConfig(problem="example1", degree=2,
                                         levels=(2, 4, 8)))

@@ -8,6 +8,9 @@
     python tools/bench_batched.py --baseline-src PARENT/src --repeat 5 \
         --solver cg --cases quad-n24-k4,tri-n32-k4,tri-n16-k5,quad-n64-k3 \
         --out BENCH_coarse_flux.json
+    python tools/bench_batched.py --baseline-src PARENT/src --repeat 10 \
+        --solver cg --cases quad-n24-k4,quad-n64-k3,tri-n128-k2 \
+        --out BENCH_cg_setup.json
 
 PARENT is a checkout of the commit to compare against, for example one
 made with ``git worktree add PARENT <rev>``.  Each repeat runs one fresh
