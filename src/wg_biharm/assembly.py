@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis_quadrature import polynomial_space_dim, quadrature_exactness
-from .projection import WgField, evaluate_at, project_edge
+from .projection import WgField, _edge_data, evaluate_at
 from .weak_laplacian import cell_operators, gather_local_dofs
 
 
@@ -157,22 +157,18 @@ def apply_boundary_conditions(system, trace, flux):
 
     ``trace`` is g(x, y); ``flux`` is the normal derivative datum
     phi(x, y, nx, ny), evaluated with the edge's global normal, which on
-    boundary edges is the outward normal of the domain.  Returns the
-    reduced system over free DOFs with the boundary coupling moved to the
-    right-hand side.
+    boundary edges is the outward normal of the domain; for the solution's
+    own data the imposed DOFs are ``project_field``'s boundary rows.
+    Returns the reduced system over free DOFs with the boundary coupling
+    moved to the right-hand side.
     """
     mesh, layout = system.mesh, system.layout
     k = system.degree
-    _, edge_exactness = quadrature_exactness(k)
     boundary = layout.boundary_dofs(mesh)
 
     # Same order as boundary_dofs: every trace block, then every flux block.
-    edges = np.flatnonzero(mesh.boundary_edges)
-    normal = mesh.edge_normals[edges, None, :]
-    traces = project_edge(mesh, edges, trace, k - 1, edge_exactness)
-    fluxes = project_edge(
-        mesh, edges, lambda x, y: flux(x, y, normal[..., 0], normal[..., 1]),
-        k - 1, edge_exactness)
+    traces, fluxes = _edge_data(mesh, np.flatnonzero(mesh.boundary_edges),
+                                k, trace, flux)
     values = np.concatenate([traces.ravel(), fluxes.ravel()])
 
     free = np.ones(layout.total, dtype=bool)

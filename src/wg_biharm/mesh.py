@@ -9,8 +9,9 @@ has an incidence sign, +1 when the cell's outward normal on that edge equals
 ``n_e`` and -1 when it is the reversal.  Flux unknowns defined against
 ``n_e`` are therefore single-valued across cells.
 
-The solver's analysis assumes shape-regular cells (bounded aspect ratio,
-edges comparable to the cell diameter).  This is not verified at runtime;
+``mesh_from_cells`` checks that every cell is a simple polygon.  The
+solver's analysis also assumes shape-regular cells (bounded aspect ratio,
+edges comparable to the cell diameter).  That is not verified at runtime;
 the uniform generators below satisfy it by construction.
 
 Cell areas, centroids and diameters and edge lengths, midpoints, normals
@@ -142,9 +143,9 @@ def mesh_from_cells(vertices, cells):
     """Build a validated mesh from vertex coordinates and CCW cell lists.
 
     Raises ValueError on non-finite coordinates, non-integer vertex ids,
-    degenerate or clockwise cells, edges shared by more than two cells,
-    inconsistently oriented neighbours, or a topology that is not a simply
-    connected disk (Euler relation V - E + F = 1).
+    degenerate, self-intersecting or clockwise cells, edges shared by more
+    than two cells, inconsistently oriented neighbours, or a topology that
+    is not a simply connected disk (Euler relation V - E + F = 1).
     """
     # a copy: Mesh makes its arrays read-only, never the caller's
     vertices = np.array(vertices, dtype=float, order="C")
@@ -209,10 +210,43 @@ def mesh_from_cells(vertices, cells):
     rows = np.column_stack([e, np.where(claims, 1, -1)])
     mesh = Mesh(vertices, sizes, a, rows, edges, edge_cells,
                 edge_cells[:, 1] == -1)
+    for m in np.unique(sizes[sizes > 3]):  # a triangle is simple
+        group = np.flatnonzero(sizes == m)
+        bad = group[_edges_meet(vertices[mesh.cell_rows(group)[0]])]
+        if bad.size:
+            raise ValueError(f"cell {bad[0]} is not a simple polygon: two "
+                             "of its non-adjacent edges meet")
     bad = np.flatnonzero(mesh.cell_areas <= 0.0)
     if bad.size:
         raise ValueError(f"cell {bad[0]} is not counter-clockwise")
     return mesh
+
+
+def _edges_meet(coords):
+    """Whether two non-adjacent edges of a polygon meet, for each polygon
+    of a (c, m, 2) stack.  Collinear edges meet only where they overlap."""
+    m = coords.shape[1]
+    i, j = np.triu_indices(m, 2)
+    keep = j - i < m - 1  # edges m - 1 and 0 are adjacent
+    i, j = i[keep], j[keep]
+    nxt = np.roll(coords, -1, axis=1)
+    p, q, r, s = coords[:, i], nxt[:, i], coords[:, j], nxt[:, j]
+
+    def side(a, b, c):
+        """Sign of c's side of the line a -> b, 0 on it."""
+        ab, ac = b - a, c - a
+        return np.sign(ab[..., 0] * ac[..., 1] - ab[..., 1] * ac[..., 0])
+
+    def within(a, b, c):
+        """c in the bounding box of segment a b."""
+        return np.all((np.minimum(a, b) <= c) & (c <= np.maximum(a, b)),
+                      axis=-1)
+
+    sp, sq, sr, ss = side(r, s, p), side(r, s, q), side(p, q, r), side(p, q, s)
+    meet = ((sp * sq < 0) & (sr * ss < 0)
+            | (sp == 0) & within(r, s, p) | (sq == 0) & within(r, s, q)
+            | (sr == 0) & within(p, q, r) | (ss == 0) & within(p, q, s))
+    return np.any(meet, axis=1)
 
 
 def _grid_squares(n):

@@ -41,8 +41,8 @@ from numpy.polynomial.legendre import legvander
 from .basis_quadrature import (CellBasis, edge_points, edge_quadrature,
                                polynomial_space_dim, quadrature_exactness)
 from .mesh import edge_geometry
-from .projection import (WgField, _edge_flux, _legendre_coefficients,
-                         _project_on_rule, project_edge)
+from .projection import (WgField, _edge_data, _legendre_coefficients,
+                         _normal_derivative, _project_on_rule)
 from .weak_laplacian import cell_operators, gather_local_dofs
 
 
@@ -95,10 +95,8 @@ def energy_norm(mesh, degree, field):
 def compute_errors(mesh, degree, u_h, exact):
     """Six-norm error report of ``u_h`` against a smooth exact field."""
     _, edge_exactness = quadrature_exactness(degree)
-    edges = np.arange(mesh.n_edges)
-    flux = project_edge(mesh, edges, _edge_flux(mesh, exact), degree - 1,
-                        edge_exactness)
-    trace = project_edge(mesh, edges, exact.value, degree - 1, edge_exactness)
+    trace, flux = _edge_data(mesh, np.arange(mesh.n_edges), degree,
+                             exact.value, _normal_derivative(exact))
     diff = WgField(degree, np.empty_like(u_h.interior), trace - u_h.trace,
                    flux - u_h.flux)
 

@@ -1,19 +1,23 @@
 """Manufactured solutions of the clamped plate problem.
 
-Each problem bundles the exact solution (with gradient and Laplacian), the
-source f = Delta^2 u, the boundary trace g = u and the boundary normal
-derivative phi, the latter as a callable ``phi(x, y, nx, ny)`` evaluated
-against a caller-supplied outward normal.
+A problem is its exact solution (with gradient and Laplacian) and its
+source f = Delta^2 u.  The built-in problems take their boundary data from
+the solution, so the data hold on any domain: the trace g = u and the
+normal derivative phi = grad u . n, the latter as a callable
+``phi(x, y, nx, ny)`` evaluated against a caller-supplied outward normal.
+A custom ``Problem`` supplies its own ``trace`` and ``normal_flux``.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
-from .projection import ScalarField
+from .projection import ScalarField, _normal_derivative
 
 
 @dataclass(frozen=True)
@@ -25,12 +29,16 @@ class Problem:
     normal_flux: Callable
 
 
-def _zero(x, y):
-    return np.zeros_like(np.asarray(x, dtype=float))
+def _manufactured(name, solution, source):
+    """The problem whose boundary data are the solution's trace and normal
+    derivative."""
+    return Problem(name, solution, source, solution.value,
+                   _normal_derivative(solution))
 
 
 def example_1():
-    """u = x^2 (1-x)^2 y^2 (1-y)^2, clamped homogeneous boundary data."""
+    """u = x^2 (1-x)^2 y^2 (1-y)^2, clamped: on the unit square's boundary
+    u and grad u . n vanish."""
 
     def p(s):
         return s ** 2 * (1.0 - s) ** 2
@@ -54,12 +62,12 @@ def example_1():
         # ddddp = 24, dddp terms pair up through the mixed derivative
         return 24.0 * p(y) + 2.0 * ddp(x) * ddp(y) + 24.0 * p(x)
 
-    return Problem("example1", ScalarField(u, grad, lap), f, _zero,
-                   lambda x, y, nx, ny: _zero(x, y))
+    return _manufactured("example1", ScalarField(u, grad, lap), f)
 
 
 def example_2():
-    """u = sin(pi x) sin(pi y); homogeneous trace, nonhomogeneous flux."""
+    """u = sin(pi x) sin(pi y): on the unit square's boundary u vanishes
+    and grad u . n does not."""
     pi = np.pi
 
     def u(x, y):
@@ -75,58 +83,33 @@ def example_2():
     def f(x, y):
         return 4.0 * pi ** 4 * u(x, y)
 
-    def flux(x, y, nx, ny):
-        gx, gy = grad(x, y)
-        return gx * nx + gy * ny
-
-    return Problem("example2", ScalarField(u, grad, lap), f, _zero, flux)
-
-
-def _monomial_eval(terms, x, y):
-    out = np.zeros_like(np.asarray(x, dtype=float))
-    for c, a, b in terms:
-        out = out + c * x ** a * y ** b
-    return out
-
-
-def _monomial_dx(terms):
-    return [(c * a, a - 1, b) for c, a, b in terms if a > 0]
-
-
-def _monomial_dy(terms):
-    return [(c * b, a, b - 1) for c, a, b in terms if b > 0]
-
-
-def _monomial_lap(terms):
-    return _monomial_dx(_monomial_dx(terms)) + _monomial_dy(_monomial_dy(terms))
+    return _manufactured("example2", ScalarField(u, grad, lap), f)
 
 
 def polynomial_patch(degree):
     """u = sum of every monomial x^a y^b with a + b <= degree, unit
     coefficients.  Any scheme exact on P_degree must reproduce its
     projection to roundoff."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    terms = [(1.0, a, d - a) for d in range(degree + 1) for a in range(d + 1)]
-    gx_t, gy_t = _monomial_dx(terms), _monomial_dy(terms)
-    lap_t = _monomial_lap(terms)
-    f_t = _monomial_lap(lap_t)
+    if not isinstance(degree, numbers.Integral) or degree < 0:
+        raise ValueError(
+            f"the patch degree must be an integer >= 0, got {degree!r}")
+    a, b = np.indices((degree + 1, degree + 1))
+    coeffs = (a + b <= degree).astype(float)  # coeffs[a, b] of x^a y^b
 
-    def u(x, y):
-        return _monomial_eval(terms, x, y)
+    def der(ax, ay):
+        return P.polyder(P.polyder(coeffs, ax, axis=0), ay, axis=1)
 
-    def grad(x, y):
-        return _monomial_eval(gx_t, x, y), _monomial_eval(gy_t, x, y)
+    def at(*terms):
+        """The sum of the polynomials with coefficient matrices ``terms``."""
+        return lambda x, y: sum(P.polyval2d(*np.broadcast_arrays(x, y), c)
+                                for c in terms)
 
-    def flux(x, y, nx, ny):
-        gx, gy = grad(x, y)
-        return gx * nx + gy * ny
-
-    return Problem(f"patch-{degree}",
-                   ScalarField(u, grad,
-                               lambda x, y: _monomial_eval(lap_t, x, y)),
-                   lambda x, y: _monomial_eval(f_t, x, y),
-                   u, flux)
+    ux, uy = at(der(1, 0)), at(der(0, 1))
+    return _manufactured(
+        f"patch-{degree}",
+        ScalarField(at(coeffs), lambda x, y: (ux(x, y), uy(x, y)),
+                    at(der(2, 0), der(0, 2))),
+        at(der(4, 0), 2.0 * der(2, 2), der(0, 4)))
 
 
 def get_problem(name):

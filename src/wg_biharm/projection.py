@@ -5,7 +5,8 @@ interior polynomial of degree k per cell, and per edge a trace polynomial
 and a normal-flux polynomial of degree k - 1, the flux taken against the
 edge's global normal.  ``project_field`` maps a smooth scalar field onto
 such a triple by L2 projection blockwise, with the element's rules
-(``basis_quadrature.quadrature_exactness``); ``project_cell`` and
+(``basis_quadrature.quadrature_exactness``), its edge blocks by the one
+helper the error report and the boundary data use; ``project_cell`` and
 ``project_edge`` project onto any degree d with a rule of their own,
 exact to at least 2d.
 """
@@ -141,11 +142,9 @@ def project_field(mesh, degree, field):
     rules, ``quadrature_exactness(degree)``, as the error report and the
     boundary data do, so both see this projection as exact.
     """
-    cell_exactness, edge_exactness = quadrature_exactness(degree)
-    edges = np.arange(mesh.n_edges)
-    flux = project_edge(mesh, edges, _edge_flux(mesh, field), degree - 1,
-                        edge_exactness)
-    trace = project_edge(mesh, edges, field.value, degree - 1, edge_exactness)
+    cell_exactness, _ = quadrature_exactness(degree)
+    trace, flux = _edge_data(mesh, np.arange(mesh.n_edges), degree,
+                             field.value, _normal_derivative(field))
     interior = np.empty((mesh.n_cells, polynomial_space_dim(degree)))
     for cells in cell_batches(mesh, degree):
         interior[cells] = project_cell(mesh, cells, field.value, degree,
@@ -153,13 +152,23 @@ def project_field(mesh, degree, field):
     return WgField(degree, interior, trace, flux)
 
 
-def _edge_flux(mesh, field):
-    """grad f . n_e at (n_edges, p) points, n_e each edge's global normal."""
+def _normal_derivative(field):
+    """phi(x, y, nx, ny) = grad f . n of a field with a gradient."""
     if field.gradient is None:
-        raise ValueError("the edge flux needs the field gradient")
-    normal = mesh.edge_normals[:, None, :]
+        raise ValueError("the normal derivative needs the field gradient")
 
-    def flux(x, y):
+    def phi(x, y, nx, ny):
         gx, gy = field.gradient(x, y)
-        return gx * normal[..., 0] + gy * normal[..., 1]
-    return flux
+        return gx * nx + gy * ny
+    return phi
+
+
+def _edge_data(mesh, edges, degree, trace, flux):
+    """(trace, flux) blocks of the degree-``degree`` element on an index
+    array of edges: Legendre projections, with the element's edge rule, of
+    g(x, y) and of phi(x, y, nx, ny) against each edge's global normal."""
+    rule = edge_quadrature(quadrature_exactness(degree)[1])
+    pts = edge_points(edge_geometry(mesh, edges[:, None]), rule.points)
+    nx, ny = mesh.edge_normals[edges].T[..., None]
+    return [_legendre_coefficients(rule, degree - 1, evaluate_at(f, pts))
+            for f in (trace, lambda x, y: flux(x, y, nx, ny))]

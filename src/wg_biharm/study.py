@@ -162,14 +162,18 @@ def emit_table(table, fmt="markdown"):
 
 def parse_csv_table(text):
     """Parse emit_table(..., "csv") output back into plain records; order
-    cells rendered as "-" come back as nan."""
+    cells rendered as "-" come back as nan.  Raises ValueError on an
+    unknown header or a row whose field count differs from it."""
     lines = [ln for ln in text.strip().splitlines() if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("unrecognized table header")
     names = lines[0].split(",")
     records = []
-    for ln in lines[1:]:
+    for i, ln in enumerate(lines[1:], 1):
         vals = ln.split(",")
+        if len(vals) != len(names):
+            raise ValueError(f"table row {i} has {len(vals)} fields, the "
+                             f"header {len(names)}")
         rec = {}
         for name, val in zip(names, vals):
             if name in ("n", "dofs"):

@@ -213,15 +213,16 @@ def test_boundary_trace_data_projection():
 
 
 def test_boundary_data_equal_projection_of_exact_solution():
-    # the imposed boundary DOFs and the error report's projection use one
-    # edge rule, so the boundary part of the reported error is zero
+    # the imposed boundary DOFs and the error report's projection take one
+    # edge rule to the solution's own trace and normal derivative, so the
+    # boundary part of the reported error is exactly zero
     mesh = wg.build_uniform_triangle_mesh(4)
     problem = wg.get_problem("example2")
     u_h, _, _, _ = wg.solve_on_mesh(problem, 2, mesh)
     proj = wg.project_field(mesh, 2, problem.solution)
     edges = mesh.boundary_edges
-    assert np.max(np.abs(u_h.trace[edges] - proj.trace[edges])) <= 1e-14
-    assert np.max(np.abs(u_h.flux[edges] - proj.flux[edges])) <= 1e-14
+    assert np.array_equal(u_h.trace[edges], proj.trace[edges])
+    assert np.array_equal(u_h.flux[edges], proj.flux[edges])
 
 
 @pytest.mark.parametrize("k", [3, 4])

@@ -232,6 +232,29 @@ def test_mesh_from_cells_leaves_caller_vertices_alone():
     assert mesh.vertices[1, 0] == 1.0
 
 
+def test_mesh_from_cells_rejects_cells_that_are_not_simple():
+    not_simple = {
+        # a bowtie of signed area 1.0: its first and third edges cross
+        "bowtie": [[0.0, 0.0], [3.0, 0.0], [0.0, 1.0], [1.0, 1.5]],
+        # the fourth vertex lies on the first edge
+        "touching": [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [1.0, 0.0],
+                     [0.0, 2.0]],
+        # the fifth edge runs back along the first
+        "overlapping": [[0.0, 0.0], [3.0, 0.0], [3.0, 1.0], [2.0, 1.0],
+                        [2.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+    }
+    for name, verts in not_simple.items():
+        with pytest.raises(ValueError, match="cell 0 is not a simple"):
+            wg.mesh_from_cells(verts, [list(range(len(verts)))])
+    # collinear non-adjacent edges that do not overlap are fine: an arrow
+    # with two edges on x = 1, and an L whose bottom side has two edges
+    for verts in ([[0.0, 0.3], [1.0, 0.3], [1.0, 0.0], [1.8, 0.6],
+                   [1.0, 1.2], [1.0, 0.9], [0.0, 0.9]],
+                  [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0],
+                   [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]]):
+        assert wg.mesh_from_cells(verts, [list(range(len(verts)))]).n_cells == 1
+
+
 def test_mesh_from_cells_validation():
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="counter-clockwise"):

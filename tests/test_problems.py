@@ -8,7 +8,9 @@ Frozen point values, worked by hand from the closed forms:
   * patch-4: biharmonic of x^4 + y^4 + x^2 y^2 (+ lower order) = 56
 
 Derivative consistency is verified against central finite differences and
-a 13-point biharmonic stencil.
+a 13-point biharmonic stencil.  The built-in problems take their boundary
+data from their solution, so they converge at the unit square's orders on
+a shifted square too.
 """
 
 import numpy as np
@@ -130,3 +132,27 @@ def test_get_problem_lookup_and_errors():
             wg.get_problem(bad)
     with pytest.raises(ValueError):
         wg.polynomial_patch(-1)
+    for bad in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="integer"):
+            wg.polynomial_patch(bad)
+
+
+@pytest.mark.parametrize("family", ["tri", "quad"])
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_examples_converge_on_a_shifted_square(name, family):
+    # on [0.25, 1.25]^2 neither u nor grad u . n vanishes on the boundary;
+    # finest-pair bands a little under the asymptotic k - 1 and k + 1
+    problem = wg.get_problem(name)
+    for k, levels, h2_min, l2_min in ((2, (8, 16, 32), 0.8, 1.8),
+                                      (3, (4, 8, 16), 1.8, 3.7)):
+        h2, l2, hs = [], [], []
+        for n in levels:
+            square = wg.study.build_mesh(family, n)
+            mesh = wg.mesh_from_cells(square.vertices + 0.25, square.cells)
+            u_h, _, _, _ = wg.solve_on_mesh(problem, k, mesh)
+            report = wg.compute_errors(mesh, k, u_h, problem.solution)
+            h2.append(report.h2_energy)
+            l2.append(report.l2_interior)
+            hs.append(wg.max_cell_diameter(mesh))
+        assert wg.study.observed_order(h2, hs)[-1] >= h2_min
+        assert wg.study.observed_order(l2, hs)[-1] >= l2_min

@@ -6,6 +6,8 @@ renaming one of them breaks that trace without failing anything in the
 package itself, so this test pins the names and call forms it uses.
 """
 
+import dataclasses
+
 import numpy as np
 
 import wg_biharm as wg
@@ -31,3 +33,19 @@ def test_benchmark_entry_points():
                       proj.trace - u_h.trace, proj.flux - u_h.flux)
     assert np.isclose(wg.energy_norm(mesh, k, diff), report.h2_energy,
                       rtol=1e-10, atol=0.0)
+
+
+def test_problem_boundary_data_are_replaceable_fields():
+    # bench.py passes p.trace and p.normal_flux to apply_boundary_conditions,
+    # and test_bench.py swaps the flux with dataclasses.replace
+    problem = wg.get_problem("example2")
+    names = {f.name for f in dataclasses.fields(wg.Problem)}
+    assert {"trace", "normal_flux"} <= names
+
+    def zero_flux(x, y, nx, ny):
+        return 0.0 * x
+
+    swapped = dataclasses.replace(problem, normal_flux=zero_flux)
+    assert swapped.normal_flux is zero_flux
+    assert swapped.trace is problem.trace
+    assert dataclasses.replace(problem, trace=zero_flux).trace is zero_flux

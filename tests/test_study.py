@@ -102,6 +102,14 @@ def test_parse_rejects_foreign_header():
         wg.parse_csv_table("a,b,c\n1,2,3\n")
 
 
+def test_parse_rejects_a_row_whose_field_count_differs_from_the_header():
+    row = ",".join(["4", "0.25", "100"] + ["1.0", "-"] * 6 + ["0.01"])
+    assert wg.parse_csv_table(f"{CSV_HEADER}\n{row}\n")[0]["n"] == 4
+    for bad in ("4,0.25,100,1.0", row + ",7"):
+        with pytest.raises(ValueError, match="row 2 has"):
+            wg.parse_csv_table(f"{CSV_HEADER}\n{row}\n{bad}\n")
+
+
 def test_markdown_table_shape_and_labels():
     table = wg.run_study(wg.StudyConfig(problem="patch-2", degree=2,
                                         levels=(2,)))
