@@ -98,7 +98,6 @@ class SparseSymmetricSystem:
     load: np.ndarray
     layout: DofLayout
     mesh: object
-    degree: int
 
 
 @dataclass
@@ -111,8 +110,6 @@ class ReducedSystem:
     boundary_dofs: np.ndarray
     boundary_values: np.ndarray
     layout: DofLayout
-    mesh: object
-    degree: int
 
     def expand(self, x_free):
         full = np.zeros(self.layout.total)
@@ -149,7 +146,7 @@ def assemble_system(mesh, degree, source):
     matrix = sp.coo_matrix((data[:at], (rows[:at], cols[:at])),
                            shape=(layout.total, layout.total)).tocsr()
     matrix.eliminate_zeros()  # duplicates that cancel
-    return SparseSymmetricSystem(matrix, load, layout, mesh, degree)
+    return SparseSymmetricSystem(matrix, load, layout, mesh)
 
 
 def apply_boundary_conditions(system, trace, flux):
@@ -163,12 +160,11 @@ def apply_boundary_conditions(system, trace, flux):
     moved to the right-hand side.
     """
     mesh, layout = system.mesh, system.layout
-    k = system.degree
     boundary = layout.boundary_dofs(mesh)
 
     # Same order as boundary_dofs: every trace block, then every flux block.
     traces, fluxes = _edge_data(mesh, np.flatnonzero(mesh.boundary_edges),
-                                k, trace, flux)
+                                layout.degree, trace, flux)
     values = np.concatenate([traces.ravel(), fluxes.ravel()])
 
     free = np.ones(layout.total, dtype=bool)
@@ -178,8 +174,7 @@ def apply_boundary_conditions(system, trace, flux):
     lift = system.matrix[:, boundary] @ values
     rhs = (system.load - lift)[free]
     reduced = system.matrix[free][:, free].tocsr()
-    return ReducedSystem(reduced, rhs, free, boundary, values, layout,
-                         mesh, k)
+    return ReducedSystem(reduced, rhs, free, boundary, values, layout)
 
 
 def dump_matrix(matrix, path):

@@ -2,17 +2,19 @@
 
 One pipeline serves both entry points.  It condenses the leading
 block-diagonal interior block: with A = [[A_ii, A_ib], [A_bi, A_bb]] and
-A_ii = L L^T cell by cell (one batched Cholesky call), Y = L^-1 A_ib and
-S = A_bb - Y^T Y.  Y and Y^T Y are block sparse products: every free
-unknown past the interiors belongs to an edge block of k trace or k flux
-modes, so Y is formed from (cell x k) blocks and Y^T Y from (k x k)
-blocks; both return to CSR without the exact zeros the blocks pad with,
-so S holds the entries (and splu sees the fill) of scalar products.  It
-solves S, recovers the interiors cell by cell, verifies the full
-residual and, if that misses the tolerance, takes one residual-correction
-step with the same factors.  ``solve`` condenses the cell interiors of a
-reduced WG system; ``solve_linear`` condenses an empty interior, so S is
-the matrix itself.
+A_ii = L L^T cell by cell, Y = L^-1 A_ib and S = A_bb - Y^T Y.  A_ii is
+read once, as a BSR matrix of (cell x cell) blocks: its structure must be
+the block diagonal, and its blocks are replaced by L^-1, which one helper
+computes for any stack of SPD blocks (the smoother's too).  Y and Y^T Y
+are block sparse products: every free unknown past the interiors belongs
+to an edge block of k trace or k flux modes, so Y is formed from
+(cell x k) blocks and Y^T Y from (k x k) blocks; both return to CSR
+without the exact zeros the blocks pad with, so S holds the entries (and
+splu sees the fill) of scalar products.  It solves S, recovers the
+interiors cell by cell, verifies the full residual and, if that misses
+the tolerance, takes one residual-correction step with the same factors.
+``solve`` condenses the cell interiors of a reduced WG system;
+``solve_linear`` condenses an empty interior, so S is the matrix itself.
 
 S is solved by the route the config names, chosen once per solve.
 "cholesky" (the default, sensible up to a few hundred thousand DOFs) is
@@ -111,33 +113,32 @@ def _condense(matrix, n_cells, block, edge_block):
     m = n_cells * block
     if m == 0:
         return np.empty((0, block, block)), matrix[:0], matrix
-    end = matrix.indptr[m]
-    rows = np.repeat(np.arange(m), np.diff(matrix.indptr[:m + 1]))
-    cols = matrix.indices[:end]
-    inner = cols < m
-    rows, cols = rows[inner], cols[inner]
-    if np.any(rows // block != cols // block):
+    inner = matrix[:m, :m].tobsr((block, block))
+    cells = np.arange(n_cells + 1)
+    if not (np.array_equal(inner.indptr, cells)
+            and np.array_equal(inner.indices, cells[:-1])):
         raise SolverError("interior unknowns couple across cells; the "
                           "interior block is not block diagonal")
-    blocks = np.bincount(rows * block + cols % block,
-                         weights=matrix.data[:end][inner],
-                         minlength=m * block)
-    try:
-        chol = np.linalg.cholesky(blocks.reshape(n_cells, block, block))
-    except np.linalg.LinAlgError as err:
-        raise SolverError("an interior block is not positive "
-                          "definite") from err
-    if not np.all(np.isfinite(chol)):
-        raise SolverError("an interior block is not finite")
-    inv = np.linalg.inv(chol)
-    y = (sp.bsr_matrix((inv, np.arange(n_cells), np.arange(n_cells + 1)),
-                       shape=(m, m))
-         @ matrix[:m, m:].tobsr((block, edge_block)))
+    inner.data = _inverse_cholesky(inner.data, "an interior block")
+    y = inner @ matrix[:m, m:].tobsr((block, edge_block))
     # the blocks pad with exact zeros, which would move the splu fill;
     # the block Y is dropped before S is formed, to lower peak memory
     yty = _csr(y.T @ y)
     y = _csr(y)
-    return inv, y, matrix[m:, m:] - yty
+    return inner.data, y, matrix[m:, m:] - yty
+
+
+def _inverse_cholesky(blocks, name):
+    """L^-1 of every block of a stack of SPD blocks L L^T; a block that is
+    not positive definite or not finite raises SolverError with ``name``."""
+    try:
+        chol = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError as err:
+        raise SolverError(f"{name} is not positive definite; matrix is "
+                          f"not SPD") from err
+    if not np.all(np.isfinite(chol)):
+        raise SolverError(f"{name} is not finite")
+    return np.linalg.inv(chol)
 
 
 def _csr(matrix):
@@ -165,7 +166,8 @@ def _two_level(schur, edge_block):
     coarse space.  The preconditioner is SPD while the damping w keeps
     w lambda_max(D^-1 S) < 2; w is min(1, 1 / lambda), lambda a Rayleigh
     quotient after POWER_STEPS power steps on D^-1 S from the ones vector
-    (no RNG: the solve repeats bitwise)."""
+    (no RNG: the solve repeats bitwise; numpy's sums, not BLAS dots: w is
+    the same on any number of BLAS threads)."""
     n = schur.shape[0]
     if n == 0:  # every edge is on the boundary
         return spla.LinearOperator((0, 0), matvec=np.ravel)
@@ -183,14 +185,9 @@ def _two_level(schur, edge_block):
         """(r -> D^-1 r, the damping w)."""
         diag = schur[np.repeat(blocks, size, axis=1).ravel(),
                      np.tile(blocks, size).ravel()]
-        try:
-            chol = np.linalg.cholesky(
-                np.asarray(diag).reshape(-1, size, size))
-        except np.linalg.LinAlgError as err:
-            raise SolverError("block-diagonal smoother needs positive "
-                              "definite diagonal blocks; matrix is not "
-                              "SPD") from err
-        inv = np.linalg.inv(chol)
+        inv = _inverse_cholesky(np.asarray(diag).reshape(-1, size, size),
+                                "a diagonal block of the block-diagonal "
+                                "smoother")
 
         def jacobi(r):
             """D^-1 r, block by block."""
@@ -203,8 +200,8 @@ def _two_level(schur, edge_block):
         for _ in range(POWER_STEPS):
             u = schur @ v
             w = jacobi(u)
-            lam = (w @ u) / (v @ u)
-            v = w / np.linalg.norm(w)
+            lam = np.sum(w * u) / np.sum(v * u)
+            v = w / np.sqrt(np.sum(w * w))
         return jacobi, min(1.0, 1.0 / lam)
 
     # the smoother is built while this thread factors the coarse block

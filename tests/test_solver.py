@@ -1,6 +1,11 @@
 """Solver route tests: direct and CG agreement, residual verification,
 and failure reporting."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -218,8 +223,16 @@ def test_edge_block_condensation_matches_scalar_products(mesh, degree):
     layout, matrix = reduced.layout, reduced.matrix
     inv, y, schur = solver._condense(matrix, layout.n_cells,
                                      layout.cell_block, layout.edge_block)
+    # the interior block holds nothing off its diagonal blocks, and inv is
+    # their inverse Cholesky factors, read off the dense block
+    n, d = layout.n_cells, layout.cell_block
+    m = n * d
+    inner = matrix[:m, :m].tocoo()
+    assert np.array_equal(inner.row // d, inner.col // d)
+    dense = matrix[:m, :m].toarray().reshape(n, d, n, d)
+    blocks = dense[np.arange(n), :, np.arange(n), :]
+    assert np.array_equal(inv, np.linalg.inv(np.linalg.cholesky(blocks)))
     # the scalar SpGEMM reference; scipy's products drop exact zeros
-    m = layout.n_cells * layout.cell_block
     ref_y = sp.block_diag(inv, format="csr") @ matrix[:m, m:]
     ref_schur = matrix[m:, m:] - ref_y.T.tocsr() @ ref_y
     for ref, new in ((ref_y, y), (ref_schur, schur)):
@@ -257,6 +270,38 @@ def test_cg_solves_are_bitwise_repeatable(entry):
     assert np.array_equal(first.x, second.x)
     assert first.iterations == second.iterations
     assert first.residual == second.residual
+
+
+_CG_CHILD = """
+import sys
+import numpy as np
+import wg_biharm as wg
+problem = wg.get_problem("example2")
+system = wg.assemble_system(wg.build_uniform_triangle_mesh(32), 3,
+                            problem.source)
+reduced = wg.apply_boundary_conditions(system, problem.trace,
+                                       problem.normal_flux)
+result = wg.solve(reduced, wg.SolverConfig(method="cg"))
+np.save(sys.argv[1], np.append(result.x, result.iterations))
+"""
+
+
+def test_cg_answer_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a dot product across threads above about 10,000
+    # entries; S has 18,048 unknowns at tri n = 32, k = 3
+    src = str(Path(wg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.npy"
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", _CG_CHILD, str(out)], env=env,
+                       check=True)
+        runs.append(np.load(out))
+    (x1, its1), (x2, its2) = ((run[:-1], run[-1]) for run in runs)
+    assert its1 == its2
+    assert np.linalg.norm(x1 - x2) <= 1e-13 * np.linalg.norm(x1)
 
 
 def _spoil_route(monkeypatch, spoil):
@@ -380,12 +425,25 @@ def test_non_finite_interior_block_raises_solver_error():
         wg.solve(reduced)
 
 
-def test_interior_coupling_across_cells_raises_solver_error():
+@pytest.mark.parametrize("drop, couple", [
+    (False, [(0, 1), (1, 0)]),
+    (False, [(1, 2), (2, 1)]),
+    (True, []),
+    (True, [(2, 1)]),
+], ids=["cells-0-1-couple", "cells-1-2-couple", "cell-1-not-stored",
+        "cell-2-reads-empty-cell-1"])
+def test_interior_block_structure_raises_solver_error(drop, couple):
+    # the last case follows an empty block row with a coupling, so the
+    # block column indices alone still read 0, 1, ..., n_cells - 1
     reduced = _reduced(wg.build_uniform_triangle_mesh(2), 2)
-    matrix = reduced.matrix.tolil()
     d = reduced.layout.cell_block
-    matrix[0, d] = matrix[d, 0] = 1e-3
-    reduced.matrix = matrix.tocsr()
+    coo = reduced.matrix.tocoo()
+    keep = ~(drop & (coo.row // d == 1) & (coo.col // d == 1))
+    rows = np.append(coo.row[keep], [d * i for i, _ in couple])
+    cols = np.append(coo.col[keep], [d * j for _, j in couple])
+    data = np.append(coo.data[keep], np.full(len(couple), 1e-3))
+    reduced.matrix = sp.csr_matrix((data, (rows, cols)),
+                                   shape=reduced.matrix.shape)
     with pytest.raises(wg.SolverError, match="block diagonal"):
         wg.solve(reduced)
 

@@ -11,6 +11,13 @@
     python tools/bench_batched.py --baseline-src PARENT/src --repeat 10 \
         --solver cg --cases quad-n24-k4,quad-n64-k3,tri-n128-k2 \
         --out BENCH_cg_setup.json
+    python tools/bench_batched.py --baseline-src PARENT/src --repeat 10 \
+        --solver cg --cases quad-n24-k4,tri-n128-k2 --out cg.json
+    python tools/bench_batched.py --baseline-src PARENT/src --repeat 10 \
+        --cases brick-n24-seed3-k3 --out direct.json
+
+The last two records are kept together as ``{"runs": [cg, direct]}`` in
+BENCH_block_read.json.
 
 PARENT is a checkout of the commit to compare against, for example one
 made with ``git worktree add PARENT <rev>``.  Each repeat runs one fresh
