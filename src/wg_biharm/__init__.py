@@ -11,10 +11,9 @@ from .assembly import (DofLayout, ReducedSystem, SparseSymmetricSystem,
                        build_dof_layout, dump_matrix)
 from .basis_quadrature import (CellBasis, QuadratureRule, edge_quadrature,
                                monomial_exponents, polygon_quadrature,
-                               polynomial_space_dim, quadrature_exactness,
-                               triangle_quadrature)
-from .mesh import (CellGeometry, EdgeGeometry, Mesh, build_uniform_quad_mesh,
-                   build_uniform_triangle_mesh, cell_geometry, edge_geometry,
+                               polynomial_space_dim, quadrature_exactness)
+from .mesh import (CellGeometry, Mesh, build_uniform_quad_mesh,
+                   build_uniform_triangle_mesh, cell_geometry,
                    max_cell_diameter, mesh_from_cells, read_mesh, write_mesh)
 from .norms import ErrorReport, compute_errors, energy_norm
 from .problems import (Problem, example_1, example_2, get_problem,

@@ -19,7 +19,7 @@ cells have, and zero on fan triangles of zero area.
 The reference rules (Gauss-Legendre on [-1, 1] and the Duffy rule on the
 unit triangle) are built once per exactness and cached; their arrays are
 read-only because every caller shares them.  Rules mapped to a physical
-triangle or polygon are fresh arrays.
+polygon are fresh arrays; ``mesh.edge_points`` maps edge rules onto edges.
 """
 
 from __future__ import annotations
@@ -114,21 +114,6 @@ def _duffy_rule(exactness):
     return _read_only(np.column_stack([x, y]), w2)
 
 
-def triangle_quadrature(vertices, exactness):
-    """Rule over one triangle in physical coordinates.
-
-    The weight total equals the signed area doubled into the affine map, so
-    a clockwise triangle yields negative weights.
-    """
-    vertices = np.asarray(vertices, dtype=float)
-    ref_pts, ref_w = _duffy_rule(exactness)
-    p0, p1, p2 = vertices
-    pts = p0 + np.outer(ref_pts[:, 0], p1 - p0) + np.outer(ref_pts[:, 1], p2 - p0)
-    det = ((p1[0] - p0[0]) * (p2[1] - p0[1])
-           - (p1[1] - p0[1]) * (p2[0] - p0[0]))
-    return QuadratureRule(pts, ref_w * det, exactness)
-
-
 def polygon_quadrature(vertices, exactness):
     """Rule over a simple m-gon from Duffy rules on its m - 2 fan triangles
     (v_0, v_i, v_{i+1}), with signed weights summing to its area; vertices
@@ -136,8 +121,8 @@ def polygon_quadrature(vertices, exactness):
     vertices = np.asarray(vertices, dtype=float)
     if vertices.shape[-2] < 3:
         raise ValueError("polygon needs at least 3 vertices")
-    # All fan triangles at once, in the same arithmetic as
-    # triangle_quadrature, points ordered triangle by triangle.
+    # All fan triangles at once, triangle by triangle: points p0 + a d1 +
+    # b d2, weights ref_w (d1 x d2), negative on a clockwise triangle.
     ref_pts, ref_w = _duffy_rule(exactness)
     p0 = vertices[..., :1, None, :]
     d1 = vertices[..., 1:-1, None, :] - p0
@@ -221,14 +206,3 @@ class CellBasis:
         """Basis centered at the cell centroid, scaled by the diameter."""
         return cls(degree, geom.centroid, geom.diameter)
 
-
-def edge_points(mesh_edge_geom, t):
-    """Physical points at parameters t in [-1, 1] on an edge, or on each
-    edge of an index array of edges in turn; an (..., m) array of edges
-    gives (..., m * len(t), 2) points."""
-    g = mesh_edge_geom
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    half = 0.5 * np.asarray(g.length)[..., None, None]
-    pts = (np.asarray(g.midpoint)[..., None, :]
-           + (t[:, None] * half) * np.asarray(g.tangent)[..., None, :])
-    return pts.reshape(half.shape[:-3] + (-1, 2))

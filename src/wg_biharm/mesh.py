@@ -9,13 +9,16 @@ has an incidence sign, +1 when the cell's outward normal on that edge equals
 ``n_e`` and -1 when it is the reversal.  Flux unknowns defined against
 ``n_e`` are therefore single-valued across cells.
 
-``mesh_from_cells`` checks that every cell is a simple polygon.  The
-solver's analysis also assumes shape-regular cells (bounded aspect ratio,
-edges comparable to the cell diameter).  That is not verified at runtime;
-the uniform generators below satisfy it by construction.
+``mesh_from_cells`` checks that every cell is a simple polygon and that
+the cells form a disk: every vertex belongs to a cell, the cells are
+connected through shared edges and V - E + F = 1.  The solver's analysis
+also assumes shape-regular cells (bounded aspect ratio, edges comparable to
+the cell diameter).  That is not verified at runtime; the uniform
+generators below satisfy it by construction.
 
-Cell areas, centroids and diameters and edge lengths, midpoints, normals
-and tangents are computed once per mesh and kept as read-only arrays.
+A mesh holds each fact once, in read-only arrays that every layer reads:
+the cells' vertex ids and (edge, sign) rows in two flat tables, and the cell
+and edge geometry, computed once per mesh.
 
 Mesh file format (plain text): first line ``V E F``, then ``V`` lines with
 vertex coordinates ``x y``, then ``F`` lines ``m i_1 ... i_m`` listing each
@@ -29,6 +32,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 
 @dataclass(frozen=True)
@@ -40,41 +45,25 @@ class CellGeometry:
     diameter: float
 
 
-@dataclass(frozen=True)
-class EdgeGeometry:
-    """Length, midpoint, global unit normal and unit tangent of one edge,
-    or the stacked arrays of these for an index array of edges.
-
-    The tangent points from the edge's first stored vertex to its second;
-    the normal is the tangent rotated by -90 degrees, so (tangent, normal)
-    is a right-handed pair and the normal agrees with the orientation
-    convention in the module docstring.
-    """
-
-    length: float
-    midpoint: np.ndarray
-    normal: np.ndarray
-    tangent: np.ndarray
-
-
 class Mesh:
     """Immutable polygonal mesh.
 
     Attributes
     ----------
     vertices : (V, 2) float array
-    cells : tuple of int arrays, one per cell, CCW vertex ids
+    cells : tuple of CCW vertex id arrays, one per cell, split on reading
     edges : (E, 2) int array, stored vertex order defines the orientation
-    cell_edges : tuple of (m, 2) int arrays, rows are (edge id, sign)
-        following the cell boundary; sign is the incidence sign of the cell
-        on that edge
     edge_cells : (E, 2) int array, incident cell ids (lower first, -1 when
         the edge is on the boundary)
     boundary_edges : (E,) bool array
     cell_sizes : (F,) int array, vertex (and edge) count of each cell
+    cell_edge_rows : (sum of cell_sizes, 2) int array, rows (edge id, sign)
+        along each cell's boundary, cell after cell; sign is the cell's
+        incidence sign on that edge
     cell_areas, cell_centroids, cell_diameters : (F,), (F, 2), (F,) floats
-    edge_lengths, edge_midpoints, edge_normals, edge_tangents : (E,) and
-        (E, 2) floats, as in EdgeGeometry
+    edge_lengths, edge_midpoints, edge_tangents, edge_normals : (E,) and
+        (E, 2) floats; the unit tangent runs from the first stored vertex to
+        the second, and the normal is the tangent rotated by -90 degrees
     """
 
     def __init__(self, vertices, cell_sizes, cell_vertex_ids, cell_edge_rows,
@@ -86,7 +75,7 @@ class Mesh:
         self.cell_sizes = cell_sizes
         self._cell_starts = np.cumsum(cell_sizes) - cell_sizes
         self._cell_vertex_ids = cell_vertex_ids
-        self._cell_edge_rows = cell_edge_rows
+        self.cell_edge_rows = cell_edge_rows
         pa, pb = vertices[edges[:, 0]], vertices[edges[:, 1]]
         d = pb - pa
         self.edge_lengths = np.hypot(d[:, 0], d[:, 1])
@@ -110,10 +99,11 @@ class Mesh:
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
-        # views of the read-only flat tables, so read-only themselves
-        self.cells = tuple(np.split(cell_vertex_ids, self._cell_starts[1:]))
-        self.cell_edges = tuple(np.split(cell_edge_rows,
-                                         self._cell_starts[1:]))
+
+    @property
+    def cells(self):
+        """Read-only views of the flat vertex table, one per cell."""
+        return tuple(np.split(self._cell_vertex_ids, self._cell_starts[1:]))
 
     @property
     def n_vertices(self):
@@ -121,7 +111,7 @@ class Mesh:
 
     @property
     def n_cells(self):
-        return len(self.cells)
+        return self.cell_sizes.size
 
     @property
     def n_edges(self):
@@ -129,14 +119,15 @@ class Mesh:
 
     def cell_vertices(self, cell):
         """Coordinates of one cell's vertices, CCW, shape (m, 2)."""
-        return self.vertices[self.cells[cell]]
+        ids, start = self._cell_vertex_ids, self._cell_starts[cell]
+        return self.vertices[ids[start:start + self.cell_sizes[cell]]]
 
     def cell_rows(self, cells):
-        """Vertex ids (m,) and cell_edges rows (m, 2) of one cell, or
+        """Vertex ids (m,) and cell_edge_rows (m, 2) of one cell, or
         (c, m) and (c, m, 2) of c cells that all have m vertices."""
         at = self._cell_starts[cells, None] + np.arange(
             self.cell_sizes[np.ravel(cells)[0]])
-        return self._cell_vertex_ids[at], self._cell_edge_rows[at]
+        return self._cell_vertex_ids[at], self.cell_edge_rows[at]
 
 
 def mesh_from_cells(vertices, cells):
@@ -145,7 +136,8 @@ def mesh_from_cells(vertices, cells):
     Raises ValueError on non-finite coordinates, non-integer vertex ids,
     degenerate, self-intersecting or clockwise cells, edges shared by more
     than two cells, inconsistently oriented neighbours, or a topology that
-    is not a simply connected disk (Euler relation V - E + F = 1).
+    is not a simply connected disk: a vertex that belongs to no cell, cells
+    not connected through shared edges, or V - E + F != 1.
     """
     # a copy: Mesh makes its arrays read-only, never the caller's
     vertices = np.array(vertices, dtype=float, order="C")
@@ -172,6 +164,9 @@ def mesh_from_cells(vertices, cells):
             (np.delete(owner, once), "repeats a vertex")):
         if bad.size:
             raise ValueError(f"cell {bad[0]} {problem}")
+    unused = np.flatnonzero(np.bincount(a, minlength=len(vertices)) == 0)
+    if unused.size:
+        raise ValueError(f"vertex {unused[0]} belongs to no cell")
 
     # Edge extraction.  Edges are numbered by first appearance in cell id
     # order, so the first cell to claim an edge is the lower-numbered one;
@@ -202,6 +197,14 @@ def mesh_from_cells(vertices, cells):
     edge_cells = np.full((len(edges), 2), -1, dtype=np.int64)
     edge_cells[e, np.where(claims, 0, 1)] = owner
 
+    # V - E + F is additive over pieces and an unused vertex adds 1, so the
+    # Euler check below needs every vertex used and one piece of cells.
+    c0, c1 = edge_cells[edge_cells[:, 1] >= 0].T
+    graph = sp.coo_matrix((np.ones(c0.size), (c0, c1)), (sizes.size,) * 2)
+    pieces, _ = connected_components(graph, directed=False)
+    if pieces > 1:
+        raise ValueError("mesh is not a simply connected disk: its cells "
+                         f"form {pieces} pieces that share no edge")
     euler = len(vertices) - len(edges) + sizes.size
     if euler != 1:
         raise ValueError(
@@ -299,10 +302,15 @@ def cell_geometry(mesh, cell):
                         float(mesh.cell_diameters[cell]))
 
 
-def edge_geometry(mesh, edge):
-    """Geometry of one edge, or of an index array of edges."""
-    return EdgeGeometry(mesh.edge_lengths[edge], mesh.edge_midpoints[edge],
-                        mesh.edge_normals[edge], mesh.edge_tangents[edge])
+def edge_points(mesh, edges, t):
+    """Physical points at parameters t in [-1, 1] of an edge's stored
+    orientation, or on each edge of an index array of edges in turn; an
+    (..., m) array of edges gives (..., m * len(t), 2) points."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    half = 0.5 * mesh.edge_lengths[edges][..., None, None]
+    pts = (mesh.edge_midpoints[edges][..., None, :]
+           + (t[:, None] * half) * mesh.edge_tangents[edges][..., None, :])
+    return pts.reshape(half.shape[:-3] + (-1, 2))
 
 
 def max_cell_diameter(mesh):

@@ -38,9 +38,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
-from .basis_quadrature import (CellBasis, edge_points, edge_quadrature,
+from .basis_quadrature import (CellBasis, edge_quadrature,
                                polynomial_space_dim, quadrature_exactness)
-from .mesh import edge_geometry
+from .mesh import edge_points
 from .projection import (WgField, _edge_data, _legendre_coefficients,
                          _normal_derivative, _project_on_rule)
 from .weak_laplacian import cell_operators, gather_local_dofs
@@ -74,20 +74,20 @@ def energy_norm(mesh, degree, field):
         total += float(np.sum(ops.rule.weights * wvals ** 2))
 
     cell = np.repeat(np.arange(mesh.n_cells), mesh.cell_sizes)
-    e = np.concatenate(mesh.cell_edges)[:, 0]
+    e = mesh.cell_edge_rows[:, 0]
     erule = edge_quadrature(quadrature_exactness(degree)[1])
     L = legvander(erule.points, degree - 1)
-    eg = edge_geometry(mesh, e[:, None])
     basis = CellBasis(degree, mesh.cell_centroids[cell],
                       mesh.cell_diameters[cell])
-    evals = basis.evaluate(edge_points(eg, erule.points), False)
-    grad_n = basis.gradients(evals, eg.normal)
+    evals = basis.evaluate(edge_points(mesh, e[:, None], erule.points), False)
+    grad_n = basis.gradients(evals, mesh.edge_normals[e, None])
     v0 = field.interior[cell, None, :]
     flux_gap = np.sum(grad_n * v0, axis=-1) - field.flux[e] @ L.T
     qb = _legendre_coefficients(erule, degree - 1, np.sum(evals * v0, axis=-1))
     trace_gap = (qb - field.trace[e]) @ L.T
     h_cell = mesh.cell_diameters[cell, None]
-    total += float(np.sum(erule.weights * (0.5 * eg.length) * (
+    half = 0.5 * mesh.edge_lengths[e, None]
+    total += float(np.sum(erule.weights * half * (
         flux_gap ** 2 / h_cell + trace_gap ** 2 / h_cell ** 3)))
     return float(np.sqrt(total))
 

@@ -19,9 +19,9 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
-from .basis_quadrature import (check_exactness, edge_points, edge_quadrature,
+from .basis_quadrature import (check_exactness, edge_quadrature,
                                polynomial_space_dim, quadrature_exactness)
-from .mesh import edge_geometry
+from .mesh import edge_points
 from .weak_laplacian import _cell_values, cell_batches
 
 
@@ -122,8 +122,7 @@ def project_edge(mesh, edge, f, degree, exactness=None):
         exactness = 2 * degree + 3
     check_exactness("edge", exactness, degree)
     rule = edge_quadrature(exactness)
-    pts = edge_points(edge_geometry(mesh, np.asarray(edge)[..., None]),
-                      rule.points)
+    pts = edge_points(mesh, np.asarray(edge)[..., None], rule.points)
     return _legendre_coefficients(rule, degree, evaluate_at(f, pts))
 
 
@@ -168,7 +167,7 @@ def _edge_data(mesh, edges, degree, trace, flux):
     array of edges: Legendre projections, with the element's edge rule, of
     g(x, y) and of phi(x, y, nx, ny) against each edge's global normal."""
     rule = edge_quadrature(quadrature_exactness(degree)[1])
-    pts = edge_points(edge_geometry(mesh, edges[:, None]), rule.points)
+    pts = edge_points(mesh, edges[:, None], rule.points)
     nx, ny = mesh.edge_normals[edges].T[..., None]
     return [_legendre_coefficients(rule, degree - 1, evaluate_at(f, pts))
             for f in (trace, lambda x, y: flux(x, y, nx, ny))]

@@ -36,10 +36,10 @@ import numpy as np
 from numpy.polynomial.legendre import legvander
 
 from .basis_quadrature import (CellBasis, QuadratureRule, _duffy_rule,
-                               _read_only, edge_points, edge_quadrature,
+                               _read_only, edge_quadrature,
                                polygon_quadrature, polynomial_space_dim,
                                quadrature_exactness)
-from .mesh import edge_geometry
+from .mesh import edge_points
 
 # P_k basis values at a batch's cell and edge points, bounding its memory;
 # gradients (edge points) and Laplacians (P_{k-2}) are read off subsets.
@@ -156,10 +156,11 @@ def _batch_operators(mesh, cells, k):
 
     # At the m * ne edge points: values, grad v_0 . n_e and the signed arc
     # weights (the outward normal is sign * n_e; the sign flips are exact).
-    eg = edge_geometry(mesh, rows[..., 0])
-    evals = basis.evaluate(edge_points(eg, erule.points), False)
-    grad_n = basis.gradients(evals, np.repeat(eg.normal, ne, axis=1))
-    wphys = (erule.weights * (0.5 * eg.length[..., None])).reshape(c, -1)
+    e = rows[..., 0]
+    length, normal = mesh.edge_lengths[e][..., None], mesh.edge_normals[e]
+    evals = basis.evaluate(edge_points(mesh, e, erule.points), False)
+    grad_n = basis.gradients(evals, np.repeat(normal, ne, axis=1))
+    wphys = (erule.weights * (0.5 * length)).reshape(c, -1)
     sw = (np.repeat(rows[..., 1], ne, axis=1) * wphys)[..., None]
     B = np.concatenate([(basis.laplacians(vals[..., :n2]) * w).mT @ vals,
                         -(grad_n[..., :n2] * sw).mT @ L_trace,
@@ -172,7 +173,7 @@ def _batch_operators(mesh, cells, k):
     # (L^T W G)^T; one product alone moves roundoff-level entries and, with
     # them, the direct factor's fill.
     w1 = (wphys / h_cell)[..., None]
-    w2 = (eg.length[..., None] / (2.0 * np.arange(k) + 1.0)).reshape(c, -1)
+    w2 = (length / (2.0 * np.arange(k) + 1.0)).reshape(c, -1)
     w2 /= h_cell ** 3
     E = Qb @ evals
     GW, EW, LW = (grad_n * w1).mT, (E * w2[..., None]).mT, L.T * w1.mT

@@ -16,7 +16,7 @@ from numpy.polynomial.legendre import leggauss, legvander
 import sympy as sp
 
 import wg_biharm as wg
-from wg_biharm.basis_quadrature import _duffy_rule, edge_points
+from wg_biharm.basis_quadrature import _duffy_rule
 
 
 def test_polynomial_space_dims_and_exponent_order():
@@ -48,7 +48,7 @@ def test_edge_rule_is_gauss_legendre():
 def test_unit_triangle_moments_match_factorial_formula():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     for d in range(7):
-        rule = wg.triangle_quadrature(verts, d)
+        rule = wg.polygon_quadrature(verts, d)
         for a in range(d + 1):
             for b in range(d + 1 - a):
                 exact = (math.factorial(a) * math.factorial(b)
@@ -57,14 +57,14 @@ def test_unit_triangle_moments_match_factorial_formula():
                                      * rule.points[:, 1] ** b)
                 assert got == pytest.approx(exact, rel=1e-13, abs=1e-15)
     # frozen spot check: int_T x^2 y over the unit right triangle is 1/60
-    rule = wg.triangle_quadrature(verts, 3)
+    rule = wg.polygon_quadrature(verts, 3)
     assert rule.integrate(rule.points[:, 0] ** 2 * rule.points[:, 1]) == \
         pytest.approx(1.0 / 60.0, abs=1e-16)
 
 
 def test_clockwise_triangle_gives_signed_measure():
     verts = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    rule = wg.triangle_quadrature(verts, 2)
+    rule = wg.polygon_quadrature(verts, 2)
     assert np.sum(rule.weights) == pytest.approx(-0.5, abs=1e-15)
 
 
@@ -76,7 +76,7 @@ def test_mapped_triangle_moments_match_sympy():
     jac = sp.Rational(1) * abs(
         (verts[1, 0] - verts[0, 0]) * (verts[2, 1] - verts[0, 1])
         - (verts[2, 0] - verts[0, 0]) * (verts[1, 1] - verts[0, 1]))
-    rule = wg.triangle_quadrature(verts, 4)
+    rule = wg.polygon_quadrature(verts, 4)
     for a, b in [(0, 0), (1, 0), (0, 1), (2, 1), (1, 3), (4, 0)]:
         integrand = sp.expand(x ** a * y ** b) * jac
         exact = float(sp.integrate(sp.integrate(integrand, (v, 0, 1 - u)),
@@ -123,7 +123,7 @@ def test_cached_reference_rules_are_read_only_and_repeatable():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.5, 0.5],
                       [0.5, 1.0], [0.0, 1.0]])
     first = wg.polygon_quadrature(verts, 5)
-    tri = wg.triangle_quadrature(verts[:3], 5)
+    tri = wg.polygon_quadrature(verts[:3], 5)
     expected_pts, expected_w = first.points.copy(), first.weights.copy()
     first.points[:] = 0.0
     first.weights[:] = 0.0
@@ -132,14 +132,23 @@ def test_cached_reference_rules_are_read_only_and_repeatable():
     assert np.array_equal(second.points, expected_pts)
     assert np.array_equal(second.weights, expected_w)
     assert np.sum(second.weights) == pytest.approx(0.75, abs=1e-14)
-    assert np.sum(wg.triangle_quadrature(verts[:3], 5).weights) == \
+    assert np.sum(wg.polygon_quadrature(verts[:3], 5).weights) == \
         pytest.approx(0.25, abs=1e-15)
 
 
 def test_polygon_rule_equals_fan_of_triangle_rules():
-    # reference: one triangle_quadrature call per fan triangle
-    # (v_0, v_i, v_{i+1}), i = 1 ... m - 2, in the same arithmetic; a
-    # (2, 6, 2) stack of polygons gives the rule of each polygon
+    # reference: the Duffy rule mapped onto each fan triangle
+    # (v_0, v_i, v_{i+1}), i = 1 ... m - 2, as p0 + a d1 + b d2 with
+    # weights ref_w (d1 x d2), which is also the rule of the 3-vertex
+    # polygon, bit for bit; a (2, 6, 2) stack of polygons gives the rule of
+    # each polygon
+    ref_pts, ref_w = _duffy_rule(6)
+
+    def triangle(p0, p1, p2):
+        d1, d2 = p1 - p0, p2 - p0
+        pts = (p0 + ref_pts[:, 0:1] * d1) + ref_pts[:, 1:2] * d2
+        return pts, ref_w * (d1[0] * d2[1] - d1[1] * d2[0])
+
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.5, 0.5],
                       [0.5, 1.0], [0.0, 1.0]])
     stack = np.stack([verts, 0.3 * verts[::-1] * [-1.0, 1.0] + 2.0])
@@ -149,11 +158,12 @@ def test_polygon_rule_equals_fan_of_triangle_rules():
         rule = wg.polygon_quadrature(p, 6)
         assert np.array_equal(rule.points, pts)
         assert np.array_equal(rule.weights, w)
-        fan = [wg.triangle_quadrature([p[0], p[i], p[i + 1]], 6)
-               for i in range(1, 5)]
-        assert np.array_equal(rule.points, np.vstack([r.points for r in fan]))
-        assert np.array_equal(rule.weights,
-                              np.concatenate([r.weights for r in fan]))
+        fan = [triangle(p[0], p[i], p[i + 1]) for i in range(1, 5)]
+        assert np.array_equal(rule.points, np.vstack([f[0] for f in fan]))
+        assert np.array_equal(rule.weights, np.concatenate([f[1] for f in fan]))
+        one = wg.polygon_quadrature(p[:3], 6)
+        assert np.array_equal(one.points, fan[0][0])
+        assert np.array_equal(one.weights, fan[0][1])
 
 
 def _green_moment(verts, a, b):
@@ -304,7 +314,7 @@ def test_cell_mass_matrix_matches_sympy():
     mesh = wg.mesh_from_cells(verts, [[0, 1, 2]])
     geom = wg.cell_geometry(mesh, 0)
     basis = wg.CellBasis.for_cell(geom, 2)
-    rule = wg.triangle_quadrature(verts, 4)
+    rule = wg.polygon_quadrature(verts, 4)
     vals, _, _ = basis.evaluate(rule.points)
     mass = vals.T @ (rule.weights[:, None] * vals)
 
@@ -333,25 +343,6 @@ def test_edge_basis_is_orthogonal_with_known_mass():
     ends = legvander(np.array([-1.0, 1.0]), 3)
     assert np.allclose(ends[1], 1.0)
     assert np.allclose(ends[0], [1.0, -1.0, 1.0, -1.0])
-
-
-def test_edge_points_parameterization():
-    mesh = wg.build_uniform_triangle_mesh(1)
-    for e in range(mesh.n_edges):
-        geom = wg.edge_geometry(mesh, e)
-        a, b = mesh.vertices[mesh.edges[e]]
-        pts = edge_points(geom, np.array([-1.0, 0.0, 1.0]))
-        assert pts[0] == pytest.approx(a, abs=1e-15)
-        assert pts[1] == pytest.approx(0.5 * (a + b), abs=1e-15)
-        assert pts[2] == pytest.approx(b, abs=1e-15)
-    # the geometry of an index array of edges gives the per-edge points
-    # stacked edge by edge, bit for bit
-    t = wg.edge_quadrature(7).points
-    for ids in (np.arange(mesh.n_edges), np.array([4, 1, 3])):
-        stacked = np.concatenate([edge_points(wg.edge_geometry(mesh, e), t)
-                                  for e in ids])
-        assert np.array_equal(edge_points(wg.edge_geometry(mesh, ids), t),
-                              stacked)
 
 
 def test_negative_exactness_rejected():

@@ -14,7 +14,7 @@ import pytest
 import wg_biharm as wg
 from conftest import (grid_vertex, polygonal_mesh_cells,
                       single_cell_mesh)
-from wg_biharm.mesh import polygon_area_centroid
+from wg_biharm.mesh import edge_points, polygon_area_centroid
 
 
 def test_triangle_mesh_entity_counts():
@@ -58,16 +58,35 @@ def test_cell_areas_partition_unit_square():
 def test_edge_geometry_frames():
     mesh = wg.build_uniform_triangle_mesh(2)
     for e in range(mesh.n_edges):
-        geom = wg.edge_geometry(mesh, e)
         a, b = mesh.vertices[mesh.edges[e]]
-        assert geom.length == pytest.approx(np.linalg.norm(b - a), abs=1e-15)
-        assert geom.midpoint == pytest.approx(0.5 * (a + b), abs=1e-15)
-        assert np.linalg.norm(geom.normal) == pytest.approx(1.0, abs=1e-14)
-        assert np.linalg.norm(geom.tangent) == pytest.approx(1.0, abs=1e-14)
-        assert abs(np.dot(geom.normal, geom.tangent)) < 1e-14
+        normal, tangent = mesh.edge_normals[e], mesh.edge_tangents[e]
+        assert mesh.edge_lengths[e] == pytest.approx(np.linalg.norm(b - a),
+                                                     abs=1e-15)
+        assert mesh.edge_midpoints[e] == pytest.approx(0.5 * (a + b),
+                                                       abs=1e-15)
+        assert np.linalg.norm(normal) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(tangent) == pytest.approx(1.0, abs=1e-14)
+        assert abs(np.dot(normal, tangent)) < 1e-14
         # right-handed frame: rotating the tangent by -90 degrees gives n
-        assert geom.normal == pytest.approx(
-            [geom.tangent[1], -geom.tangent[0]], abs=1e-14)
+        assert normal == pytest.approx([tangent[1], -tangent[0]], abs=1e-14)
+
+
+def test_edge_points_parameterization():
+    mesh = wg.build_uniform_triangle_mesh(1)
+    for e in range(mesh.n_edges):
+        a, b = mesh.vertices[mesh.edges[e]]
+        pts = edge_points(mesh, e, np.array([-1.0, 0.0, 1.0]))
+        assert pts[0] == pytest.approx(a, abs=1e-15)
+        assert pts[1] == pytest.approx(0.5 * (a + b), abs=1e-15)
+        assert pts[2] == pytest.approx(b, abs=1e-15)
+    # an index array of edges gives the per-edge points stacked edge by
+    # edge, bit for bit, and an (r, m) array one stack per row
+    t = wg.edge_quadrature(7).points
+    for ids in (np.arange(mesh.n_edges), np.array([4, 1, 3])):
+        stacked = np.concatenate([edge_points(mesh, e, t) for e in ids])
+        assert np.array_equal(edge_points(mesh, ids, t), stacked)
+        assert np.array_equal(edge_points(mesh, np.stack([ids, ids]), t),
+                              np.stack([stacked, stacked]))
 
 
 def test_geometry_arrays_on_polygonal_mesh():
@@ -110,8 +129,7 @@ def test_geometry_arrays_on_polygonal_mesh():
 def test_boundary_normals_point_outward():
     mesh = wg.build_uniform_quad_mesh(3)
     for e in np.flatnonzero(mesh.boundary_edges):
-        geom = wg.edge_geometry(mesh, e)
-        outward = geom.midpoint + 1e-3 * geom.normal
+        outward = mesh.edge_midpoints[e] + 1e-3 * mesh.edge_normals[e]
         assert np.any((outward < 0.0) | (outward > 1.0))
 
 
@@ -119,7 +137,7 @@ def test_interior_edge_signs_follow_cell_ids():
     for mesh in (wg.build_uniform_triangle_mesh(3), wg.build_uniform_quad_mesh(3)):
         sign_of = {}
         for c in range(mesh.n_cells):
-            for e, s in mesh.cell_edges[c]:
+            for e, s in mesh.cell_rows(c)[1]:
                 sign_of.setdefault(e, {})[c] = s
         for e in range(mesh.n_edges):
             c0, c1 = mesh.edge_cells[e]
@@ -135,9 +153,8 @@ def test_signed_normals_close_per_cell():
     for mesh in (wg.build_uniform_triangle_mesh(3), wg.build_uniform_quad_mesh(3)):
         for c in range(mesh.n_cells):
             total = np.zeros(2)
-            for e, s in mesh.cell_edges[c]:
-                geom = wg.edge_geometry(mesh, e)
-                total += s * geom.length * geom.normal
+            for e, s in mesh.cell_rows(c)[1]:
+                total += s * mesh.edge_lengths[e] * mesh.edge_normals[e]
             assert np.max(np.abs(total)) < 1e-12
 
 
@@ -159,6 +176,7 @@ def test_mesh_file_round_trip(tmp_path):
         assert np.array_equal(a, b)
     assert np.array_equal(back.edges, mesh.edges)
     assert np.array_equal(back.edge_cells, mesh.edge_cells)
+    assert np.array_equal(back.cell_edge_rows, mesh.cell_edge_rows)
 
 
 def test_read_mesh_rejects_bad_files(tmp_path):
@@ -295,6 +313,22 @@ def test_mesh_from_cells_validation():
                                [3.0, 0.0], [4.0, 0.0], [3.0, 1.0]])
     with pytest.raises(ValueError, match="simply connected"):
         wg.mesh_from_cells(verts_disjoint, [[0, 1, 2], [3, 4, 5]])
+
+    # V - E + F = 1 on each input below: it is additive over pieces, and
+    # an unused vertex adds 1
+    ring = wg.build_uniform_quad_mesh(3)
+    ring_cells = [c for i, c in enumerate(ring.cells) if i != 4]
+    with pytest.raises(ValueError, match="vertex 16 belongs to no cell"):
+        wg.mesh_from_cells(np.vstack([ring.vertices, [[2.0, 2.0]]]),
+                           ring_cells)
+    with pytest.raises(ValueError, match="simply connected.* 2 pieces"):
+        wg.mesh_from_cells(
+            np.vstack([ring.vertices, [[2.0, 0.0], [3.0, 0.0], [2.0, 1.0]]]),
+            ring_cells + [[16, 17, 18]])
+    bowtie = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
+                       [0.0, -1.0]])
+    with pytest.raises(ValueError, match="simply connected.* 2 pieces"):
+        wg.mesh_from_cells(bowtie, [[0, 1, 2], [0, 3, 4]])
 
     with pytest.raises(ValueError, match=">= 1"):
         wg.build_uniform_triangle_mesh(0)

@@ -106,7 +106,7 @@ def test_edge_error_columns_weighting():
 
     proj = wg.project_field(mesh, k, exact)
     e = int(np.flatnonzero(~mesh.boundary_edges)[0])
-    h_e = wg.edge_geometry(mesh, e).length
+    h_e = mesh.edge_lengths[e]
     rule = wg.edge_quadrature(2 * k + 3)
 
     for mode in (0, 1):

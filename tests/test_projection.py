@@ -12,7 +12,7 @@ import pytest
 from numpy.polynomial.legendre import legvander
 
 import wg_biharm as wg
-from wg_biharm.basis_quadrature import edge_points
+from wg_biharm.mesh import edge_points
 from conftest import (monomial_field, polygonal_mesh_cells, random_quad_cell,
                       random_triangle_cell, single_cell_mesh)
 
@@ -95,32 +95,30 @@ def test_project_edge_oracle():
     assert coeffs == pytest.approx([1.0 / 3.0, 0.5], abs=1e-15)
 
     # the projection equals s - 1/6 along the edge
-    geom = wg.edge_geometry(mesh, e)
     t = np.linspace(-1.0, 1.0, 7)
-    s = edge_points(geom, t)[:, 0]
+    s = edge_points(mesh, e, t)[:, 0]
     assert legvander(t, 1) @ coeffs == pytest.approx(s - 1.0 / 6.0,
                                                      abs=1e-14)
 
 
 def test_project_edge_reproduces_and_is_idempotent():
     mesh = single_cell_mesh([[0.2, -0.1], [1.3, 0.4], [0.5, 1.1]])
-    geom = wg.edge_geometry(mesh, 1)
+    mid, tangent = mesh.edge_midpoints[1], mesh.edge_tangents[1]
 
     def f(x, y):
         return 0.3 - x + 2.0 * y + x * y
 
     coeffs = wg.project_edge(mesh, 1, f, 2)
     t = np.linspace(-1.0, 1.0, 9)
-    pts = edge_points(geom, t)
+    pts = edge_points(mesh, 1, t)
     assert legvander(t, 2) @ coeffs == pytest.approx(
         f(pts[:, 0], pts[:, 1]), abs=1e-13)
 
     def fp(x, y):
         # invert the edge parameterization to evaluate the Legendre series
-        d = np.hypot(x - geom.midpoint[0], y - geom.midpoint[1])
-        sgn = np.sign((x - geom.midpoint[0]) * geom.tangent[0]
-                      + (y - geom.midpoint[1]) * geom.tangent[1])
-        return legvander(sgn * d / (geom.length / 2.0), 2) @ coeffs
+        d = np.hypot(x - mid[0], y - mid[1])
+        sgn = np.sign((x - mid[0]) * tangent[0] + (y - mid[1]) * tangent[1])
+        return legvander(sgn * d / (mesh.edge_lengths[1] / 2.0), 2) @ coeffs
 
     assert wg.project_edge(mesh, 1, fp, 2) == pytest.approx(coeffs, abs=1e-13)
 
@@ -136,12 +134,12 @@ def test_project_field_linear_blocks():
     # traces reproduce u = x at edge quadrature points
     rule = wg.edge_quadrature(5)
     for e in range(mesh.n_edges):
-        geom = wg.edge_geometry(mesh, e)
-        xs = edge_points(geom, rule.points)[:, 0]
+        xs = edge_points(mesh, e, rule.points)[:, 0]
         assert legvander(rule.points, 1) @ proj.trace[e] == pytest.approx(
             xs, abs=1e-14)
         # flux of u = x is the constant n_x in the edge's own normal
-        assert proj.flux[e] == pytest.approx([geom.normal[0], 0.0], abs=1e-14)
+        assert proj.flux[e] == pytest.approx([mesh.edge_normals[e, 0], 0.0],
+                                             abs=1e-14)
 
     # the boundary edge on x = 0 has normal (-1, 0), so the flux dof is -1
     e0 = next(i for i in range(mesh.n_edges)

@@ -16,7 +16,7 @@ import pytest
 from numpy.polynomial.legendre import Legendre, leggauss, legvander
 
 import wg_biharm as wg
-from wg_biharm.basis_quadrature import edge_points
+from wg_biharm.mesh import edge_points
 from conftest import (monomial_field, random_cell, random_quad_cell,
                       random_triangle_cell, random_wg_field, single_cell_mesh)
 
@@ -30,7 +30,7 @@ def test_rejects_low_degree():
 def test_constant_flux_on_hypotenuse_oracle():
     mesh = single_cell_mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     hyp = next(i for i in range(mesh.n_edges)
-               if wg.edge_geometry(mesh, i).length > 1.2)
+               if mesh.edge_lengths[i] > 1.2)
     field = wg.WgField.zeros(mesh, 2)
     field.flux[hyp, 0] = 1.0
     ops = wg.local_operators(mesh, 0, 2)
@@ -48,10 +48,9 @@ def test_k2_weak_laplacian_is_mean_flux():
         ops = wg.local_operators(mesh, 0, 2)
         coeffs = ops.weak_laplacian @ wg.gather_local_dofs(field, mesh, 0)
         total = 0.0
-        for e, s in mesh.cell_edges[0]:
-            geom = wg.edge_geometry(mesh, e)
+        for e, s in mesh.cell_rows(0)[1]:
             vn = legvander(rule.points, 1) @ field.flux[e]
-            total += s * (geom.length / 2.0) * rule.integrate(vn)
+            total += s * (mesh.edge_lengths[e] / 2.0) * rule.integrate(vn)
         area = wg.cell_geometry(mesh, 0).area
         assert coeffs == pytest.approx([total / area], rel=1e-12, abs=1e-13)
 
@@ -100,11 +99,10 @@ def test_integration_by_parts_identity():
             - cell_rule.integrate((lapsk @ field.interior[0]) * phi_vals)
 
         rhs = 0.0
-        for e, s in mesh.cell_edges[0]:
-            egeom = wg.edge_geometry(mesh, e)
-            n_out = s * egeom.normal
-            pts = edge_points(egeom, edge_rule.points)
-            w = (egeom.length / 2.0) * edge_rule.weights
+        for e, s in mesh.cell_rows(0)[1]:
+            n_out = s * mesh.edge_normals[e]
+            pts = edge_points(mesh, e, edge_rule.points)
+            w = (mesh.edge_lengths[e] / 2.0) * edge_rule.weights
             ek = basis_k.evaluate(pts)
             e2 = basis_2.evaluate(pts)
             L = legvander(edge_rule.points, k - 1)
@@ -221,15 +219,15 @@ def test_stabilizer_equals_gram_matrix_of_mismatch_rows(make, k):
     t, wt = leggauss(k + 2)
     P = np.array([Legendre.basis(j)(t) for j in range(k)])  # (k, q)
     expected = np.zeros((n0 + 2 * m * k,) * 2)
-    for i, (e, _) in enumerate(mesh.cell_edges[0]):
-        geom = wg.edge_geometry(mesh, e)
-        x, y = (geom.midpoint + np.outer(t * geom.length / 2.0,
-                                         geom.tangent)).T
+    for i, (e, _) in enumerate(mesh.cell_rows(0)[1]):
+        length, normal = mesh.edge_lengths[e], mesh.edge_normals[e]
+        x, y = (mesh.edge_midpoints[e]
+                + np.outer(t * length / 2.0, mesh.edge_tangents[e])).T
         X, Y = (x - center[0]) / h, (y - center[1]) / h
         vals = np.array([X ** a * Y ** b for a, b in exps])
         grad_n = np.array([
-            geom.normal[0] * a / h * X ** max(a - 1, 0) * Y ** b
-            + geom.normal[1] * b / h * X ** a * Y ** max(b - 1, 0)
+            normal[0] * a / h * X ** max(a - 1, 0) * Y ** b
+            + normal[1] * b / h * X ** a * Y ** max(b - 1, 0)
             for a, b in exps])
         trace = slice(n0 + i * k, n0 + (i + 1) * k)
         flux = slice(n0 + (m + i) * k, n0 + (m + i + 1) * k)
@@ -239,8 +237,8 @@ def test_stabilizer_equals_gram_matrix_of_mismatch_rows(make, k):
         trace_rows = np.zeros((k, expected.shape[0]))
         trace_rows[:, :n0] = ((np.arange(k)[:, None] + 0.5) * P * wt) @ vals.T
         trace_rows[:, trace] = -np.eye(k)
-        arc = wt * geom.length / 2.0 / h
-        edge_mass = geom.length / (2.0 * np.arange(k) + 1.0) / h ** 3
+        arc = wt * length / 2.0 / h
+        edge_mass = length / (2.0 * np.arange(k) + 1.0) / h ** 3
         expected += flux_rows.T @ (arc[:, None] * flux_rows)
         expected += trace_rows.T @ (edge_mass[:, None] * trace_rows)
     S = wg.local_operators(mesh, 0, k).stabilizer

@@ -15,26 +15,29 @@
         --solver cg --cases quad-n24-k4,tri-n128-k2 --out cg.json
     python tools/bench_batched.py --baseline-src PARENT/src --repeat 10 \
         --cases brick-n24-seed3-k3 --out direct.json
+    python tools/bench_batched.py --baseline-src PARENT/src --repeat 10 \
+        --cases tri-n128-k2,quad-n24-k4,brick-n24-seed3-k3 \
+        --out BENCH_mesh_tables.json
 
-The last two records are kept together as ``{"runs": [cg, direct]}`` in
-BENCH_block_read.json.
+The cg.json and direct.json records are kept together as
+``{"runs": [cg, direct]}`` in BENCH_block_read.json.
 
 PARENT is a checkout of the commit to compare against, for example one
 made with ``git worktree add PARENT <rev>``.  Each repeat runs one fresh
 process per side ("before" imports ``wg_biharm`` from PARENT/src, "after"
 from this checkout's ``src/``), alternating which side goes first, with
-BLAS pinned to one thread.  A process builds the case's mesh, times
-``assemble_system``, eliminates the boundary data, times ``solve`` with
-the ``--solver`` method, times ``compute_errors`` on the solution and
-reports its peak RSS and the CG iterations.  After reading the peak it
-solves once more with ``splu`` wrapped, to count the SuperLU fill
-(L.nnz + U.nnz) without holding factors through the timed calls: ``fill``
-is that of the method's first factor (the condensed trace/flux matrix for
-the direct route, the coarse matrix for CG; null if it factors nothing),
-``direct_fill`` that of the direct route.  The JSON records every sample
-and, per case and side, the medians of the timings, the peak RSS, the
-iterations and the fills, and the stored entries (nnz) of the assembled
-and of the reduced matrix.
+BLAS pinned to one thread.  A process times the build of the case's mesh
+(``mesh_s``) and ``assemble_system``, eliminates the boundary data, times
+``solve`` with the ``--solver`` method, times ``compute_errors`` on the
+solution and reports its peak RSS and the CG iterations.  After reading
+the peak it solves once more with ``splu`` wrapped, to count the SuperLU
+fill (L.nnz + U.nnz) without holding factors through the timed calls:
+``fill`` is that of the method's first factor (the condensed trace/flux
+matrix for the direct route, the coarse matrix for CG; null if it factors
+nothing), ``direct_fill`` that of the direct route.  The JSON records
+every sample and, per case and side, the medians of the timings, the peak
+RSS, the iterations and the fills, and the stored entries (nnz) of the
+assembled and of the reduced matrix.
 """
 
 import os
@@ -63,8 +66,8 @@ CASES = {  # name: (mesh, n, degree)
     "tri-n32-k4": ("tri", 32, 4),
     "tri-n16-k5": ("tri", 16, 5),
 }
-MEDIANS = ("assemble_s", "solve_s", "errors_s", "peak_rss_mib", "iterations",
-           "fill", "direct_fill")
+MEDIANS = ("mesh_s", "assemble_s", "solve_s", "errors_s", "peak_rss_mib",
+           "iterations", "fill", "direct_fill")
 
 
 def child(src, case, method):
@@ -76,9 +79,11 @@ def child(src, case, method):
     from bench import brick_mesh
 
     mesh_kind, n, k = CASES[case]
+    t0 = time.perf_counter()
     mesh = {"brick": lambda: brick_mesh(n, 3),
             "tri": lambda: wg.build_uniform_triangle_mesh(n),
             "quad": lambda: wg.build_uniform_quad_mesh(n)}[mesh_kind]()
+    mesh_s = time.perf_counter() - t0
     config = wg.SolverConfig(method=method)
     problem = wg.get_problem("example2")
     t0 = time.perf_counter()
@@ -111,8 +116,9 @@ def child(src, case, method):
 
     fill = first_fill(config)
     print(json.dumps({
-        "assemble_s": assemble_s, "solve_s": solve_s, "errors_s": errors_s,
-        "peak_rss_mib": peak_rss_mib, "iterations": result.iterations,
+        "mesh_s": mesh_s, "assemble_s": assemble_s, "solve_s": solve_s,
+        "errors_s": errors_s, "peak_rss_mib": peak_rss_mib,
+        "iterations": result.iterations,
         "fill": fill, "direct_fill": (fill if method == "cholesky"
                                       else first_fill(wg.SolverConfig())),
         "nnz": int(system.matrix.nnz),
