@@ -7,7 +7,9 @@ therefore a prefix of the basis of a higher one.  Gradients and Laplacians
 are read off the values: a monomial's derivative is a multiple of a lower
 monomial, located through index tables cached per degree.  Edge spaces use
 Legendre polynomials in the arc parameter t in [-1, 1] of the edge's stored
-orientation, so the edge mass matrix is diagonal with entries h_e / (2j + 1).
+orientation, so the edge mass matrix is diagonal with entries h_e / (2j + 1);
+``_legendre_edge`` holds that convention, with the modes' values at the
+points of an edge rule and the projector onto them, for every layer.
 
 Cell integration applies a Duffy-transformed tensor Gauss rule on each of
 the m - 2 fan triangles (v_0, v_i, v_{i+1}) of an m-gon.  Fan Jacobians
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 
 
 def polynomial_space_dim(degree):
@@ -56,14 +58,6 @@ def quadrature_exactness(k):
     if k < 2:
         raise ValueError("the element requires k >= 2")
     return 2 * k + 2, 2 * k + 3
-
-
-def check_exactness(name, exactness, degree):
-    """Raise ValueError if ``exactness`` is below 2 * degree, the least
-    that integrates the mass matrix of a degree-``degree`` projection."""
-    if exactness < 2 * degree:
-        raise ValueError(f"{name} quadrature exactness {exactness} is below "
-                         f"the minimum {2 * degree} for degree {degree}")
 
 
 @dataclass(frozen=True)
@@ -95,6 +89,21 @@ def edge_quadrature(exactness):
     npts = (exactness + 2) // 2
     t, w = _read_only(*leggauss(max(npts, 1)))
     return QuadratureRule(t, w, 2 * len(t) - 1)
+
+
+@lru_cache(maxsize=64)
+def _legendre_edge(degree, exactness):
+    """P_degree on an edge in Legendre coefficients, at the points t of the
+    Gauss rule of the given exactness: that rule, and read-only values
+    V (n, degree + 1), the L2 projector Q = diag(j + 1/2) V^T diag(w) from
+    values at t to coefficients, and 2j + 1, which divides h_e in the
+    diagonal edge mass h_e / (2j + 1).  Q is exact on P_(exactness - degree).
+    """
+    rule = edge_quadrature(exactness)
+    V = legvander(rule.points, degree)
+    j = np.arange(degree + 1)
+    return (rule,) + _read_only(
+        V, (j[:, None] + 0.5) * (V.T * rule.weights), 2.0 * j + 1.0)
 
 
 @lru_cache(maxsize=64)

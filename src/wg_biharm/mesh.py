@@ -29,6 +29,7 @@ against the derived edge count.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,7 +132,8 @@ class Mesh:
 
 
 def mesh_from_cells(vertices, cells):
-    """Build a validated mesh from vertex coordinates and CCW cell lists.
+    """Build a validated mesh from vertex coordinates and CCW cell lists,
+    or an (F, m) array of the ids of F cells with m vertices each.
 
     Raises ValueError on non-finite coordinates, non-integer vertex ids,
     degenerate, self-intersecting or clockwise cells, edges shared by more
@@ -146,13 +148,16 @@ def mesh_from_cells(vertices, cells):
     if not np.all(np.isfinite(vertices)):
         raise ValueError("vertex coordinates must be finite")
 
-    # All cells' vertex ids in one flat array and the cell owning each.
-    cells = [np.asarray(cell, dtype=float) for cell in cells]
+    # All cells' vertex ids in one flat array and the cell owning each; the
+    # ids are read as floats, so that non-integer ones fail below.
+    cells = list(cells)
     if not cells:
         raise ValueError("a mesh needs at least one cell")
-    sizes = np.array([cell.size for cell in cells], dtype=np.int64)
+    sizes = np.array([len(cell) for cell in cells], dtype=np.int64)
     owner = np.repeat(np.arange(sizes.size), sizes)
-    ids = np.concatenate(cells)
+    with warnings.catch_warnings():  # a complex id is an error
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        ids = np.concatenate(cells, dtype=float, casting="unsafe")
     with np.errstate(invalid="ignore"):  # nan and inf ids fail below
         a = ids.astype(np.int64)
     _, once = np.unique(owner * len(vertices) + a, return_index=True)
@@ -254,15 +259,15 @@ def _edges_meet(coords):
 
 def _grid_squares(n):
     """Vertices of the uniform (n + 1) x (n + 1) grid on the unit square and
-    the CCW corner ids (a, b, c, d) of its subsquares, row by row, a at the
-    lower left."""
+    the (n^2, 4) CCW corner ids (a, b, c, d) of its subsquares, row by row,
+    a at the lower left."""
     if n < 1:
         raise ValueError("n must be >= 1")
     xs = np.linspace(0.0, 1.0, n + 1)
     xg, yg = np.meshgrid(xs, xs, indexing="xy")
-    lower_left = [j * (n + 1) + i for j in range(n) for i in range(n)]
+    lower_left = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
     return (np.column_stack([xg.ravel(), yg.ravel()]),
-            [(a, a + 1, a + n + 2, a + n + 1) for a in lower_left])
+            lower_left[:, None] + np.array([0, 1, n + 2, n + 1]))
 
 
 def build_uniform_triangle_mesh(n):
@@ -272,14 +277,13 @@ def build_uniform_triangle_mesh(n):
     lower-left to its upper-right corner.
     """
     vertices, squares = _grid_squares(n)
-    cells = [tri for a, b, c, d in squares for tri in ([a, b, c], [a, c, d])]
-    return mesh_from_cells(vertices, cells)
+    return mesh_from_cells(vertices,
+                           squares[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3))
 
 
 def build_uniform_quad_mesh(n):
     """Uniform n x n square mesh of the unit square."""
-    vertices, squares = _grid_squares(n)
-    return mesh_from_cells(vertices, [list(sq) for sq in squares])
+    return mesh_from_cells(*_grid_squares(n))
 
 
 def polygon_area_centroid(coords):

@@ -36,13 +36,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import legvander
 
-from .basis_quadrature import (CellBasis, edge_quadrature,
+from .basis_quadrature import (CellBasis, _legendre_edge,
                                polynomial_space_dim, quadrature_exactness)
 from .mesh import edge_points
-from .projection import (WgField, _edge_data, _legendre_coefficients,
-                         _normal_derivative, _project_on_rule)
+from .projection import (WgField, _edge_data, _normal_derivative,
+                         _project_on_rule)
 from .weak_laplacian import cell_operators, gather_local_dofs
 
 
@@ -75,15 +74,15 @@ def energy_norm(mesh, degree, field):
 
     cell = np.repeat(np.arange(mesh.n_cells), mesh.cell_sizes)
     e = mesh.cell_edge_rows[:, 0]
-    erule = edge_quadrature(quadrature_exactness(degree)[1])
-    L = legvander(erule.points, degree - 1)
+    erule, L, Q, _ = _legendre_edge(degree - 1,
+                                    quadrature_exactness(degree)[1])
     basis = CellBasis(degree, mesh.cell_centroids[cell],
                       mesh.cell_diameters[cell])
     evals = basis.evaluate(edge_points(mesh, e[:, None], erule.points), False)
     grad_n = basis.gradients(evals, mesh.edge_normals[e, None])
     v0 = field.interior[cell, None, :]
     flux_gap = np.sum(grad_n * v0, axis=-1) - field.flux[e] @ L.T
-    qb = _legendre_coefficients(erule, degree - 1, np.sum(evals * v0, axis=-1))
+    qb = np.sum(evals * v0, axis=-1) @ Q.T
     trace_gap = (qb - field.trace[e]) @ L.T
     h_cell = mesh.cell_diameters[cell, None]
     half = 0.5 * mesh.edge_lengths[e, None]
@@ -94,7 +93,6 @@ def energy_norm(mesh, degree, field):
 
 def compute_errors(mesh, degree, u_h, exact):
     """Six-norm error report of ``u_h`` against a smooth exact field."""
-    _, edge_exactness = quadrature_exactness(degree)
     trace, flux = _edge_data(mesh, np.arange(mesh.n_edges), degree,
                              exact.value, _normal_derivative(exact))
     diff = WgField(degree, np.empty_like(u_h.interior), trace - u_h.trace,
@@ -113,10 +111,10 @@ def compute_errors(mesh, degree, u_h, exact):
     h2 = float(np.sqrt(max(h2sq, 0.0)))
 
     # h_e times the Legendre edge mass h_e / (2j + 1).
-    weights = mesh.edge_lengths[:, None] ** 2 / (2.0 * np.arange(degree) + 1.0)
+    _, L, _, odd = _legendre_edge(degree - 1, quadrature_exactness(degree)[1])
+    weights = mesh.edge_lengths[:, None] ** 2 / odd
     eb_sq = float(np.sum(weights * diff.trace ** 2))
     en_sq = float(np.sum(weights * diff.flux ** 2))
-    L = legvander(edge_quadrature(edge_exactness).points, degree - 1)
     eb_max = float(np.max(np.abs(diff.trace @ L.T)))
     en_max = float(np.max(np.abs(diff.flux @ L.T)))
 

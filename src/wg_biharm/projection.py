@@ -7,8 +7,8 @@ edge's global normal.  ``project_field`` maps a smooth scalar field onto
 such a triple by L2 projection blockwise, with the element's rules
 (``basis_quadrature.quadrature_exactness``), its edge blocks by the one
 helper the error report and the boundary data use; ``project_cell`` and
-``project_edge`` project onto any degree d with a rule of their own,
-exact to at least 2d.
+``project_edge`` project onto any degree d, with rules exact to 2d + 2 and
+2d + 3.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial.legendre import legvander
 
-from .basis_quadrature import (check_exactness, edge_quadrature,
-                               polynomial_space_dim, quadrature_exactness)
+from .basis_quadrature import (_legendre_edge, polynomial_space_dim,
+                               quadrature_exactness)
 from .mesh import edge_points
 from .weak_laplacian import _cell_values, cell_batches
 
@@ -75,14 +74,13 @@ class WgField:
                        self.trace.copy(), self.flux.copy())
 
 
-def project_cell(mesh, cell, f, degree, exactness=None):
+def project_cell(mesh, cell, f, degree):
     """L2 projection of ``f`` onto P_degree of one cell, or of each of an
     index array of c cells with one vertex count, where ``f`` sees (c, n)
     point arrays instead of 1-D ones and one row per cell is returned.
 
-    Returns scaled monomial coefficients.  The quadrature exactness
-    defaults to 2*degree + 2 and must be at least 2*degree; raise it when
-    ``f`` is hard to resolve.
+    Returns scaled monomial coefficients, from a cell rule exact to
+    2*degree + 2.
 
     The coefficients solve the normal equations M c = V^T W f with the
     mass matrix M = V^T W V (V the basis values and W the weights at the
@@ -92,10 +90,7 @@ def project_cell(mesh, cell, f, degree, exactness=None):
     QR of sqrt(W) V is not an option: the vertex fan gives negative weights
     on non-convex cells, jittered brick hexagons included.
     """
-    if exactness is None:
-        exactness = 2 * degree + 2
-    check_exactness("cell", exactness, degree)
-    _, rule, vals, mass = _cell_values(mesh, cell, degree, exactness)
+    _, rule, vals, mass = _cell_values(mesh, cell, degree, 2 * degree + 2)
     return _project_on_rule(rule, vals, mass, f)
 
 
@@ -110,28 +105,17 @@ def _project_on_rule(rule, vals, mass, f):
     return coeffs[..., 0]
 
 
-def project_edge(mesh, edge, f, degree, exactness=None):
+def project_edge(mesh, edge, f, degree):
     """L2 projection of ``f`` onto P_degree of one edge, or of each edge of
     an index array of edges (one row of coefficients per edge).
 
-    Returns Legendre coefficients in the edge parameter; the Legendre
-    orthogonality makes the mass matrix diagonal, so no solve is needed.
-    The exactness defaults to 2*degree + 3 and must be at least 2*degree.
+    Returns Legendre coefficients in the edge parameter, from an edge rule
+    exact to 2*degree + 3; the Legendre orthogonality makes the mass matrix
+    diagonal, so no solve is needed.
     """
-    if exactness is None:
-        exactness = 2 * degree + 3
-    check_exactness("edge", exactness, degree)
-    rule = edge_quadrature(exactness)
+    rule, _, Q, _ = _legendre_edge(degree, 2 * degree + 3)
     pts = edge_points(mesh, np.asarray(edge)[..., None], rule.points)
-    return _legendre_coefficients(rule, degree, evaluate_at(f, pts))
-
-
-def _legendre_coefficients(rule, degree, fvals):
-    """Edge projection coefficients from values ``fvals`` (..., n) at the
-    points of the reference edge rule."""
-    j = np.arange(degree + 1)
-    vals = legvander(rule.points, degree)
-    return (2.0 * j + 1.0) / 2.0 * ((fvals * rule.weights) @ vals)
+    return evaluate_at(f, pts) @ Q.T
 
 
 def project_field(mesh, degree, field):
@@ -141,13 +125,11 @@ def project_field(mesh, degree, field):
     rules, ``quadrature_exactness(degree)``, as the error report and the
     boundary data do, so both see this projection as exact.
     """
-    cell_exactness, _ = quadrature_exactness(degree)
     trace, flux = _edge_data(mesh, np.arange(mesh.n_edges), degree,
                              field.value, _normal_derivative(field))
     interior = np.empty((mesh.n_cells, polynomial_space_dim(degree)))
     for cells in cell_batches(mesh, degree):
-        interior[cells] = project_cell(mesh, cells, field.value, degree,
-                                       cell_exactness)
+        interior[cells] = project_cell(mesh, cells, field.value, degree)
     return WgField(degree, interior, trace, flux)
 
 
@@ -166,8 +148,9 @@ def _edge_data(mesh, edges, degree, trace, flux):
     """(trace, flux) blocks of the degree-``degree`` element on an index
     array of edges: Legendre projections, with the element's edge rule, of
     g(x, y) and of phi(x, y, nx, ny) against each edge's global normal."""
-    rule = edge_quadrature(quadrature_exactness(degree)[1])
+    rule, _, Q, _ = _legendre_edge(degree - 1,
+                                   quadrature_exactness(degree)[1])
     pts = edge_points(mesh, edges[:, None], rule.points)
     nx, ny = mesh.edge_normals[edges].T[..., None]
-    return [_legendre_coefficients(rule, degree - 1, evaluate_at(f, pts))
+    return [evaluate_at(f, pts) @ Q.T
             for f in (trace, lambda x, y: flux(x, y, nx, ny))]

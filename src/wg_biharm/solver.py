@@ -175,7 +175,7 @@ def _two_level(schur, edge_block):
     if edge_block:
         k = edge_block
         blocks = j.reshape(2, -1, k).transpose(1, 0, 2).reshape(-1, 2 * k)
-        # flux modes < k - 1: the weak Laplacian's flux mask (_edge_constants)
+        # flux modes < k - 1: those the weak Laplacian reads (its flux mask)
         coarse = j[j % k < np.where(j < n // 2, min(2, k - 1), k - 1)]
     else:
         blocks, coarse = j[:, None], j[:0]

@@ -19,8 +19,14 @@ boundary,
 
 where Q_b is the edge L2 projection onto the trace degree.  Both mismatch
 terms use the global edge normal, so the two cells sharing an edge penalize
-against the same flux unknown.  The cell and edge rules are the element's,
-``basis_quadrature.quadrature_exactness(k)``.
+against the same flux unknown.
+
+Every edge term is written in the edges' Legendre coefficients.  On a
+straight edge grad v_0 . n_e has degree k - 1, so it and Q_b v_0 are
+projected exactly from their values at the edge points, and every edge
+integral is a sum of coefficient products under the edge mass
+h_e / (2j + 1): both mismatches and both edge terms of Delta_w.  The cell
+and edge rules are the element's, ``basis_quadrature.quadrature_exactness(k)``.
 
 Local degrees of freedom are ordered: interior coefficients, then the trace
 block of each local edge, then the flux block of each local edge, edges in
@@ -30,13 +36,11 @@ the cell's boundary order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import legvander
 
 from .basis_quadrature import (CellBasis, QuadratureRule, _duffy_rule,
-                               _read_only, edge_quadrature,
+                               _legendre_edge, edge_quadrature,
                                polygon_quadrature, polynomial_space_dim,
                                quadrature_exactness)
 from .mesh import edge_points
@@ -125,63 +129,50 @@ def _cell_values(mesh, cells, degree, exactness):
     return basis, rule, values, mass
 
 
-@lru_cache(maxsize=64)
-def _edge_constants(k, m):
-    """Read-only L, giving a trace or flux block's values at the m * ne edge
-    points of a cell with m edges, L masked for the trace and for the flux
-    term of the weak Laplacian, and Q_b, from those values to Legendre."""
-    erule = edge_quadrature(quadrature_exactness(k)[1])
-    leg = legvander(erule.points, k - 1)
-    L = np.kron(np.eye(m), leg)
-    # On an edge grad phi . n has degree k - 3 and phi degree k - 2, so the
-    # trace modes j >= k - 2 and the flux mode k - 1 are orthogonal to them;
-    # masking their columns stores exact zeros instead of roundoff.
-    j = np.tile(np.arange(k), m)
-    Qb = np.kron(np.eye(m), (j[:k, None] + 0.5) * (leg.T * erule.weights))
-    return _read_only(L, L * (j < k - 2), L * (j < k - 1), Qb)
-
-
 def _batch_operators(mesh, cells, k):
     """LocalOperators of c cells that all have m edges."""
     cell_exactness, edge_exactness = quadrature_exactness(k)
     rows = mesh.cell_rows(cells)[1]
     c, m = rows.shape[:2]
-    erule = edge_quadrature(edge_exactness)
+    erule, _, Q, odd = _legendre_edge(k - 1, edge_exactness)
     ne = erule.weights.size
     h_cell = mesh.cell_diameters[cells, None]
     n2 = polynomial_space_dim(k - 2)
-    L, L_trace, L_flux, Qb = _edge_constants(k, m)
     basis, rule, vals, mass = _cell_values(mesh, cells, k, cell_exactness)
     w = rule.weights[..., None]
 
-    # At the m * ne edge points: values, grad v_0 . n_e and the signed arc
-    # weights (the outward normal is sign * n_e; the sign flips are exact).
+    # Each edge's Legendre coefficients of v_0 (E = Q_b v_0) and of
+    # grad v_0 . n_e (G, exact: degree k - 1 on a straight edge), projected
+    # from the edge points; mu is the edge mass h_e / (2j + 1).
     e = rows[..., 0]
-    length, normal = mesh.edge_lengths[e][..., None], mesh.edge_normals[e]
     evals = basis.evaluate(edge_points(mesh, e, erule.points), False)
-    grad_n = basis.gradients(evals, np.repeat(normal, ne, axis=1))
-    wphys = (erule.weights * (0.5 * length)).reshape(c, -1)
-    sw = (np.repeat(rows[..., 1], ne, axis=1) * wphys)[..., None]
-    B = np.concatenate([(basis.laplacians(vals[..., :n2]) * w).mT @ vals,
-                        -(grad_n[..., :n2] * sw).mT @ L_trace,
-                        (evals[..., :n2] * sw).mT @ L_flux], axis=-1)
+    grad_n = basis.gradients(evals,
+                             np.repeat(mesh.edge_normals[e], ne, axis=1))
+    E, G = ((Q @ x.reshape(c, m, ne, -1)).reshape(c, m * k, -1)
+            for x in (evals, grad_n))
+    mu = (mesh.edge_lengths[e][..., None] / odd).reshape(c, -1)
 
-    # The stabilizer, by blocks: the Gram matrix of the mismatches G v_0 -
-    # L v_n at the edge points (G = grad_n), weighted by w1, and E v_0 - v_b
-    # in Legendre coefficients (E = Q_b v_0, exact), weighted by w2.  The
-    # interior-flux block is the mean of its two roundings, G^T W L and
-    # (L^T W G)^T; one product alone moves roundoff-level entries and, with
-    # them, the direct factor's fill.
-    w1 = (wphys / h_cell)[..., None]
-    w2 = (length / (2.0 * np.arange(k) + 1.0)).reshape(c, -1)
-    w2 /= h_cell ** 3
-    E = Qb @ evals
-    GW, EW, LW = (grad_n * w1).mT, (E * w2[..., None]).mT, L.T * w1.mT
-    IF = -0.5 * (GW @ L + (LW @ grad_n).mT)
-    Z = np.zeros((c, m * k, m * k))
-    S = np.block([[_sym(GW @ grad_n + EW @ E), -EW, IF],
-                  [-EW.mT, w2[..., None] * np.eye(m * k), Z],
-                  [IF.mT, Z, _sym(LW @ L)]])
+    # The edge terms by the edge mass, signed by the incidence (the outward
+    # normal is sign * n_e): -<v_b, grad phi . n> and <v_n n_e . n, phi>.
+    # grad phi . n_e has degree k - 3 and phi degree k - 2, so the trace
+    # modes j >= k - 2 and the flux mode k - 1 are orthogonal to them;
+    # masking them stores exact zeros instead of roundoff.
+    j = np.tile(np.arange(k), m)
+    smu = np.repeat(rows[..., 1], k, axis=1) * mu
+    B = np.concatenate([(basis.laplacians(vals[..., :n2]) * w).mT @ vals,
+                        -(G[..., :n2] * (smu * (j < k - 2))[..., None]).mT,
+                        (E[..., :n2] * (smu * (j < k - 1))[..., None]).mT],
+                       axis=-1)
+
+    # The stabilizer is the Gram matrix of the two mismatches in
+    # coefficients, G v_0 - v_n under W1 = mu / h_T and E v_0 - v_b under
+    # W2 = mu / h_T^3, by blocks.
+    W1, W2 = mu / h_cell, mu / h_cell ** 3
+    GW, EW = (G * W1[..., None]).mT, (E * W2[..., None]).mT
+    Z, eye = np.zeros((c, m * k, m * k)), np.eye(m * k)
+    S = np.block([[_sym(GW @ G + EW @ E), -EW, -GW],
+                  [-EW.mT, W2[..., None] * eye, Z],
+                  [-GW.mT, Z, W1[..., None] * eye]])
 
     D = np.linalg.solve(mass[:, :n2, :n2], B)
     return LocalOperators(D, _sym(B.mT @ D), S, mass, rule, vals)

@@ -18,7 +18,10 @@ import pytest
 from numpy.polynomial.legendre import legvander
 
 import wg_biharm as wg
+from wg_biharm.basis_quadrature import _legendre_edge
 from wg_biharm.mesh import edge_points
+from wg_biharm.projection import _project_on_rule, evaluate_at
+from wg_biharm.weak_laplacian import _cell_values
 from conftest import (monomial_field, random_quad_cell, random_triangle_cell,
                       random_wg_field)
 
@@ -55,20 +58,26 @@ def test_criterion_01_polynomial_exactness():
                    f"max norm {worst:.3e} <= 1e-08, {seconds:.2f}s < 5s")
 
 
+def _fine_project_cell(mesh, f, degree, exactness):
+    """``project_cell`` on a one-cell mesh with a cell rule of the given
+    exactness instead of 2 * degree + 2."""
+    _, rule, vals, mass = _cell_values(mesh, 0, degree, exactness)
+    return _project_on_rule(rule, vals, mass, f)
+
+
 def _project_blocks(mesh, k, u, exactness):
-    """The blockwise L2 projection of ``project_field``, every block's rule
-    of the given exactness."""
-    edges = np.arange(mesh.n_edges)
+    """The blockwise L2 projection of ``project_field`` on a one-cell mesh,
+    every block's rule of the given exactness."""
+    rule, _, Q, _ = _legendre_edge(k - 1, exactness)
+    pts = edge_points(mesh, np.arange(mesh.n_edges)[:, None], rule.points)
     normal = mesh.edge_normals[:, None, :]
 
     def flux(x, y):  # grad u . n_e, n_e the edge's global normal
         gx, gy = u.gradient(x, y)
         return gx * normal[..., 0] + gy * normal[..., 1]
     return wg.WgField(
-        k, wg.project_cell(mesh, np.arange(mesh.n_cells), u.value, k,
-                           exactness),
-        wg.project_edge(mesh, edges, u.value, k - 1, exactness),
-        wg.project_edge(mesh, edges, flux, k - 1, exactness))
+        k, _fine_project_cell(mesh, u.value, k, exactness)[None],
+        evaluate_at(u.value, pts) @ Q.T, evaluate_at(flux, pts) @ Q.T)
 
 
 def test_criterion_02_commuting_projections():
@@ -89,7 +98,9 @@ def test_criterion_02_commuting_projections():
                 proj = (wg.project_field(mesh, k, u) if ce is None
                         else _project_blocks(mesh, k, u, ce))
                 dw = ops.weak_laplacian @ wg.gather_local_dofs(proj, mesh, 0)
-                qlap = wg.project_cell(mesh, 0, u.laplacian, k - 2, ce)
+                qlap = (wg.project_cell(mesh, 0, u.laplacian, k - 2)
+                        if ce is None else
+                        _fine_project_cell(mesh, u.laplacian, k - 2, ce))
                 worst = max(worst, float(np.max(np.abs(dw - qlap))))
     seconds = time.perf_counter() - t0
     ok = worst <= 1e-10 and seconds < 1.0

@@ -7,8 +7,10 @@ Frozen DOF counts: the element has dim P_k interior DOFs per cell and
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legvander
 
 import wg_biharm as wg
+from wg_biharm.mesh import edge_points
 from conftest import monomial_field, polygonal_mesh_cells, random_wg_field
 
 # 4-, 6- and 8-vertex cells in one mesh, and a tri mesh whose one group
@@ -187,9 +189,12 @@ def test_boundary_flux_data_uses_outward_normal():
         if abs(mesh.edge_midpoints[e, 0]) > 1e-12:
             continue
         assert mesh.edge_normals[e] == pytest.approx([-1.0, 0.0], abs=1e-14)
-        # the element's edge rule at k = 2, exactness 2k + 3
-        expected = wg.project_edge(
-            mesh, e, lambda x, y: -np.pi * np.sin(np.pi * y), 1, 7)
+        # the Legendre projection with the element's edge rule at k = 2,
+        # exactness 2k + 3
+        rule = wg.edge_quadrature(7)
+        y = edge_points(mesh, e, rule.points)[:, 1]
+        expected = [0.5, 1.5] * ((rule.weights * -np.pi * np.sin(np.pi * y))
+                                 @ legvander(rule.points, 1))
         lo = layout.flux_offset + e * layout.edge_block
         got = [reduced.boundary_values[pos[d]] for d in range(lo, lo + 2)]
         assert got == pytest.approx(expected, abs=1e-13)

@@ -352,28 +352,6 @@ def test_negative_exactness_rejected():
         wg.polygon_quadrature(np.array([[0.0, 0.0], [1.0, 0.0]]), 2)
 
 
-def _exactness_calls():
-    # (name, call(value), minimum): the projections that take a rule, at
-    # P_3 on the cell and P_2 on the edge
-    mesh = wg.build_uniform_triangle_mesh(2)
-    u = wg.get_problem("example2").solution
-    calls = [
-        ("project_cell", lambda v: wg.project_cell(mesh, 0, u.value, 3, v),
-         6),
-        ("project_edge", lambda v: wg.project_edge(mesh, 0, u.value, 2, v),
-         4),
-    ]
-    return [pytest.param(call, minimum, id=name)
-            for name, call, minimum in calls]
-
-
-@pytest.mark.parametrize("call, minimum", _exactness_calls())
-def test_exactness_below_minimum_rejected(call, minimum):
-    with pytest.raises(ValueError, match=f"below the minimum {minimum} "):
-        call(minimum - 1)
-    call(minimum)
-
-
 @pytest.mark.parametrize("degree", [2.5, 3.0, "3"])
 def test_non_integer_degree_rejected(degree):
     with pytest.raises(ValueError, match="degree must be an integer"):

@@ -250,6 +250,20 @@ def test_mesh_from_cells_leaves_caller_vertices_alone():
     assert mesh.vertices[1, 0] == 1.0
 
 
+def test_mesh_from_cells_reads_an_id_array_as_its_rows():
+    # an (F, m) int array of cells builds the mesh its rows as lists build
+    mesh = wg.build_uniform_triangle_mesh(3)
+    ids = np.array(mesh.cells)
+    assert ids.shape == (18, 3) and ids.dtype.kind == "i"
+    a = wg.mesh_from_cells(mesh.vertices, ids)
+    b = wg.mesh_from_cells(mesh.vertices, ids.tolist())
+    arrays = [k for k, v in vars(a).items() if isinstance(v, np.ndarray)]
+    assert arrays
+    for k in arrays:
+        x, y = getattr(a, k), getattr(b, k)
+        assert x.dtype == y.dtype and np.array_equal(x, y), k
+
+
 def test_mesh_from_cells_rejects_cells_that_are_not_simple():
     not_simple = {
         # a bowtie of signed area 1.0: its first and third edges cross

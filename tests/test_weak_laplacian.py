@@ -245,6 +245,24 @@ def test_stabilizer_equals_gram_matrix_of_mismatch_rows(make, k):
     assert np.max(np.abs(S - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("make", [_jittered_hexagon, _arrow])
+def test_stabilizer_edge_blocks_are_the_closed_form_edge_mass(make, k):
+    # in Legendre coefficients the flux-flux and trace-trace blocks are the
+    # edge mass h_e / (2j + 1) under h_T^-1 and h_T^-3, with no roundoff,
+    # and no trace mode meets a flux mode
+    mesh = make()
+    n0, m = wg.polynomial_space_dim(k), mesh.cell_sizes[0]
+    h = mesh.cell_diameters[0]
+    lengths = mesh.edge_lengths[mesh.cell_rows(0)[1][:, 0]]
+    mu = (lengths[:, None] / (2.0 * np.arange(k) + 1.0)).ravel()
+    S = wg.local_operators(mesh, 0, k).stabilizer
+    trace, flux = slice(n0, n0 + m * k), slice(n0 + m * k, None)
+    assert np.array_equal(S[flux, flux], np.diag(mu / h))
+    assert np.array_equal(S[trace, trace], np.diag(mu / h ** 3))
+    assert not np.any(S[trace, flux]) and not np.any(S[flux, trace])
+
+
 def test_local_forms_symmetric_positive_semidefinite():
     rng = np.random.default_rng(29)
     for k in (2, 3):
