@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis_quadrature import polynomial_space_dim, quadrature_exactness
-from .projection import WgField, _edge_data, evaluate_at
+from .projection import WgField, _edge_data, _project_on_rule
 from .weak_laplacian import cell_operators, gather_local_dofs
 
 
@@ -140,8 +140,8 @@ def assemble_system(mesh, degree, source):
         data[at:end] = local[keep]
         at = end
 
-        wf = op.rule.weights * evaluate_at(source, op.rule.points)
-        load[g[:, :layout.cell_block]] = (op.values.mT @ wf[..., None])[..., 0]
+        load[g[:, :layout.cell_block]] = _project_on_rule(  # (f, phi_j)
+            op.rule, op.values, source)
 
     matrix = sp.coo_matrix((data[:at], (rows[:at], cols[:at])),
                            shape=(layout.total, layout.total)).tocsr()

@@ -3,7 +3,8 @@
 
 Cell spaces use scaled monomials ((x - x_T)/h_T)^a ((y - y_T)/h_T)^b,
 a + b <= degree, ordered by total degree; the basis of a lower degree is
-therefore a prefix of the basis of a higher one.  Gradients and Laplacians
+therefore a prefix of the basis of a higher one, as in the orthonormal
+basis made of them (``weak_laplacian._cell_values``).  Gradients and Laplacians
 are read off the values: a monomial's derivative is a multiple of a lower
 monomial, located through index tables cached per degree.  Edge spaces use
 Legendre polynomials in the arc parameter t in [-1, 1] of the edge's stored
@@ -204,9 +205,8 @@ class CellBasis:
         return gx * direction[..., None, 0] + gy * direction[..., None, 1]
 
     def laplacians(self, vals):
-        """Laplacians (..., n, dim) of the basis, or of a prefix of it."""
-        a, b, _, _, a2, b2 = (t[:vals.shape[-1]]
-                              for t in _lowering(self.degree))
+        """Laplacians (..., n, dim) of the basis."""
+        a, b, _, _, a2, b2 = _lowering(self.degree)
         return ((a * (a - 1) / self._h ** 2) * vals[..., a2]
                 + (b * (b - 1) / self._h ** 2) * vals[..., b2])
 

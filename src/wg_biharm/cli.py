@@ -43,7 +43,7 @@ def _add_common(p):
                         "modes 0 to k-2)")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="CG stops once the condensed system's residual "
-                        "is at most tol times the norm of the full "
+                        "is at most tol times the norm of its own "
                         "right-hand side; either solver then takes one "
                         "correction step if the full relative residual "
                         f"exceeds tol (or {DIRECT_RESIDUAL_LIMIT:g} on the "

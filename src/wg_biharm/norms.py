@@ -11,13 +11,13 @@ a genuine norm (the assembled reduced matrix is SPD, which the tests check
 through a dense eigendecomposition).
 
 The error report takes it from the scheme's own form, as the square root
-of sum_T v_T^T (A_T + S_T) v_T over the local stiffness and stabilizer
-matrices, and the interior L2 column as sum_T d_T^T M_T d_T with the cell
-Gram matrix M_T; each batch of ``cell_operators`` gives all three, and its
-cell rules and basis values project the exact interior.
-``energy_norm`` keeps a second, independent route by direct quadrature of
-each edge residual, so the identity energy(v)^2 = v^T A v is a meaningful
-cross-check; it is not on the report's path.
+of sum_T v_T^T (A_T + S_T) v_T over the local matrices of
+``cell_operators``, whose rules and orthonormal values also project the
+exact interior, and the interior L2 column as the 2-norm of the interior
+coefficient errors.  ``energy_norm`` keeps a second, independent route by
+direct quadrature of each edge residual, v_0 in scaled monomials, so the
+identity energy(v)^2 = v^T A v is a meaningful cross-check; it is not on
+the report's path.
 
 Errors compare the discrete solution against the blockwise projection of
 the exact one.  The flux columns compare u_n with the edge projection of
@@ -66,11 +66,14 @@ def energy_norm(mesh, degree, field):
     cell-edge incidence."""
     n2 = polynomial_space_dim(degree - 2)
     total = 0.0
+    monomial = np.empty_like(field.interior)
     for cells, ops in cell_operators(mesh, degree):
         wcoef = np.einsum("cij,cj->ci", ops.weak_laplacian,
                           gather_local_dofs(field, mesh, cells))
         wvals = np.einsum("cpi,ci->cp", ops.values[..., :n2], wcoef)
         total += float(np.sum(ops.rule.weights * wvals ** 2))
+        monomial[cells] = np.einsum("cij,cj->ci", ops.basis_change,
+                                    field.interior[cells])
 
     cell = np.repeat(np.arange(mesh.n_cells), mesh.cell_sizes)
     e = mesh.cell_edge_rows[:, 0]
@@ -80,7 +83,7 @@ def energy_norm(mesh, degree, field):
                       mesh.cell_diameters[cell])
     evals = basis.evaluate(edge_points(mesh, e[:, None], erule.points), False)
     grad_n = basis.gradients(evals, mesh.edge_normals[e, None])
-    v0 = field.interior[cell, None, :]
+    v0 = monomial[cell, None, :]
     flux_gap = np.sum(grad_n * v0, axis=-1) - field.flux[e] @ L.T
     qb = np.sum(evals * v0, axis=-1) @ Q.T
     trace_gap = (qb - field.trace[e]) @ L.T
@@ -100,13 +103,13 @@ def compute_errors(mesh, degree, u_h, exact):
 
     h2sq = l2sq = 0.0
     for cells, ops in cell_operators(mesh, degree):
-        d = (_project_on_rule(ops.rule, ops.values, ops.mass, exact.value)
+        d = (_project_on_rule(ops.rule, ops.values, exact.value)
              - u_h.interior[cells])
         diff.interior[cells] = d
         v = gather_local_dofs(diff, mesh, cells)
         h2sq += float(np.einsum("ci,cij,cj->", v,
                                 ops.stiffness + ops.stabilizer, v))
-        l2sq += float(np.einsum("ci,cij,cj->", d, ops.mass, d))
+        l2sq += float(np.sum(d ** 2))
     # A zero-energy error can sum to a tiny negative roundoff (nan in sqrt).
     h2 = float(np.sqrt(max(h2sq, 0.0)))
 

@@ -20,8 +20,9 @@ S is solved by the route the config names, chosen once per solve.
 "cholesky" (the default, sensible up to a few hundred thousand DOFs) is
 SuperLU ``splu`` with a symmetric minimum-degree ordering and no pivoting:
 LDL^T up to the scaling of U, with a row swap or a pivot <= 0 rejected as
-not SPD.  "cg" is conjugate gradients on S, stopped at the absolute
-residual ``tolerance * ||b||``; its ``iterations`` and the default
+not SPD.  "cg" is conjugate gradients on S x_b = g, stopped at the
+absolute residual ``tolerance * ||g||``: S and g, unlike b, do not depend
+on the interior basis; its ``iterations`` and the default
 ``max_iterations`` (50 sqrt(n)) refer to S.  Its preconditioner is
 symmetric multiplicative two-level Schwarz (Pavarino; Brenner): a damped
 block-Jacobi smoother whose blocks are each edge's trace and flux modes,
@@ -32,8 +33,8 @@ set-up takes two cores: a worker thread, alive for one set-up, builds the
 smoother while the calling thread factors the coarse block (SuperLU
 releases the GIL).  ``solve_linear`` has no edge structure, so its CG
 runs damped symmetric point Jacobi.  Failure raises SolverError carrying
-the residual relative to b and, for CG, the iteration count, instead of
-returning garbage silently.
+the residual, relative to b (to g when CG does not converge), and, for
+CG, the iteration count, instead of returning garbage silently.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def _solve(matrix, b, config, n_cells, block, edge_block):
         raise ValueError("matrix/right-hand side shapes do not match")
     m = n_cells * block
     inv, y, schur = _condense(matrix, n_cells, block, edge_block)
-    scale = np.linalg.norm(b) or 1.0
+    scale = np.linalg.norm(b[m:] - y.T @ _lower(inv, b[:m])) or 1.0
     route, limit = _route(schur, config, scale, edge_block)
 
     def through_schur(rhs):

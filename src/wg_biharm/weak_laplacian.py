@@ -28,7 +28,8 @@ integral is a sum of coefficient products under the edge mass
 h_e / (2j + 1): both mismatches and both edge terms of Delta_w.  The cell
 and edge rules are the element's, ``basis_quadrature.quadrature_exactness(k)``.
 
-Local degrees of freedom are ordered: interior coefficients, then the trace
+Local degrees of freedom are ordered: interior coefficients in the cell's
+orthonormal basis (``_cell_values``), then the trace
 block of each local edge, then the flux block of each local edge, edges in
 the cell's boundary order.
 """
@@ -44,9 +45,10 @@ from .basis_quadrature import (CellBasis, QuadratureRule, _duffy_rule,
                                polygon_quadrature, polynomial_space_dim,
                                quadrature_exactness)
 from .mesh import edge_points
+from .solver import _inverse_cholesky
 
 # P_k basis values at a batch's cell and edge points, bounding its memory;
-# gradients (edge points) and Laplacians (P_{k-2}) are read off subsets.
+# gradients (edge points) and Laplacians (cell points) are read off subsets.
 _BATCH_ENTRIES = 40_000
 
 
@@ -54,20 +56,20 @@ _BATCH_ENTRIES = 40_000
 class LocalOperators:
     """Per-cell operator matrices in the local DOF order.
 
-    weak_laplacian maps local DOFs to the scaled monomial coefficients of
-    Delta_w v; stiffness is its Gram matrix (Delta_w u, Delta_w v)_T;
-    stabilizer is the boundary penalty form; mass is the Gram matrix of the
-    P_k cell basis, whose leading P_{k-2} block is the Gram matrix of the
-    basis used to represent Delta_w v (the lower-degree basis is a prefix).
-    rule is the cell quadrature rule and values the P_k basis values at its
-    points, from which the load and the cell projection are computed.
-    In a batch from ``cell_operators`` every array has a leading cell axis.
+    weak_laplacian maps local DOFs to the coefficients of Delta_w v in the
+    P_{k-2} prefix of the orthonormal cell basis; stiffness is its Gram
+    matrix (Delta_w u, Delta_w v)_T; stabilizer is the boundary penalty
+    form; basis_change is the upper-triangular T taking orthonormal to
+    scaled monomial coefficients.  rule is the cell quadrature rule and
+    values the orthonormal P_k values at its points, from which the load and
+    the cell projection are computed.  In a batch from ``cell_operators``
+    every array has a leading cell axis.
     """
 
     weak_laplacian: np.ndarray
     stiffness: np.ndarray
     stabilizer: np.ndarray
-    mass: np.ndarray
+    basis_change: np.ndarray
     rule: QuadratureRule
     values: np.ndarray
 
@@ -87,7 +89,8 @@ def local_operators(mesh, cell, k):
     rule = QuadratureRule(op.rule.points[0], op.rule.weights[0],
                           op.rule.exactness)
     return LocalOperators(op.weak_laplacian[0], op.stiffness[0],
-                          op.stabilizer[0], op.mass[0], rule, op.values[0])
+                          op.stabilizer[0], op.basis_change[0], rule,
+                          op.values[0])
 
 
 def cell_operators(mesh, k):
@@ -117,16 +120,26 @@ def cell_batches(mesh, k):
 
 
 def _cell_values(mesh, cells, degree, exactness):
-    """P_degree basis, cell rule, basis values there and their Gram (mass)
-    matrix of one cell, or of an index array of cells of one vertex count
-    with a leading cell axis."""
+    """P_degree scaled monomial basis, cell rule, the monomial values V at
+    its points, the orthonormal basis values V T there and T, of one cell or
+    of an index array of cells of one vertex count (leading cell axis).
+
+    Cholesky QR twice on the values: V R^-1 with R^T R = V^T W V, then
+    again; one pass leaves the Gram matrix 0.5 off I on a cell of aspect
+    4096.  T is upper triangular, so lower degrees are a prefix.
+    """
     basis = CellBasis(degree, mesh.cell_centroids[cells],
                       mesh.cell_diameters[cells])
     rule = polygon_quadrature(mesh.vertices[mesh.cell_rows(cells)[0]],
                               exactness)
-    values = basis.evaluate(rule.points, False)
-    mass = (values * rule.weights[..., None]).mT @ values
-    return basis, rule, values, mass
+    mono = basis.evaluate(rule.points, False)
+    vals, T = mono, np.eye(basis.dimension)
+    for _ in range(2):
+        # L^-1 from a general inverse: its upper part is roundoff, dropped
+        inv = np.tril(_inverse_cholesky(
+            (vals * rule.weights[..., None]).mT @ vals, "a cell mass matrix"))
+        vals, T = vals @ inv.mT, T @ inv.mT
+    return basis, rule, mono, vals, T
 
 
 def _batch_operators(mesh, cells, k):
@@ -138,17 +151,16 @@ def _batch_operators(mesh, cells, k):
     ne = erule.weights.size
     h_cell = mesh.cell_diameters[cells, None]
     n2 = polynomial_space_dim(k - 2)
-    basis, rule, vals, mass = _cell_values(mesh, cells, k, cell_exactness)
-    w = rule.weights[..., None]
+    basis, rule, mono, vals, T = _cell_values(mesh, cells, k, cell_exactness)
 
     # Each edge's Legendre coefficients of v_0 (E = Q_b v_0) and of
     # grad v_0 . n_e (G, exact: degree k - 1 on a straight edge), projected
-    # from the edge points; mu is the edge mass h_e / (2j + 1).
+    # from the edge points, times T; mu is the edge mass h_e / (2j + 1).
     e = rows[..., 0]
     evals = basis.evaluate(edge_points(mesh, e, erule.points), False)
     grad_n = basis.gradients(evals,
                              np.repeat(mesh.edge_normals[e], ne, axis=1))
-    E, G = ((Q @ x.reshape(c, m, ne, -1)).reshape(c, m * k, -1)
+    E, G = ((Q @ x.reshape(c, m, ne, -1)).reshape(c, m * k, -1) @ T
             for x in (evals, grad_n))
     mu = (mesh.edge_lengths[e][..., None] / odd).reshape(c, -1)
 
@@ -159,7 +171,8 @@ def _batch_operators(mesh, cells, k):
     # masking them stores exact zeros instead of roundoff.
     j = np.tile(np.arange(k), m)
     smu = np.repeat(rows[..., 1], k, axis=1) * mu
-    B = np.concatenate([(basis.laplacians(vals[..., :n2]) * w).mT @ vals,
+    lap = basis.laplacians(mono) @ T[..., :n2] * rule.weights[..., None]
+    B = np.concatenate([lap.mT @ vals,
                         -(G[..., :n2] * (smu * (j < k - 2))[..., None]).mT,
                         (E[..., :n2] * (smu * (j < k - 1))[..., None]).mT],
                        axis=-1)
@@ -174,8 +187,8 @@ def _batch_operators(mesh, cells, k):
                   [-EW.mT, W2[..., None] * eye, Z],
                   [-GW.mT, Z, W1[..., None] * eye]])
 
-    D = np.linalg.solve(mass[:, :n2, :n2], B)
-    return LocalOperators(D, _sym(B.mT @ D), S, mass, rule, vals)
+    # the P_{k-2} prefix is orthonormal: B holds Delta_w's coefficients
+    return LocalOperators(B, _sym(B.mT @ B), S, T, rule, vals)
 
 
 def _sym(A):

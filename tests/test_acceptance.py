@@ -61,8 +61,8 @@ def test_criterion_01_polynomial_exactness():
 def _fine_project_cell(mesh, f, degree, exactness):
     """``project_cell`` on a one-cell mesh with a cell rule of the given
     exactness instead of 2 * degree + 2."""
-    _, rule, vals, mass = _cell_values(mesh, 0, degree, exactness)
-    return _project_on_rule(rule, vals, mass, f)
+    _, rule, _, vals, _ = _cell_values(mesh, 0, degree, exactness)
+    return _project_on_rule(rule, vals, f)
 
 
 def _project_blocks(mesh, k, u, exactness):
@@ -141,13 +141,18 @@ def test_criterion_04_integration_by_parts_identity():
         vloc = wg.gather_local_dofs(field, mesh, 0)
         phi = rng.uniform(-1.0, 1.0, basis_2.dimension)
 
-        dw = wg.local_operators(mesh, 0, k).weak_laplacian @ vloc
+        # the operators' coefficients mapped to scaled monomials through T
+        ops = wg.local_operators(mesh, 0, k)
+        T = ops.basis_change
+        dw = T[:basis_2.dimension, :basis_2.dimension] @ (
+            ops.weak_laplacian @ vloc)
+        v0_coeffs = T @ field.interior[0]
         cell_rule = wg.polygon_quadrature(mesh.cell_vertices(0), 2 * k + 4)
         vals2, _, _ = basis_2.evaluate(cell_rule.points)
         _, _, lapsk = basis_k.evaluate(cell_rule.points)
         phi_vals = vals2 @ phi
         lhs = cell_rule.integrate((vals2 @ dw) * phi_vals) \
-            - cell_rule.integrate((lapsk @ field.interior[0]) * phi_vals)
+            - cell_rule.integrate((lapsk @ v0_coeffs) * phi_vals)
 
         rhs = 0.0
         for e, s in mesh.cell_rows(0)[1]:
@@ -158,10 +163,10 @@ def test_criterion_04_integration_by_parts_identity():
             v2, g2, _ = basis_2.evaluate(pts)
             L = legvander(edge_rule.points, k - 1)
 
-            v0 = vk @ field.interior[0]
+            v0 = vk @ v0_coeffs
             vb = L @ field.trace[e]
-            grad_v0_n = (gk[:, :, 0] @ field.interior[0]) * n_out[0] \
-                + (gk[:, :, 1] @ field.interior[0]) * n_out[1]
+            grad_v0_n = (gk[:, :, 0] @ v0_coeffs) * n_out[0] \
+                + (gk[:, :, 1] @ v0_coeffs) * n_out[1]
             vn_dot_n = s * (L @ field.flux[e])
             grad_phi_n = (g2[:, :, 0] @ phi) * n_out[0] \
                 + (g2[:, :, 1] @ phi) * n_out[1]

@@ -7,10 +7,8 @@ Frozen DOF counts: the element has dim P_k interior DOFs per cell and
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import legvander
 
 import wg_biharm as wg
-from wg_biharm.mesh import edge_points
 from conftest import monomial_field, polygonal_mesh_cells, random_wg_field
 
 # 4-, 6- and 8-vertex cells in one mesh, and a tri mesh whose one group
@@ -72,10 +70,12 @@ def test_assembled_matrix_symmetric_and_load_is_source_moment():
     asym = np.max(np.abs((A - A.T).toarray()))
     assert asym < 1e-12 * np.max(np.abs(A.toarray()))
     layout = system.layout
-    # (f, v_0) with f = 1 puts the cell area on each constant-mode DOF
+    # (f, v_0) with f = 1 is the cell area against the constant monomial,
+    # so T_00 times it on the first orthonormal mode
     for c in range(mesh.n_cells):
+        t00 = wg.local_operators(mesh, c, 2).basis_change[0, 0]
         assert system.load[c * layout.cell_block] == pytest.approx(
-            0.5, abs=1e-14)
+            0.5 * t00, abs=1e-14)
     assert np.max(np.abs(system.load[layout.trace_offset:])) == 0.0
 
 
@@ -189,12 +189,9 @@ def test_boundary_flux_data_uses_outward_normal():
         if abs(mesh.edge_midpoints[e, 0]) > 1e-12:
             continue
         assert mesh.edge_normals[e] == pytest.approx([-1.0, 0.0], abs=1e-14)
-        # the Legendre projection with the element's edge rule at k = 2,
-        # exactness 2k + 3
-        rule = wg.edge_quadrature(7)
-        y = edge_points(mesh, e, rule.points)[:, 1]
-        expected = [0.5, 1.5] * ((rule.weights * -np.pi * np.sin(np.pi * y))
-                                 @ legvander(rule.points, 1))
+        # the element's edge projection at k = 2
+        expected = wg.project_edge(
+            mesh, e, lambda x, y: -np.pi * np.sin(np.pi * y), 1)
         lo = layout.flux_offset + e * layout.edge_block
         got = [reduced.boundary_values[pos[d]] for d in range(lo, lo + 2)]
         assert got == pytest.approx(expected, abs=1e-13)

@@ -80,13 +80,15 @@ def test_errors_vanish_when_solution_is_the_projection(mesh, name, k):
 
 
 def test_interior_l2_perturbation_scale():
-    # adding c to one cell's constant mode adds exactly c * sqrt(area)
+    # adding c to one cell's v_0 adds exactly c * sqrt(area); in the
+    # orthonormal basis the constant c is c / T_00 times the first mode
     mesh = wg.build_uniform_quad_mesh(2)
     problem = wg.get_problem("patch-2")
     proj = wg.project_field(mesh, 2, problem.solution)
     c = 0.37
     bumped = proj.copy()
-    bumped.interior[1, 0] += c
+    T = wg.local_operators(mesh, 1, 2).basis_change
+    bumped.interior[1, 0] += c / T[0, 0]
     report = wg.compute_errors(mesh, 2, bumped, problem.solution)
     area = wg.cell_geometry(mesh, 1).area
     assert report.l2_interior == pytest.approx(c * np.sqrt(area), rel=1e-12)
@@ -155,12 +157,14 @@ def test_energy_controls_l2_on_homogeneous_subspace():
 
 
 def _l2_by_cell_quadrature(mesh, k, interior):
+    # v_0 from its scaled monomial coefficients T @ interior
     total = 0.0
     for c in range(mesh.n_cells):
         rule = wg.polygon_quadrature(mesh.cell_vertices(c), 2 * k + 2)
         basis = wg.CellBasis.for_cell(wg.cell_geometry(mesh, c), k)
         vals, _, _ = basis.evaluate(rule.points)
-        total += rule.integrate((vals @ interior[c]) ** 2)
+        T = wg.local_operators(mesh, c, k).basis_change
+        total += rule.integrate((vals @ (T @ interior[c])) ** 2)
     return np.sqrt(total)
 
 
@@ -194,7 +198,7 @@ def _per_cell_errors(mesh, k, u_h, exact):
         op = wg.local_operators(mesh, c, k)
         v = wg.gather_local_dofs(diff, mesh, c)
         h2sq += v @ (op.stiffness + op.stabilizer) @ v
-        l2sq += diff.interior[c] @ op.mass @ diff.interior[c]
+        l2sq += op.rule.integrate((op.values @ diff.interior[c]) ** 2)
     weights = mesh.edge_lengths[:, None] ** 2 / (2.0 * np.arange(k) + 1.0)
     L = legvander(wg.edge_quadrature(2 * k + 3).points, k - 1)
     return [np.sqrt(max(h2sq, 0.0)), np.sqrt(l2sq),

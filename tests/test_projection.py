@@ -1,6 +1,10 @@
 """L2 projection tests: polynomial reproduction, frozen coefficient
 oracles, orthogonality of the residual, and the blockwise field projector.
 
+Cell projections return coefficients in the cell's orthonormal basis;
+the tests map them to scaled monomials through T (monomial coefficients =
+T @ orthonormal ones).
+
 Hand-computed oracles:
   * mean of x^2 over the unit right triangle: (1/12) / (1/2) = 1/6
   * projection of x^2 onto P_1 of the edge (0,0)-(1,0) is s - 1/6 in arc
@@ -13,10 +17,16 @@ from numpy.polynomial.legendre import legvander
 
 import wg_biharm as wg
 from wg_biharm.mesh import edge_points
+from wg_biharm.weak_laplacian import _cell_values
 from conftest import (monomial_field, polygonal_mesh_cells, random_quad_cell,
                       random_triangle_cell, single_cell_mesh)
 
 UNIT_TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+def _to_monomials(mesh, cell, degree):
+    """T of one cell's orthonormal P_degree basis."""
+    return _cell_values(mesh, cell, degree, 2 * degree + 2)[4]
 
 
 def test_project_cell_reproduces_polynomials():
@@ -28,14 +38,16 @@ def test_project_cell_reproduces_polynomials():
         return 1.0 + 2.0 * x - y + 0.5 * x * y ** 2 - x ** 3
 
     coeffs = wg.project_cell(mesh, 0, f, 3)
+    T = _to_monomials(mesh, 0, 3)
     pts = np.array([[0.7, 0.4], [0.4, 0.2], [0.9, 0.6]])
     vals, _, _ = basis.evaluate(pts)
-    assert vals @ coeffs == pytest.approx(f(pts[:, 0], pts[:, 1]), abs=1e-12)
+    assert vals @ T @ coeffs == pytest.approx(f(pts[:, 0], pts[:, 1]),
+                                             abs=1e-12)
 
     # idempotence: projecting the projection returns the same coefficients
     def fp(x, y):
         v, _, _ = basis.evaluate(np.column_stack([x, y]))
-        return v @ coeffs
+        return v @ T @ coeffs
 
     again = wg.project_cell(mesh, 0, fp, 3)
     assert again == pytest.approx(coeffs, abs=1e-13)
@@ -44,7 +56,8 @@ def test_project_cell_reproduces_polynomials():
 @pytest.mark.parametrize("degree", [2, 3, 4, 5])
 def test_project_cell_reproduces_random_polynomials_at_high_degree(degree):
     # The scaled-monomial mass matrix grows ~50x more ill-conditioned per
-    # degree; solving its normal equations alone misses 1e-10 at k >= 4.
+    # degree; projected in the orthonormal basis and mapped back through T,
+    # the monomial coefficients still come back to 1e-10.
     rng = np.random.default_rng(500 + degree)
     exps = wg.monomial_exponents(degree)
     worst = 0.0
@@ -57,7 +70,8 @@ def test_project_cell_reproduces_random_polynomials_at_high_degree(degree):
             v, _, _ = basis.evaluate(np.column_stack([x, y]))
             return v @ coeffs
 
-        got = wg.project_cell(mesh, 0, f, degree)
+        T = _to_monomials(mesh, 0, degree)
+        got = T @ wg.project_cell(mesh, 0, f, degree)
         worst = max(worst, np.max(np.abs(got - coeffs))
                     / np.max(np.abs(coeffs)))
     assert worst <= 1e-10
@@ -66,7 +80,8 @@ def test_project_cell_reproduces_random_polynomials_at_high_degree(degree):
 def test_project_cell_constant_mode_oracle():
     mesh = single_cell_mesh(UNIT_TRIANGLE)
     coeffs = wg.project_cell(mesh, 0, lambda x, y: x ** 2, 0)
-    assert coeffs == pytest.approx([1.0 / 6.0], abs=1e-15)
+    assert _to_monomials(mesh, 0, 0) @ coeffs == pytest.approx([1.0 / 6.0],
+                                                              abs=1e-15)
 
 
 def test_project_cell_residual_is_orthogonal():
@@ -78,7 +93,7 @@ def test_project_cell_residual_is_orthogonal():
         return np.sin(2.0 * x) * np.cos(y)
 
     # the residual is orthogonal to P_2 under the projection's own rule
-    coeffs = wg.project_cell(mesh, 0, f, 2)
+    coeffs = _to_monomials(mesh, 0, 2) @ wg.project_cell(mesh, 0, f, 2)
     rule = wg.polygon_quadrature(mesh.cell_vertices(0), 6)
     vals, _, _ = basis.evaluate(rule.points)
     residual = f(rule.points[:, 0], rule.points[:, 1]) - vals @ coeffs

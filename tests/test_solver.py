@@ -1,6 +1,7 @@
 """Solver route tests: direct and CG agreement, residual verification,
 and failure reporting."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -163,7 +164,7 @@ def test_two_level_cg_iterations_stay_bounded_under_refinement(n):
     (wg.build_uniform_quad_mesh, 24, 12),
 ], ids=["tri8", "tri16", "tri32", "quad24"])
 def test_two_level_cg_iterations_at_k4(build, n, bound):
-    # 25, 22, 22 and 9 iterations with every flux mode the weak Laplacian
+    # 26, 22, 22 and 9 iterations with every flux mode the weak Laplacian
     # reads in the coarse space; 197, 258, 288 and 32 with modes 0-1 only
     reduced = _reduced(build(n), 4)
     result = wg.solve(reduced, wg.SolverConfig(method="cg"))
@@ -173,9 +174,10 @@ def test_two_level_cg_iterations_at_k4(build, n, bound):
 
 @pytest.mark.parametrize("degree, bound", [(5, 2e-6), (6, 3e-5)])
 def test_cg_converges_at_high_degree_and_agrees_with_direct(degree, bound):
-    # measured gaps 1.5e-7 (k = 5) and 2.4e-6 (k = 6) at tolerance 1e-12,
-    # the residual amplified by the basis conditioning; the bounds are 10x
-    # the gaps first measured (1.8e-7, 3.0e-6)
+    # measured gaps 1.6e-9 (k = 5) and 2.7e-9 (k = 6) at tolerance 1e-12 in
+    # the orthonormal cell basis; the bounds are 10x the gaps first measured
+    # in scaled monomials (1.8e-7, 3.0e-6), whose conditioning amplified
+    # the residual
     reduced = _reduced(wg.build_uniform_triangle_mesh(8), degree)
     direct = wg.solve(reduced)
     cg = wg.solve(reduced, wg.SolverConfig(method="cg", tolerance=1e-12))
@@ -462,3 +464,58 @@ def test_condensed_cg_nonconvergence_raises_with_diagnostics():
     err = excinfo.value
     assert err.iterations == 2
     assert err.residual is not None and err.residual > 1e-14
+
+
+def _tensor_quads(xs, ys):
+    """Quad mesh of the grid xs x ys, built through ``mesh_from_cells``."""
+    vertices = np.column_stack([a.ravel() for a in np.meshgrid(xs, ys)])
+    lower_left = (np.arange(ys.size - 1)[:, None] * xs.size
+                  + np.arange(xs.size - 1)).ravel()
+    return wg.mesh_from_cells(
+        vertices, lower_left[:, None] + [0, 1, xs.size + 1, xs.size])
+
+
+@pytest.mark.parametrize("make, degree, rel", [
+    (lambda: wg.build_uniform_triangle_mesh(16), 6, 1e-4),
+    (lambda: _tensor_quads(np.linspace(0.0, 1.0, 129),
+                           np.linspace(0.0, 1.0, 3)), 5, 1e-6),
+    (lambda: _tensor_quads(np.linspace(0.0, 1.0, 17) ** 4,
+                           np.linspace(0.0, 1.0, 17)), 4, 1e-6),
+], ids=["tri16-k6", "strip128x2-k5", "graded-t4-k4"])
+def test_condensed_and_uncondensed_routes_report_the_same_errors(make, degree,
+                                                                 rel):
+    # In scaled monomials (cell mass matrix condition 1.8e12 on these
+    # triangles, above 1e19 on the strip) the routes' H2 and flux L2
+    # differed by 4.9e-4 and 8.5e-3 at tri n = 16, k = 6;
+    # the aspect-64 strip (k = 5) and the x = t^4 graded mesh (k = 4) raised
+    # "not SPD" or a residual above DIRECT_RESIDUAL_LIMIT on one route.
+    mesh = make()
+    problem = wg.get_problem("example2")
+    reduced = _reduced(mesh, degree)
+    reports = []
+    for x in (wg.solve(reduced).x,
+              wg.solve_linear(reduced.matrix, reduced.rhs).x):
+        field = reduced.layout.vector_to_field(reduced.expand(x))
+        reports.append(wg.compute_errors(mesh, degree, field,
+                                         problem.solution))
+    for column in ("h2_energy", "l2_edge_flux"):
+        assert getattr(reports[0], column) == pytest.approx(
+            getattr(reports[1], column), rel=rel, abs=0.0)
+
+
+def test_cg_does_not_depend_on_the_scale_of_the_interior_unknowns():
+    # With P = diag(s I, I) over (interiors, edges), P A P x' = P b has the
+    # same S and condensed right-hand side g, but ||P b|| is ~s ||b||; CG
+    # stops at tol * ||g||, so iterations and x_b are unchanged
+    reduced = _reduced(wg.build_uniform_quad_mesh(8), 3)
+    m = reduced.layout.n_cells * reduced.layout.cell_block
+    p = np.ones(reduced.rhs.size)
+    p[:m] = 1e4
+    scaled = dataclasses.replace(
+        reduced, matrix=sp.csr_matrix(sp.diags(p) @ reduced.matrix
+                                      @ sp.diags(p)), rhs=p * reduced.rhs)
+    cfg = wg.SolverConfig(method="cg")
+    base, result = wg.solve(reduced, cfg), wg.solve(scaled, cfg)
+    assert result.iterations == base.iterations
+    assert np.linalg.norm(result.x[m:] - base.x[m:]) <= (
+        1e-12 * np.linalg.norm(base.x[m:]))

@@ -5,6 +5,10 @@ zero except for a unit constant flux density on the hypotenuse has
 
     Delta_w v = (h_e * 1) / |T| = sqrt(2) / (1/2) = 2 sqrt(2).
 
+Interior and weak Laplacian coefficients are in the cell's orthonormal
+basis; the oracles are written in scaled monomials and mapped through the
+operators' basis change T (monomial coefficients = T @ orthonormal ones).
+
 The k = 2 mean-value formula, the integration-by-parts identity relating
 Delta_w to the strong Laplacian of v_0, the commuting-projection property,
 and the 2k + 1 dimensional local kernel (harmonic polynomials up to degree
@@ -17,6 +21,7 @@ from numpy.polynomial.legendre import Legendre, leggauss, legvander
 
 import wg_biharm as wg
 from wg_biharm.mesh import edge_points
+from wg_biharm.weak_laplacian import _cell_values
 from conftest import (monomial_field, random_cell, random_quad_cell,
                       random_triangle_cell, random_wg_field, single_cell_mesh)
 
@@ -35,7 +40,8 @@ def test_constant_flux_on_hypotenuse_oracle():
     field.flux[hyp, 0] = 1.0
     ops = wg.local_operators(mesh, 0, 2)
     coeffs = ops.weak_laplacian @ wg.gather_local_dofs(field, mesh, 0)
-    assert coeffs == pytest.approx([2.0 * np.sqrt(2.0)], abs=1e-13)
+    assert ops.basis_change[:1, :1] @ coeffs == pytest.approx(
+        [2.0 * np.sqrt(2.0)], abs=1e-13)
 
 
 def test_k2_weak_laplacian_is_mean_flux():
@@ -46,7 +52,8 @@ def test_k2_weak_laplacian_is_mean_flux():
         mesh = random_cell(rng)
         field = random_wg_field(mesh, 2, rng)
         ops = wg.local_operators(mesh, 0, 2)
-        coeffs = ops.weak_laplacian @ wg.gather_local_dofs(field, mesh, 0)
+        coeffs = ops.basis_change[:1, :1] @ (
+            ops.weak_laplacian @ wg.gather_local_dofs(field, mesh, 0))
         total = 0.0
         for e, s in mesh.cell_rows(0)[1]:
             vn = legvander(rule.points, 1) @ field.flux[e]
@@ -89,14 +96,17 @@ def test_integration_by_parts_identity():
         phi = rng.uniform(-1.0, 1.0, basis_2.dimension)
 
         ops = wg.local_operators(mesh, 0, k)
-        dw = ops.weak_laplacian @ vloc
+        T = ops.basis_change
+        n2 = basis_2.dimension
+        dw = T[:n2, :n2] @ ops.weak_laplacian @ vloc
+        v0_coeffs = T @ field.interior[0]
 
         cell_rule = wg.polygon_quadrature(mesh.cell_vertices(0), 2 * k + 4)
         vals2, _, _ = basis_2.evaluate(cell_rule.points)
         valsk, _, lapsk = basis_k.evaluate(cell_rule.points)
         phi_vals = vals2 @ phi
         lhs = cell_rule.integrate((vals2 @ dw) * phi_vals) \
-            - cell_rule.integrate((lapsk @ field.interior[0]) * phi_vals)
+            - cell_rule.integrate((lapsk @ v0_coeffs) * phi_vals)
 
         rhs = 0.0
         for e, s in mesh.cell_rows(0)[1]:
@@ -107,10 +117,10 @@ def test_integration_by_parts_identity():
             e2 = basis_2.evaluate(pts)
             L = legvander(edge_rule.points, k - 1)
 
-            v0 = ek[0] @ field.interior[0]
+            v0 = ek[0] @ v0_coeffs
             vb = L @ field.trace[e]
-            grad_v0_n = ek[1][:, :, 0] @ field.interior[0] * n_out[0] \
-                + ek[1][:, :, 1] @ field.interior[0] * n_out[1]
+            grad_v0_n = ek[1][:, :, 0] @ v0_coeffs * n_out[0] \
+                + ek[1][:, :, 1] @ v0_coeffs * n_out[1]
             vn_dot_n = s * (L @ field.flux[e])  # (v_n n_e) . n_out
             grad_phi_n = e2[1][:, :, 0] @ phi * n_out[0] \
                 + e2[1][:, :, 1] @ phi * n_out[1]
@@ -145,32 +155,33 @@ def test_stiffness_is_gram_matrix_of_weak_laplacian():
         field = random_wg_field(mesh, k, rng)
         vloc = wg.gather_local_dofs(field, mesh, 0)
         dw = ops.weak_laplacian @ vloc
+        n2 = wg.polynomial_space_dim(k - 2)
         rule = wg.polygon_quadrature(mesh.cell_vertices(0), 2 * k)
         basis2 = wg.CellBasis.for_cell(wg.cell_geometry(mesh, 0), k - 2)
         vals2, _, _ = basis2.evaluate(rule.points)
-        direct = rule.integrate((vals2 @ dw) ** 2)
+        direct = rule.integrate((vals2 @ ops.basis_change[:n2, :n2] @ dw) ** 2)
         assert vloc @ ops.stiffness @ vloc == pytest.approx(
             direct, rel=1e-12, abs=1e-15)
-        n2 = wg.polynomial_space_dim(k - 2)
-        assert dw @ ops.mass[:n2, :n2] @ dw == pytest.approx(
-            direct, rel=1e-12, abs=1e-15)
-        # the cell rule and P_k values that feed the load and the error
-        # report are the plain ones, bit for bit
+        # the P_{k-2} prefix is orthonormal: the Gram matrix is the identity
+        assert dw @ dw == pytest.approx(direct, rel=1e-12, abs=1e-15)
+        # the cell rule that feeds the load and the error report is the
+        # plain one, bit for bit, and its values are the P_k monomials' by T
         cell_rule = wg.polygon_quadrature(mesh.cell_vertices(0), 2 * k + 2)
         basis = wg.CellBasis.for_cell(wg.cell_geometry(mesh, 0), k)
         vals, _, _ = basis.evaluate(cell_rule.points)
         assert np.array_equal(ops.rule.points, cell_rule.points)
         assert np.array_equal(ops.rule.weights, cell_rule.weights)
-        assert np.array_equal(ops.values, vals)
+        assert np.max(np.abs(ops.values - vals @ ops.basis_change)) <= (
+            1e-13 * np.max(np.abs(ops.values)))
 
 
 def test_stabilizer_trace_penalty_oracle():
     # v_0 = 1, all traces zero: only the h^-3 term fires and equals
     # perimeter / h^3 on the unit right triangle
     mesh = single_cell_mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    field = wg.WgField.zeros(mesh, 2)
-    field.interior[0, 0] = 1.0
     ops = wg.local_operators(mesh, 0, 2)
+    field = wg.WgField.zeros(mesh, 2)
+    field.interior[0, 0] = 1.0 / ops.basis_change[0, 0]
     vloc = wg.gather_local_dofs(field, mesh, 0)
     h = np.sqrt(2.0)
     expected = (2.0 + np.sqrt(2.0)) / h ** 3
@@ -211,8 +222,10 @@ def _arrow():
 def test_stabilizer_equals_gram_matrix_of_mismatch_rows(make, k):
     # per edge, from the definition: the flux row grad v_0 . n_e - v_n at
     # Gauss points and the trace row Q_b v_0 - v_b in Legendre coefficients,
-    # under h_T^-1 arc weights and h_T^-3 edge mass weights
+    # under h_T^-1 arc weights and h_T^-3 edge mass weights; v_0 in scaled
+    # monomials, mapped to the orthonormal basis by T
     mesh = make()
+    T = wg.local_operators(mesh, 0, k).basis_change
     exps = wg.monomial_exponents(k)
     n0, m = len(exps), mesh.cell_sizes[0]
     center, h = mesh.cell_centroids[0], mesh.cell_diameters[0]
@@ -232,10 +245,11 @@ def test_stabilizer_equals_gram_matrix_of_mismatch_rows(make, k):
         trace = slice(n0 + i * k, n0 + (i + 1) * k)
         flux = slice(n0 + (m + i) * k, n0 + (m + i + 1) * k)
         flux_rows = np.zeros((t.size, expected.shape[0]))
-        flux_rows[:, :n0] = grad_n.T
+        flux_rows[:, :n0] = grad_n.T @ T
         flux_rows[:, flux] = -P.T
         trace_rows = np.zeros((k, expected.shape[0]))
-        trace_rows[:, :n0] = ((np.arange(k)[:, None] + 0.5) * P * wt) @ vals.T
+        trace_rows[:, :n0] = (((np.arange(k)[:, None] + 0.5) * P * wt)
+                              @ vals.T @ T)
         trace_rows[:, trace] = -np.eye(k)
         arc = wt * length / 2.0 / h
         edge_mass = length / (2.0 * np.arange(k) + 1.0) / h ** 3
@@ -305,3 +319,30 @@ def test_local_kernel_dimension_is_2k_plus_1():
                 field = wg.project_field(mesh, k, u)
                 vloc = wg.gather_local_dofs(field, mesh, 0)
                 assert np.max(np.abs(form @ vloc)) < 1e-10 * eig[-1]
+
+
+def _strip_cell():
+    # one cell of the 128 x 2 strip of the unit square, aspect 64
+    return single_cell_mesh([[0.0, 0.0], [1.0 / 128.0, 0.0],
+                             [1.0 / 128.0, 0.5], [0.0, 0.5]])
+
+
+def _graded_cell():
+    # the first cell of the x = t^4 graded 16 x 16 mesh, aspect 4096
+    return single_cell_mesh([[0.0, 0.0], [16.0 ** -4, 0.0],
+                             [16.0 ** -4, 1.0 / 16.0], [0.0, 1.0 / 16.0]])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("make", [_jittered_hexagon, _arrow, _strip_cell,
+                                  _graded_cell])
+def test_cell_values_are_orthonormal(make, k):
+    # the values' Gram matrix under the element's cell rule is I, and they
+    # are the monomial values times an upper-triangular T (one Cholesky QR
+    # pass leaves the graded cell's Gram matrix 0.5 off I at k = 6)
+    mesh = make()
+    _, rule, mono, vals, T = _cell_values(mesh, 0, k, 2 * k + 2)
+    gram = (vals * rule.weights[:, None]).T @ vals
+    assert np.max(np.abs(gram - np.eye(len(gram)))) <= 1e-12
+    assert np.array_equal(T, np.triu(T))
+    assert np.max(np.abs(vals - mono @ T)) <= 1e-12 * np.max(np.abs(vals))

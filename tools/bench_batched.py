@@ -21,9 +21,10 @@
 
 The cg.json and direct.json records are kept together as
 ``{"runs": [cg, direct]}`` in BENCH_block_read.json, and
-BENCH_edge_coefficients.json holds ``{"runs": [direct, cg]}`` from
-``--cases brick-n24-seed3-k3,quad-n24-k4,tri-n64-k2`` and ``--solver cg
---cases quad-n24-k4``, both at ``--repeat 10``.
+BENCH_edge_coefficients.json and BENCH_orthonormal_basis.json each hold
+``{"runs": [direct, cg]}`` from ``--cases
+brick-n24-seed3-k3,quad-n24-k4,tri-n64-k2`` and ``--solver cg --cases
+quad-n24-k4``, both at ``--repeat 10``.
 
 PARENT is a checkout of the commit to compare against, for example one
 made with ``git worktree add PARENT <rev>``.  Each repeat runs one fresh
