@@ -171,8 +171,10 @@ def apply_boundary_conditions(system, trace, flux):
     free[boundary] = False
     free = np.flatnonzero(free)
 
-    lift = system.matrix[:, boundary] @ values
-    rhs = (system.load - lift)[free]
+    # one SpMV with the boundary values scattered into a zero vector
+    imposed = np.zeros(layout.total)
+    imposed[boundary] = values
+    rhs = (system.load - system.matrix @ imposed)[free]
     reduced = system.matrix[free][:, free].tocsr()
     return ReducedSystem(reduced, rhs, free, boundary, values, layout)
 

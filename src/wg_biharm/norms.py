@@ -10,12 +10,18 @@ the natural norm of the scheme; on the homogeneous-boundary subspace it is
 a genuine norm (the assembled reduced matrix is SPD, which the tests check
 through a dense eigendecomposition).
 
-The error report takes it from the scheme's own form, as the square root
-of sum_T v_T^T (A_T + S_T) v_T over the local matrices of
-``cell_operators``, whose rules and orthonormal values also project the
-exact interior, and the interior L2 column as the 2-norm of the interior
-coefficient errors.  ``energy_norm`` keeps a second, independent route by
-direct quadrature of each edge residual, v_0 in scaled monomials, so the
+The error report takes it from the kernel's rows
+(``weak_laplacian._batch_rows``) as a sum of squares per cell,
+
+    |B v|^2 + sum W1 (G v_0 - v_n)^2 + W2 (E v_0 - v_b)^2,
+
+Delta_w's coefficients and the two weighted mismatches in Legendre
+coefficients, so it never forms a local matrix and never goes negative.
+The rows' rules and orthonormal values also project the exact interior,
+and the interior L2 column is the 2-norm of the interior coefficient
+errors.  ``energy_norm`` reads the same weak Laplacian rows but keeps a
+second, independent route for the edge terms, direct quadrature of each
+edge residual at the edge points with v_0 in scaled monomials, so the
 identity energy(v)^2 = v^T A v is a meaningful cross-check; it is not on
 the report's path.
 
@@ -42,7 +48,7 @@ from .basis_quadrature import (CellBasis, _legendre_edge,
 from .mesh import edge_points
 from .projection import (WgField, _edge_data, _normal_derivative,
                          _project_on_rule)
-from .weak_laplacian import cell_operators, gather_local_dofs
+from .weak_laplacian import _batch_rows, cell_batches, gather_local_dofs
 
 
 @dataclass(frozen=True)
@@ -61,19 +67,18 @@ class ErrorReport:
 
 
 def energy_norm(mesh, degree, field):
-    """Energy norm of a WgField by quadrature: of the weak Laplacian in the
-    batches of ``cell_operators``, and of the two edge residuals at every
+    """Energy norm of a WgField by quadrature: of the weak Laplacian from
+    the rows of ``_batch_rows``, and of the two edge residuals at every
     cell-edge incidence."""
     n2 = polynomial_space_dim(degree - 2)
     total = 0.0
     monomial = np.empty_like(field.interior)
-    for cells, ops in cell_operators(mesh, degree):
-        wcoef = np.einsum("cij,cj->ci", ops.weak_laplacian,
-                          gather_local_dofs(field, mesh, cells))
-        wvals = np.einsum("cpi,ci->cp", ops.values[..., :n2], wcoef)
-        total += float(np.sum(ops.rule.weights * wvals ** 2))
-        monomial[cells] = np.einsum("cij,cj->ci", ops.basis_change,
-                                    field.interior[cells])
+    for cells in cell_batches(mesh, degree):
+        rule, vals, T, B = _batch_rows(mesh, cells, degree)[:4]
+        wcoef = _matvec(B, gather_local_dofs(field, mesh, cells))
+        wvals = _matvec(vals[..., :n2], wcoef)
+        total += float(np.sum(rule.weights * wvals ** 2))
+        monomial[cells] = _matvec(T, field.interior[cells])
 
     cell = np.repeat(np.arange(mesh.n_cells), mesh.cell_sizes)
     e = mesh.cell_edge_rows[:, 0]
@@ -102,16 +107,18 @@ def compute_errors(mesh, degree, u_h, exact):
                    flux - u_h.flux)
 
     h2sq = l2sq = 0.0
-    for cells, ops in cell_operators(mesh, degree):
-        d = (_project_on_rule(ops.rule, ops.values, exact.value)
-             - u_h.interior[cells])
+    for cells in cell_batches(mesh, degree):
+        rule, vals, _, B, E, G, W1, W2 = _batch_rows(mesh, cells, degree)
+        d = _project_on_rule(rule, vals, exact.value) - u_h.interior[cells]
         diff.interior[cells] = d
         v = gather_local_dofs(diff, mesh, cells)
-        h2sq += float(np.einsum("ci,cij,cj->", v,
-                                ops.stiffness + ops.stabilizer, v))
+        # v is (v_0, v_b, v_n): the mismatches E v_0 - v_b, G v_0 - v_n
+        _, v_b, v_n = np.split(v, [d.shape[1], d.shape[1] + E.shape[1]], -1)
+        h2sq += float(np.sum(_matvec(B, v) ** 2)
+                      + np.sum(W1 * (_matvec(G, d) - v_n) ** 2)
+                      + np.sum(W2 * (_matvec(E, d) - v_b) ** 2))
         l2sq += float(np.sum(d ** 2))
-    # A zero-energy error can sum to a tiny negative roundoff (nan in sqrt).
-    h2 = float(np.sqrt(max(h2sq, 0.0)))
+    h2 = float(np.sqrt(h2sq))
 
     # h_e times the Legendre edge mass h_e / (2j + 1).
     _, L, _, odd = _legendre_edge(degree - 1, quadrature_exactness(degree)[1])
@@ -123,3 +130,8 @@ def compute_errors(mesh, degree, u_h, exact):
 
     return ErrorReport(h2, float(np.sqrt(l2sq)), float(np.sqrt(eb_sq)),
                        float(np.sqrt(en_sq)), eb_max, en_max)
+
+
+def _matvec(A, x):
+    """A x over a stack: (c, i, j) by (c, j)."""
+    return np.einsum("cij,cj->ci", A, x)

@@ -130,8 +130,10 @@ def _condense(matrix, n_cells, block, edge_block):
 
 
 def _inverse_cholesky(blocks, name):
-    """L^-1 of every block of a stack of SPD blocks L L^T; a block that is
-    not positive definite or not finite raises SolverError with ``name``."""
+    """L^-1 of every block of a stack of SPD blocks L L^T, by forward
+    substitution row by row over the whole stack, exact zeros above the
+    diagonal; a block that is not positive definite or not finite raises
+    SolverError with ``name``."""
     try:
         chol = np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError as err:
@@ -139,7 +141,13 @@ def _inverse_cholesky(blocks, name):
                           f"not SPD") from err
     if not np.all(np.isfinite(chol)):
         raise SolverError(f"{name} is not finite")
-    return np.linalg.inv(chol)
+    inv = np.zeros_like(chol)
+    for i in range(chol.shape[-1]):
+        # row i of L X = I: X[i, :i] = -L[i, :i] X[:i, :i] / L[i, i]
+        inv[..., i, i] = 1.0 / chol[..., i, i]
+        inv[..., i:i + 1, :i] = (chol[..., i:i + 1, :i] @ inv[..., :i, :i]
+                                 / -chol[..., i, i, None, None])
+    return inv
 
 
 def _csr(matrix):

@@ -28,6 +28,10 @@ integral is a sum of coefficient products under the edge mass
 h_e / (2j + 1): both mismatches and both edge terms of Delta_w.  The cell
 and edge rules are the element's, ``basis_quadrature.quadrature_exactness(k)``.
 
+The kernel has two stages: ``_batch_rows``, the rows of every term of
+the energy form, which the error report and ``energy_norm`` read, and
+``_batch_operators``, their Gram matrices, which assembly scatters.
+
 Local degrees of freedom are ordered: interior coefficients in the cell's
 orthonormal basis (``_cell_values``), then the trace
 block of each local edge, then the flux block of each local edge, edges in
@@ -36,7 +40,7 @@ the cell's boundary order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -135,15 +139,20 @@ def _cell_values(mesh, cells, degree, exactness):
     mono = basis.evaluate(rule.points, False)
     vals, T = mono, np.eye(basis.dimension)
     for _ in range(2):
-        # L^-1 from a general inverse: its upper part is roundoff, dropped
-        inv = np.tril(_inverse_cholesky(
-            (vals * rule.weights[..., None]).mT @ vals, "a cell mass matrix"))
+        inv = _inverse_cholesky((vals * rule.weights[..., None]).mT @ vals,
+                                "a cell mass matrix")
         vals, T = vals @ inv.mT, T @ inv.mT
     return basis, rule, mono, vals, T
 
 
-def _batch_operators(mesh, cells, k):
-    """LocalOperators of c cells that all have m edges."""
+def _batch_rows(mesh, cells, k):
+    """(rule, vals, T, B, E, G, W1, W2) of c cells that all have m edges:
+    rule, vals and T as in ``_cell_values``; B maps local DOFs to Delta_w's
+    coefficients; E = Q_b v_0 and G = grad v_0 . n_e map v_0 to each edge's
+    Legendre coefficients, weighted by W1 = mu / h_T and W2 = mu / h_T^3,
+    mu the edge mass.  The energy form of v is the sum of squares
+    |B v|^2 + sum W1 (G v_0 - v_n)^2 + W2 (E v_0 - v_b)^2.
+    """
     cell_exactness, edge_exactness = quadrature_exactness(k)
     rows = mesh.cell_rows(cells)[1]
     c, m = rows.shape[:2]
@@ -155,7 +164,7 @@ def _batch_operators(mesh, cells, k):
 
     # Each edge's Legendre coefficients of v_0 (E = Q_b v_0) and of
     # grad v_0 . n_e (G, exact: degree k - 1 on a straight edge), projected
-    # from the edge points, times T; mu is the edge mass h_e / (2j + 1).
+    # from the edge points, times T.
     e = rows[..., 0]
     evals = basis.evaluate(edge_points(mesh, e, erule.points), False)
     grad_n = basis.gradients(evals,
@@ -168,27 +177,40 @@ def _batch_operators(mesh, cells, k):
     # normal is sign * n_e): -<v_b, grad phi . n> and <v_n n_e . n, phi>.
     # grad phi . n_e has degree k - 3 and phi degree k - 2, so the trace
     # modes j >= k - 2 and the flux mode k - 1 are orthogonal to them;
-    # masking them stores exact zeros instead of roundoff.
+    # masking them stores exact zeros instead of roundoff.  T is upper
+    # triangular: the P_{k-2} prefix mixes only the first n2 monomials, so
+    # only their Laplacians are taken.
     j = np.tile(np.arange(k), m)
     smu = np.repeat(rows[..., 1], k, axis=1) * mu
-    lap = basis.laplacians(mono) @ T[..., :n2] * rule.weights[..., None]
+    lap = (replace(basis, degree=k - 2).laplacians(mono[..., :n2])
+           @ T[..., :n2, :n2] * rule.weights[..., None])
     B = np.concatenate([lap.mT @ vals,
                         -(G[..., :n2] * (smu * (j < k - 2))[..., None]).mT,
                         (E[..., :n2] * (smu * (j < k - 1))[..., None]).mT],
                        axis=-1)
+    return rule, vals, T, B, E, G, mu / h_cell, mu / h_cell ** 3
+
+
+def _batch_operators(mesh, cells, k):
+    """LocalOperators of c cells that all have m edges."""
+    rule, vals, T, B, E, G, W1, W2 = _batch_rows(mesh, cells, k)
+    c, mk, n = E.shape
 
     # The stabilizer is the Gram matrix of the two mismatches in
-    # coefficients, G v_0 - v_n under W1 = mu / h_T and E v_0 - v_b under
-    # W2 = mu / h_T^3, by blocks.
-    W1, W2 = mu / h_cell, mu / h_cell ** 3
+    # coefficients, G v_0 - v_n under W1 and E v_0 - v_b under W2, written
+    # by blocks and diagonals into the local (interior, trace, flux) order.
     GW, EW = (G * W1[..., None]).mT, (E * W2[..., None]).mT
-    Z, eye = np.zeros((c, m * k, m * k)), np.eye(m * k)
-    S = np.block([[_sym(GW @ G + EW @ E), -EW, -GW],
-                  [-EW.mT, W2[..., None] * eye, Z],
-                  [-GW.mT, Z, W1[..., None] * eye]])
+    S = np.zeros((c, n + 2 * mk, n + 2 * mk))
+    trace, flux = slice(n, n + mk), slice(n + mk, None)
+    S[:, :n, :n] = _sym(GW @ G + EW @ E)
+    S[:, :n, trace], S[:, :n, flux] = -EW, -GW
+    S[:, trace, :n], S[:, flux, :n] = -EW.mT, -GW.mT
+    j = np.arange(mk)
+    S[:, n + j, n + j], S[:, n + mk + j, n + mk + j] = W2, W1
 
     # the P_{k-2} prefix is orthonormal: B holds Delta_w's coefficients
-    return LocalOperators(B, _sym(B.mT @ B), S, T, rule, vals)
+    Bt = np.ascontiguousarray(B.mT)
+    return LocalOperators(B, _sym(Bt @ B), S, T, rule, vals)
 
 
 def _sym(A):

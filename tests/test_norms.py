@@ -168,7 +168,7 @@ def _l2_by_cell_quadrature(mesh, k, interior):
     return np.sqrt(total)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_error_report_matches_quadrature_routes(k):
     rng = np.random.default_rng(40 + k)
     problem = wg.get_problem("example2")
@@ -207,7 +207,7 @@ def _per_cell_errors(mesh, k, u_h, exact):
             np.max(np.abs(diff.trace @ L.T)), np.max(np.abs(diff.flux @ L.T))]
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 @pytest.mark.parametrize("mesh", [
     wg.mesh_from_cells(*polygonal_mesh_cells()),
     wg.build_uniform_triangle_mesh(5)], ids=["polygonal", "tri"])

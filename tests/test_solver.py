@@ -14,6 +14,7 @@ import scipy.sparse as sp
 import wg_biharm as wg
 from conftest import polygonal_mesh_cells
 from wg_biharm import solver
+from wg_biharm.weak_laplacian import _cell_values
 
 
 def _random_spd(n, seed, cond_boost=0.0):
@@ -226,14 +227,17 @@ def test_edge_block_condensation_matches_scalar_products(mesh, degree):
     inv, y, schur = solver._condense(matrix, layout.n_cells,
                                      layout.cell_block, layout.edge_block)
     # the interior block holds nothing off its diagonal blocks, and inv is
-    # their inverse Cholesky factors, read off the dense block
+    # the lower-triangular inverse of their Cholesky factors, read off the
+    # dense block
     n, d = layout.n_cells, layout.cell_block
     m = n * d
     inner = matrix[:m, :m].tocoo()
     assert np.array_equal(inner.row // d, inner.col // d)
     dense = matrix[:m, :m].toarray().reshape(n, d, n, d)
     blocks = dense[np.arange(n), :, np.arange(n), :]
-    assert np.array_equal(inv, np.linalg.inv(np.linalg.cholesky(blocks)))
+    assert np.array_equal(inv, np.tril(inv))
+    error = inv @ np.linalg.cholesky(blocks) - np.eye(d)
+    assert np.max(np.abs(error)) <= 1e-13
     # the scalar SpGEMM reference; scipy's products drop exact zeros
     ref_y = sp.block_diag(inv, format="csr") @ matrix[:m, m:]
     ref_schur = matrix[m:, m:] - ref_y.T.tocsr() @ ref_y
@@ -244,6 +248,23 @@ def test_edge_block_condensation_matches_scalar_products(mesh, degree):
     ref_csc, new_csc = ref_schur.tocsc(), schur.tocsc()
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(ref_csc, part), getattr(new_csc, part))
+
+
+def test_inverse_cholesky_is_an_exact_lower_triangular_inverse():
+    # random SPD blocks and the k = 6 scaled-monomial mass matrices of the
+    # x = t^4 graded mesh (aspect up to 4096); the substitution stores
+    # exact zeros above the diagonal, where a general inverse left roundoff
+    rng = np.random.default_rng(12)
+    R = rng.standard_normal((40, 28, 28))
+    mesh = _tensor_quads(np.linspace(0.0, 1.0, 17) ** 4,
+                         np.linspace(0.0, 1.0, 17))
+    _, rule, mono, _, _ = _cell_values(mesh, np.arange(mesh.n_cells), 6, 14)
+    blocks = np.concatenate([R @ R.mT + 28.0 * np.eye(28),
+                             (mono * rule.weights[..., None]).mT @ mono])
+    inv = solver._inverse_cholesky(blocks, "a block")
+    assert np.array_equal(inv, np.tril(inv))
+    error = inv @ np.linalg.cholesky(blocks) - np.eye(28)
+    assert np.max(np.abs(error)) <= 1e-13
 
 
 @pytest.mark.parametrize("mode", [0, 1], ids=["coarse", "smoother-only"])
