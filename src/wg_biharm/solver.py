@@ -141,12 +141,15 @@ def _inverse_cholesky(blocks, name):
                           f"not SPD") from err
     if not np.all(np.isfinite(chol)):
         raise SolverError(f"{name} is not finite")
+    n = chol.shape[-1]
     inv = np.zeros_like(chol)
-    for i in range(chol.shape[-1]):
+    diag = chol.diagonal(0, -2, -1)
+    inv[..., np.arange(n), np.arange(n)] = 1.0 / diag
+    neg = -diag[..., None, None]
+    for i in range(1, n):
         # row i of L X = I: X[i, :i] = -L[i, :i] X[:i, :i] / L[i, i]
-        inv[..., i, i] = 1.0 / chol[..., i, i]
         inv[..., i:i + 1, :i] = (chol[..., i:i + 1, :i] @ inv[..., :i, :i]
-                                 / -chol[..., i, i, None, None])
+                                 / neg[..., i, :, :])
     return inv
 
 

@@ -21,8 +21,8 @@
 
 The cg.json and direct.json records are kept together as
 ``{"runs": [cg, direct]}`` in BENCH_block_read.json, and
-BENCH_edge_coefficients.json and BENCH_orthonormal_basis.json each hold
-``{"runs": [direct, cg]}`` from ``--cases
+BENCH_edge_coefficients.json, BENCH_orthonormal_basis.json and
+BENCH_kernel_rows.json each hold ``{"runs": [direct, cg]}`` from ``--cases
 brick-n24-seed3-k3,quad-n24-k4,tri-n64-k2`` and ``--solver cg --cases
 quad-n24-k4``, both at ``--repeat 10``.
 
