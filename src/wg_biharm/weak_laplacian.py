@@ -150,8 +150,8 @@ def _batch_rows(mesh, cells, k):
     rule, vals and T as in ``_cell_values``; B maps local DOFs to Delta_w's
     coefficients; E = Q_b v_0 and G = grad v_0 . n_e map v_0 to each edge's
     Legendre coefficients, weighted by W1 = mu / h_T and W2 = mu / h_T^3,
-    mu the edge mass.  The energy form of v is the sum of squares
-    |B v|^2 + sum W1 (G v_0 - v_n)^2 + W2 (E v_0 - v_b)^2.
+    mu the edge mass h_e / (2j + 1).  The energy form of v is the sum of
+    squares |B v|^2 + sum W1 (G v_0 - v_n)^2 + W2 (E v_0 - v_b)^2.
     """
     cell_exactness, edge_exactness = quadrature_exactness(k)
     rows = mesh.cell_rows(cells)[1]
