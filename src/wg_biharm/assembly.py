@@ -2,8 +2,9 @@
 
 Global DOF order: all cell interior blocks (cell id order), then all edge
 trace blocks (edge id order), then all edge flux blocks.  Assembly scatters
-the local stiffness-plus-stabilizer matrices in the fixed batch order of
-``cell_operators``, so the assembled arrays are bitwise reproducible.
+each shape's stiffness-plus-stabilizer matrix to every cell of the shape,
+in the fixed batch order of ``cell_operators``, so the assembled arrays are
+bitwise reproducible.
 
 Boundary conditions are essential: trace and flux blocks of boundary edges
 are set to edge projections of the prescribed data, with the element's edge
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis_quadrature import polynomial_space_dim, quadrature_exactness
-from .projection import WgField, _edge_data, _project_on_rule
+from .projection import WgField, _edge_data, _project_cells
 from .weak_laplacian import cell_operators, gather_local_dofs
 
 
@@ -70,19 +71,27 @@ class DofLayout:
                                self._numbering.flux[edges].ravel()])
 
     def field_to_vector(self, field):
-        assert field.interior.shape == (self.n_cells, self.cell_block)
-        assert field.trace.shape == (self.n_edges, self.edge_block)
-        assert field.flux.shape == (self.n_edges, self.edge_block)
+        for name, want in (("interior", (self.n_cells, self.cell_block)),
+                           ("trace", (self.n_edges, self.edge_block)),
+                           ("flux", (self.n_edges, self.edge_block))):
+            _check_shape(f"the field's {name} block", getattr(field, name),
+                         want)
         return np.concatenate([field.interior.ravel(), field.trace.ravel(),
                                field.flux.ravel()])
 
     def vector_to_field(self, vec):
-        assert vec.shape == (self.total,)
+        _check_shape("the DOF vector", vec, (self.total,))
         interior, trace, flux = np.split(
             vec.copy(), [self.trace_offset, self.flux_offset])
         return WgField(self.degree, interior.reshape(self.n_cells, -1),
                        trace.reshape(self.n_edges, -1),
                        flux.reshape(self.n_edges, -1))
+
+
+def _check_shape(what, array, want):
+    if np.shape(array) != want:
+        raise ValueError(f"{what} has shape {np.shape(array)}, expected "
+                         f"{want}")
 
 
 def build_dof_layout(mesh, degree):
@@ -130,22 +139,31 @@ def assemble_system(mesh, degree, source):
     data = np.empty(nnz)
     load = np.zeros(layout.total)
     at = 0
-    for cells, op in cell_operators(mesh, degree):
+    for cells, which, op in cell_operators(mesh, degree):
         g = layout.cell_dofs(mesh, cells)
-        local = op.stiffness + op.stabilizer
-        keep = local != 0.0  # the exact zeros of the masked couplings
-        end = at + np.count_nonzero(keep)
-        rows[at:end] = np.broadcast_to(g[:, :, None], local.shape)[keep]
-        cols[at:end] = np.broadcast_to(g[:, None, :], local.shape)[keep]
-        data[at:end] = local[keep]
+        local = op.stiffness + op.stabilizer  # one per shape
+        # The shapes' nonzero pattern leaves out the exact zeros of the
+        # masked couplings; a zero of one shape where another has none is
+        # summed and dropped below.
+        i, j = np.nonzero(np.any(local != 0.0, axis=0))
+        end = at + cells.size * i.size
+        # Written straight into the COO arrays: the indices are in range,
+        # and np.take buffers its output in its default mode, "raise".
+        g32 = g.astype(np.int32)
+        np.take(g32, i, axis=1, out=rows[at:end].reshape(-1, i.size),
+                mode="clip")
+        np.take(g32, j, axis=1, out=cols[at:end].reshape(-1, i.size),
+                mode="clip")
+        np.take(local[:, i, j], which, axis=0,
+                out=data[at:end].reshape(-1, i.size), mode="clip")
         at = end
 
-        load[g[:, :layout.cell_block]] = _project_on_rule(  # (f, phi_j)
-            op.rule, op.values, source)
+        load[g[:, :layout.cell_block]] = _project_cells(  # (f, phi_j)
+            mesh, cells, which, op.rule, op.values, source)
 
     matrix = sp.coo_matrix((data[:at], (rows[:at], cols[:at])),
                            shape=(layout.total, layout.total)).tocsr()
-    matrix.eliminate_zeros()  # duplicates that cancel
+    matrix.eliminate_zeros()  # duplicates that cancel, scattered zeros
     return SparseSymmetricSystem(matrix, load, layout, mesh)
 
 

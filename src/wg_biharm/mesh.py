@@ -18,7 +18,12 @@ generators below satisfy it by construction.
 
 A mesh holds each fact once, in read-only arrays that every layer reads:
 the cells' vertex ids and (edge, sign) rows in two flat tables, and the cell
-and edge geometry, computed once per mesh.
+and edge geometry, computed once per mesh.  That includes which cells share
+a shape: two cells do when one is a translate of the other, in the same
+vertex order and with the same incidence signs, so every local operator of
+the element is the same on both.  Translates are matched to within
+``SHAPE_ULPS`` units in the last place of the largest vertex coordinate,
+the roundoff the coordinates themselves carry.
 
 Mesh file format (plain text): first line ``V E F``, then ``V`` lines with
 vertex coordinates ``x y``, then ``F`` lines ``m i_1 ... i_m`` listing each
@@ -35,6 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+
+# Two cells share a shape when their vertex offsets from the first vertex,
+# their diameters and their incidence signs times the diameter differ by at
+# most this many units in the last place of the largest vertex coordinate.
+# Translates on the uniform grids differ by under one.
+SHAPE_ULPS = 16
 
 
 @dataclass(frozen=True)
@@ -62,6 +73,9 @@ class Mesh:
         along each cell's boundary, cell after cell; sign is the cell's
         incidence sign on that edge
     cell_areas, cell_centroids, cell_diameters : (F,), (F, 2), (F,) floats
+    cell_shapes : (F,) int array, the lowest-numbered cell of the same shape
+        as each cell (a translate of it, see the module docstring), so a
+        cell c with cell_shapes[c] == c is its shape's representative
     edge_lengths, edge_midpoints, edge_tangents, edge_normals : (E,) and
         (E, 2) floats; the unit tangent runs from the first stored vertex to
         the second, and the normal is the tangent rotated by -90 degrees
@@ -87,9 +101,12 @@ class Mesh:
         self.cell_areas = np.empty(cell_sizes.size)
         self.cell_centroids = np.empty((cell_sizes.size, 2))
         self.cell_diameters = np.empty(cell_sizes.size)
+        self.cell_shapes = np.arange(cell_sizes.size)
+        tol = SHAPE_ULPS * np.finfo(float).eps * np.max(np.abs(vertices))
         for m in np.unique(cell_sizes):
             group = np.flatnonzero(cell_sizes == m)
-            coords = vertices[self.cell_rows(group)[0]]
+            ids, rows = self.cell_rows(group)
+            coords = vertices[ids]
             # A zero-area cell's centroid is 0/0; mesh_from_cells rejects it.
             with np.errstate(divide="ignore", invalid="ignore"):
                 self.cell_areas[group], self.cell_centroids[group] = \
@@ -97,6 +114,16 @@ class Mesh:
             diff = coords[:, :, None, :] - coords[:, None, :, :]
             self.cell_diameters[group] = np.sqrt(
                 np.max(np.sum(diff ** 2, axis=-1), axis=(1, 2)))
+            # The kernel reads the vertices relative to the cell, the
+            # diameter, the signs and the edge normals, which the vertices
+            # and the signs fix.
+            key = np.empty((group.size, 3 * m - 1))
+            key[:, :2 * m - 2] = (coords[:, 1:]
+                                  - coords[:, :1]).reshape(group.size, -1)
+            h = self.cell_diameters[group]
+            key[:, 2 * m - 2:-1] = rows[..., 1] * h[:, None]
+            key[:, -1] = h
+            _merge_translates(group, key, tol, np.max(h), self.cell_shapes)
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
@@ -123,12 +150,45 @@ class Mesh:
         ids, start = self._cell_vertex_ids, self._cell_starts[cell]
         return self.vertices[ids[start:start + self.cell_sizes[cell]]]
 
+    def cell_shifts(self, cells):
+        """(c, 2) translations from the representative of each cell's shape
+        onto the cell: the difference of their first vertices."""
+        first = self._cell_vertex_ids[self._cell_starts]
+        return (self.vertices[first[cells]]
+                - self.vertices[first[self.cell_shapes[cells]]])
+
     def cell_rows(self, cells):
         """Vertex ids (m,) and cell_edge_rows (m, 2) of one cell, or
         (c, m) and (c, m, 2) of c cells that all have m vertices."""
         at = self._cell_starts[cells, None] + np.arange(
             self.cell_sizes[np.ravel(cells)[0]])
         return self._cell_vertex_ids[at], self.cell_edge_rows[at]
+
+
+def _merge_translates(cells, key, tol, bound, shapes):
+    """Set shapes[c], for c in the ascending index array ``cells``, to the
+    lowest-numbered cell whose ``key`` row is within ``tol`` of c's in
+    every entry; every key entry is at most ``bound`` in magnitude.
+
+    Cells are sorted by a weighted sum of their key entries and cut into
+    chains where consecutive sums differ by more than those of two matching
+    cells can, rounding included.  The lowest cell of a chain takes every
+    member within ``tol`` of it, and the rest form chains again; on the
+    uniform grids one pass takes every cell.
+    """
+    w = 1.0 + np.arange(key.shape[1]) / key.shape[1]
+    slack = w.sum() * (tol + 2.0 * key.shape[1] * np.finfo(float).eps * bound)
+    while cells.size:
+        proj = key @ w
+        order = np.argsort(proj)
+        starts = np.flatnonzero(np.diff(proj[order], prepend=-np.inf) > slack)
+        head = np.empty_like(order)
+        head[order] = np.repeat(np.minimum.reduceat(order, starts),
+                                np.diff(starts, append=order.size))
+        gap = key - key[head]
+        same = np.max(np.abs(gap, out=gap), axis=1) <= tol
+        shapes[cells[same]] = cells[head[same]]
+        cells, key = cells[~same], key[~same]
 
 
 def mesh_from_cells(vertices, cells):

@@ -11,7 +11,8 @@ a genuine norm (the assembled reduced matrix is SPD, which the tests check
 through a dense eigendecomposition).
 
 The error report takes it from the kernel's rows
-(``weak_laplacian._batch_rows``) as a sum of squares per cell,
+(``weak_laplacian._batch_rows``, one set per cell shape) as a sum of
+squares per cell,
 
     |B v|^2 + sum W1 (G v_0 - v_n)^2 + W2 (E v_0 - v_b)^2,
 
@@ -47,7 +48,7 @@ from .basis_quadrature import (CellBasis, _legendre_edge,
                                polynomial_space_dim, quadrature_exactness)
 from .mesh import edge_points
 from .projection import (WgField, _edge_data, _normal_derivative,
-                         _project_on_rule)
+                         _project_cells)
 from .weak_laplacian import _batch_rows, cell_batches, gather_local_dofs
 
 
@@ -73,19 +74,22 @@ def energy_norm(mesh, degree, field):
     n2 = polynomial_space_dim(degree - 2)
     total = 0.0
     monomial = np.empty_like(field.interior)
-    for cells in cell_batches(mesh, degree):
-        rule, vals, T, B = _batch_rows(mesh, cells, degree)[:4]
-        wcoef = _matvec(B, gather_local_dofs(field, mesh, cells))
-        wvals = _matvec(vals[..., :n2], wcoef)
-        total += float(np.sum(rule.weights * wvals ** 2))
-        monomial[cells] = _matvec(T, field.interior[cells])
+    for reps, cells, which in cell_batches(mesh, degree):
+        rule, vals, T, B = _batch_rows(mesh, reps, degree)[:4]
+        wcoef = _matvec(B[which], gather_local_dofs(field, mesh, cells))
+        wvals = _matvec(vals[which, :, :n2], wcoef)
+        total += float(np.sum(rule.weights[which] * wvals ** 2))
+        monomial[cells] = _matvec(T[which], field.interior[cells])
 
     cell = np.repeat(np.arange(mesh.n_cells), mesh.cell_sizes)
     e = mesh.cell_edge_rows[:, 0]
     erule, L, Q, _ = _legendre_edge(degree - 1,
                                     quadrature_exactness(degree)[1])
-    basis = CellBasis(degree, mesh.cell_centroids[cell],
-                      mesh.cell_diameters[cell])
+    # the monomials of the shape's T, about its representative moved here
+    rep = mesh.cell_shapes[cell]
+    basis = CellBasis(degree,
+                      mesh.cell_centroids[rep] + mesh.cell_shifts(cell),
+                      mesh.cell_diameters[rep])
     evals = basis.evaluate(edge_points(mesh, e[:, None], erule.points), False)
     grad_n = basis.gradients(evals, mesh.edge_normals[e, None])
     v0 = monomial[cell, None, :]
@@ -107,16 +111,17 @@ def compute_errors(mesh, degree, u_h, exact):
                    flux - u_h.flux)
 
     h2sq = l2sq = 0.0
-    for cells in cell_batches(mesh, degree):
-        rule, vals, _, B, E, G, W1, W2 = _batch_rows(mesh, cells, degree)
-        d = _project_on_rule(rule, vals, exact.value) - u_h.interior[cells]
+    for reps, cells, which in cell_batches(mesh, degree):
+        rule, vals, _, B, E, G, W1, W2 = _batch_rows(mesh, reps, degree)
+        d = (_project_cells(mesh, cells, which, rule, vals, exact.value)
+             - u_h.interior[cells])
         diff.interior[cells] = d
         v = gather_local_dofs(diff, mesh, cells)
         # v is (v_0, v_b, v_n): the mismatches E v_0 - v_b, G v_0 - v_n
         _, v_b, v_n = np.split(v, [d.shape[1], d.shape[1] + E.shape[1]], -1)
-        h2sq += float(np.sum(_matvec(B, v) ** 2)
-                      + np.sum(W1 * (_matvec(G, d) - v_n) ** 2)
-                      + np.sum(W2 * (_matvec(E, d) - v_b) ** 2))
+        h2sq += float(np.sum(_matvec(B[which], v) ** 2)
+                      + np.sum(W1[which] * (_matvec(G[which], d) - v_n) ** 2)
+                      + np.sum(W2[which] * (_matvec(E[which], d) - v_b) ** 2))
         l2sq += float(np.sum(d ** 2))
     h2 = float(np.sqrt(h2sq))
 

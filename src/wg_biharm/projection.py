@@ -87,10 +87,20 @@ def project_cell(mesh, cell, f, degree):
 
 def _project_on_rule(rule, vals, f):
     """``project_cell`` from the orthonormal basis values ``vals`` at the
-    points of the cell rule: V^T W f, also the load's moments (f, phi_j);
-    one cell or a batch with a leading cell axis."""
+    points of the cell rule: V^T W f; one cell or a batch with a leading
+    cell axis."""
     fvals = evaluate_at(f, rule.points)[..., None]
     return ((vals * rule.weights[..., None]).mT @ fvals)[..., 0]
+
+
+def _project_cells(mesh, cells, which, rule, vals, f):
+    """``_project_on_rule`` on each of an index array of cells from the
+    rules and values of their shapes' representatives, rows ``which``: f at
+    the representative's points moved onto the cell.  Also the load's
+    moments (f, phi_j)."""
+    points = rule.points[which] + mesh.cell_shifts(cells)[:, None]
+    fvals = evaluate_at(f, points)[..., None]
+    return ((vals * rule.weights[..., None])[which].mT @ fvals)[..., 0]
 
 
 def project_edge(mesh, edge, f, degree):
@@ -113,8 +123,10 @@ def project_field(mesh, degree, field):
     trace, flux = _edge_data(mesh, np.arange(mesh.n_edges), degree,
                              field.value, _normal_derivative(field))
     interior = np.empty((mesh.n_cells, polynomial_space_dim(degree)))
-    for cells in cell_batches(mesh, degree):
-        interior[cells] = project_cell(mesh, cells, field.value, degree)
+    for reps, cells, which in cell_batches(mesh, degree):
+        _, rule, _, vals, _ = _cell_values(mesh, reps, degree, 2 * degree + 2)
+        interior[cells] = _project_cells(mesh, cells, which, rule, vals,
+                                         field.value)
     return WgField(degree, interior, trace, flux)
 
 

@@ -30,7 +30,12 @@ and edge rules are the element's, ``basis_quadrature.quadrature_exactness(k)``.
 
 The kernel has two stages: ``_batch_rows``, the rows of every term of
 the energy form, which the error report and ``energy_norm`` read, and
-``_batch_operators``, their Gram matrices, which assembly scatters.
+``_batch_operators``, their Gram matrices, which assembly scatters.  It
+runs once per cell shape (``Mesh.cell_shapes``), on each shape's
+representative: a translate has the same operators, orthonormal values and
+rule weights, and its rule points are the representative's moved by
+``Mesh.cell_shifts``.  Its T maps to monomials about the representative's
+centroid and diameter, moved the same way.
 
 Local degrees of freedom are ordered: interior coefficients in the cell's
 orthonormal basis (``_cell_values``), then the trace
@@ -67,7 +72,8 @@ class LocalOperators:
     scaled monomial coefficients.  rule is the cell quadrature rule and
     values the orthonormal P_k values at its points, from which the load and
     the cell projection are computed.  In a batch from ``cell_operators``
-    every array has a leading cell axis.
+    every array has a leading axis over the batch's shapes, and the rule is
+    that of their representatives.
     """
 
     weak_laplacian: np.ndarray
@@ -98,29 +104,41 @@ def local_operators(mesh, cell, k):
 
 
 def cell_operators(mesh, k):
-    """Iterator of (cells, LocalOperators) batches partitioning the cells,
-    each of one vertex count and of at most _BATCH_ENTRIES basis values or
-    one cell, arrays with a leading cell axis.  The degree is checked at
-    the call.
+    """Iterator of (cells, which, LocalOperators) batches partitioning the
+    cells, one per batch of ``cell_batches``: the operators of the batch's
+    shapes, arrays with a leading shape axis, every cell of those shapes and
+    each cell's row in the arrays.  The degree is checked at the call.
     """
     batches = cell_batches(mesh, k)
-    return ((batch, _batch_operators(mesh, batch, k)) for batch in batches)
+    return ((cells, which, _batch_operators(mesh, reps, k))
+            for reps, cells, which in batches)
 
 
 def cell_batches(mesh, k):
-    """List of index arrays partitioning the cells, each of one vertex count
-    and of at most _BATCH_ENTRIES values of the P_k basis at the cell and
-    edge quadrature points, or of one cell."""
+    """List of (reps, cells, which) partitioning the cells: reps, the
+    ascending representatives of some shapes (``Mesh.cell_shapes``) of one
+    vertex count, with at most _BATCH_ENTRIES values of the P_k basis at
+    their cell and edge quadrature points or one shape; cells, the
+    ascending cells of those shapes; which, each cell's position in reps.
+    Where every cell is its own shape, reps and cells are equal."""
     cell_exactness, edge_exactness = quadrature_exactness(k)
     n_duffy = _duffy_rule(cell_exactness)[1].size
     n_edge = edge_quadrature(edge_exactness).weights.size
-    batches = []
-    for m in np.unique(mesh.cell_sizes):
-        group = np.flatnonzero(mesh.cell_sizes == m)
+    shape = mesh.cell_shapes
+    reps = np.flatnonzero(shape == np.arange(mesh.n_cells))
+    groups = []
+    for m in np.unique(mesh.cell_sizes[reps]):
+        group = reps[mesh.cell_sizes[reps] == m]
         points = (m - 2) * n_duffy + m * n_edge  # per cell
         step = max(1, _BATCH_ENTRIES // (points * polynomial_space_dim(k)))
-        batches += np.split(group, np.arange(step, group.size, step))
-    return batches
+        groups += np.split(group, np.arange(step, group.size, step))
+    batch = np.empty(mesh.n_cells, dtype=np.int64)  # of each representative
+    for b, chunk in enumerate(groups):
+        batch[chunk] = b
+    members = np.split(np.argsort(batch[shape], kind="stable"), np.cumsum(
+        np.bincount(batch[shape], minlength=len(groups)))[:-1])
+    return [(chunk, cells, np.searchsorted(chunk, shape[cells]))
+            for chunk, cells in zip(groups, members)]
 
 
 def _cell_values(mesh, cells, degree, exactness):

@@ -35,6 +35,17 @@ def polygonal_mesh_cells():
     return vertices, cells
 
 
+def jittered_triangle_mesh(n, seed):
+    """The uniform n x n triangle mesh with its interior vertices moved by
+    up to 0.2 h, so that no two cells share a shape."""
+    mesh = wg.build_uniform_triangle_mesh(n)
+    vertices = mesh.vertices.copy()
+    inside = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+    rng = np.random.default_rng(seed)
+    vertices[inside] += rng.uniform(-0.2, 0.2, (inside.sum(), 2)) / n
+    return wg.mesh_from_cells(vertices, mesh.cells)
+
+
 def _cross2(u, v):
     return u[0] * v[1] - u[1] * v[0]
 

@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 import wg_biharm as wg
-from conftest import monomial_field, polygonal_mesh_cells, random_wg_field
+from conftest import (jittered_triangle_mesh, monomial_field,
+                      polygonal_mesh_cells, random_wg_field)
 
-# 4-, 6- and 8-vertex cells in one mesh, and a tri mesh whose one group
-# the batch-size bound cuts into several batches at k >= 3
+# 4-, 6- and 8-vertex cells in one mesh, a tri mesh of four shapes, and a
+# jittered one of 50, whose one group the batch-size bound cuts into
+# several batches at k = 4
 MIXED_MESHES = {
     "polygonal": lambda: wg.mesh_from_cells(*polygonal_mesh_cells()),
     "tri": lambda: wg.build_uniform_triangle_mesh(5),
+    "jittered": lambda: jittered_triangle_mesh(5, 3),
 }
 
 
@@ -61,6 +64,19 @@ def test_field_vector_round_trip():
     assert np.array_equal(back.interior, field.interior)
     assert np.array_equal(back.trace, field.trace)
     assert np.array_equal(back.flux, field.flux)
+
+
+def test_field_vector_conversions_reject_wrong_shapes():
+    # a vector with one extra block per edge would otherwise split into
+    # flux blocks of the wrong width
+    mesh = wg.build_uniform_triangle_mesh(2)
+    layout = wg.build_dof_layout(mesh, 3)
+    with pytest.raises(ValueError, match=rf"\({layout.total},\)"):
+        layout.vector_to_field(np.zeros(layout.total + mesh.n_edges))
+    field = random_wg_field(mesh, 3, np.random.default_rng(3))
+    field.flux = field.flux[:, :2]
+    with pytest.raises(ValueError, match=r"flux block .*\(16, 3\)"):
+        layout.field_to_vector(field)
 
 
 def test_assembled_matrix_symmetric_and_load_is_source_moment():
@@ -116,12 +132,17 @@ def test_batched_assembly_matches_per_cell_scatter(name, k):
     system = wg.assemble_system(mesh, k, problem.source)
     layout = system.layout
 
-    # the batches partition the cells, one vertex count per batch
-    batches = [cells for cells, _ in wg.cell_operators(mesh, k)]
-    assert all(np.unique(mesh.cell_sizes[b]).size == 1 for b in batches)
-    assert np.array_equal(np.sort(np.concatenate(batches)),
+    # the batches partition the cells, one vertex count per batch, and
+    # each cell reads the operators of its shape's representative
+    batches = list(wg.cell_operators(mesh, k))
+    for cells, which, op in batches:
+        assert np.unique(mesh.cell_sizes[cells]).size == 1
+        reps = np.unique(mesh.cell_shapes[cells])
+        assert op.stiffness.shape[0] == reps.size
+        assert np.array_equal(reps[which], mesh.cell_shapes[cells])
+    assert np.array_equal(np.sort(np.concatenate([b[0] for b in batches])),
                           np.arange(mesh.n_cells))
-    if name == "tri" and k == 4:
+    if name == "jittered" and k == 4:
         assert len(batches) > 1  # the batch-size bound cuts this group
 
     # reference: one local_operators call and one scatter per cell, exact

@@ -6,14 +6,16 @@ E = 2n(n+1).
 """
 
 import re
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wg_biharm as wg
-from conftest import (grid_vertex, polygonal_mesh_cells,
-                      single_cell_mesh)
+from conftest import (grid_vertex, jittered_triangle_mesh,
+                      polygonal_mesh_cells, single_cell_mesh)
 from wg_biharm.mesh import edge_points, polygon_area_centroid
 
 
@@ -156,6 +158,80 @@ def test_signed_normals_close_per_cell():
             for e, s in mesh.cell_rows(c)[1]:
                 total += s * mesh.edge_lengths[e] * mesh.edge_normals[e]
             assert np.max(np.abs(total)) < 1e-12
+
+
+def _shape_classes(mesh):
+    """The cells grouped by shape, as a set of frozensets of cell ids."""
+    return {frozenset(np.flatnonzero(mesh.cell_shapes == rep).tolist())
+            for rep in np.unique(mesh.cell_shapes)}
+
+
+@pytest.mark.parametrize("n", [2, 7, 24, 33])
+@pytest.mark.parametrize("build", [wg.build_uniform_triangle_mesh,
+                                   wg.build_uniform_quad_mesh])
+def test_uniform_meshes_have_four_cell_shapes(build, n):
+    # the incidence signs of the bottom and left (triangles: bottom or
+    # left) edges split the translates of each grid cell in two: boundary
+    # edges are the cell's own, interior ones its lower neighbour's
+    mesh = build(n)
+    shapes = mesh.cell_shapes
+    assert np.unique(shapes).size == 4
+    assert np.all(shapes <= np.arange(mesh.n_cells))
+    assert np.array_equal(shapes[shapes], shapes)
+    for c in range(mesh.n_cells):
+        rep = shapes[c]
+        shift = mesh.cell_shifts(c)
+        assert np.array_equal(mesh.cell_rows(c)[1][:, 1],
+                              mesh.cell_rows(rep)[1][:, 1])
+        np.testing.assert_allclose(
+            mesh.vertices[mesh.cell_rows(c)[0]],
+            mesh.vertices[mesh.cell_rows(rep)[0]] + shift, rtol=0.0,
+            atol=1e-15)
+
+
+def test_a_moved_vertex_gives_its_cells_their_own_shapes():
+    for build in (wg.build_uniform_triangle_mesh, wg.build_uniform_quad_mesh):
+        mesh = build(6)
+        vertices = mesh.vertices.copy()
+        moved = 3 * 7 + 2  # an interior grid vertex
+        vertices[moved, 1] += 1e-9 * wg.max_cell_diameter(mesh)
+        other = wg.mesh_from_cells(vertices, mesh.cells)
+        touched = {c for c, ids in enumerate(mesh.cells) if moved in ids}
+        assert {frozenset([c]) for c in touched} <= _shape_classes(other)
+        untouched = {cls - touched for cls in _shape_classes(mesh)}
+        assert _shape_classes(other) - {frozenset([c]) for c in touched} \
+            == untouched
+
+
+def test_rotated_vertex_order_and_other_signs_do_not_merge():
+    # the centre square of the 3 x 3 grid is a translate of the top right
+    # one, but listed from another vertex it is not the same shape
+    vertices, squares = wg.mesh._grid_squares(3)
+    mesh = wg.mesh_from_cells(vertices, squares)
+    assert mesh.cell_shapes[8] == mesh.cell_shapes[4] == 4
+    rotated = squares.copy()
+    rotated[8] = np.roll(rotated[8], 1)
+    other = wg.mesh_from_cells(vertices, rotated)
+    assert other.cell_shapes[8] == 8
+    assert np.array_equal(np.delete(other.cell_shapes, 8),
+                          np.delete(mesh.cell_shapes, 8))
+    # a bottom-row square and the one above it differ in their bottom
+    # edge's incidence sign and normal only
+    assert mesh.cell_shapes[1] == 1 and mesh.cell_shapes[4] == 4
+    assert np.array_equal(mesh.vertices[mesh.cell_rows(4)[0]]
+                          - mesh.vertices[mesh.cell_rows(1)[0]],
+                          np.tile([0.0, 1.0 / 3.0], (4, 1)))
+
+
+def test_cells_off_the_grid_are_their_own_shapes():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from bench import brick_mesh  # the benchmark's jittered brick mesh
+
+    meshes = [jittered_triangle_mesh(5, 3),
+              wg.mesh_from_cells(*polygonal_mesh_cells())]
+    meshes += [brick_mesh(n, 3) for n in (8, 16, 24)]
+    for mesh in meshes:
+        assert np.array_equal(mesh.cell_shapes, np.arange(mesh.n_cells))
 
 
 def test_refinement_halves_mesh_size():

@@ -210,7 +210,8 @@ def _per_cell_errors(mesh, k, u_h, exact):
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 @pytest.mark.parametrize("mesh", [
     wg.mesh_from_cells(*polygonal_mesh_cells()),
-    wg.build_uniform_triangle_mesh(5)], ids=["polygonal", "tri"])
+    wg.build_uniform_triangle_mesh(5), wg.build_uniform_quad_mesh(6)],
+    ids=["polygonal", "tri", "quad"])
 def test_batched_error_report_matches_per_cell_reference(mesh, k):
     problem = wg.get_problem("example2")
     solved = wg.solve_on_mesh(problem, k, mesh)[0]

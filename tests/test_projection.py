@@ -18,7 +18,8 @@ from numpy.polynomial.legendre import legvander
 import wg_biharm as wg
 from wg_biharm.mesh import edge_points
 from wg_biharm.weak_laplacian import _cell_values
-from conftest import (monomial_field, polygonal_mesh_cells, random_quad_cell,
+from conftest import (jittered_triangle_mesh, monomial_field,
+                      polygonal_mesh_cells, random_quad_cell,
                       random_triangle_cell, single_cell_mesh)
 
 UNIT_TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
@@ -171,9 +172,11 @@ def test_project_field_requires_gradient():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_project_field_rows_equal_one_cell_projections(k):
-    # project_field projects batches of cells at once (at k = 4 the tri
-    # mesh takes several batches); each row must be the one-cell
-    # projection, which still hands the field 1-D point arrays
+    # project_field projects every cell of a shape from its
+    # representative's values (the uniform mesh has four shapes) and
+    # batches of shapes at once (at k = 4 the jittered mesh takes several
+    # batches); each row must be the one-cell projection, which still hands
+    # the field 1-D point arrays
     value = wg.get_problem("example2").solution.value
 
     def one_dimensional(x, y):
@@ -182,7 +185,8 @@ def test_project_field_rows_equal_one_cell_projections(k):
 
     field = wg.ScalarField(value, lambda x, y: (x, y))
     for mesh in (wg.mesh_from_cells(*polygonal_mesh_cells()),
-                 wg.build_uniform_triangle_mesh(8)):
+                 wg.build_uniform_triangle_mesh(8),
+                 jittered_triangle_mesh(8, 3)):
         proj = wg.project_field(mesh, k, field)
         for c in range(mesh.n_cells):
             one = wg.project_cell(mesh, c, one_dimensional, k)

@@ -21,10 +21,10 @@
 
 The cg.json and direct.json records are kept together as
 ``{"runs": [cg, direct]}`` in BENCH_block_read.json, and
-BENCH_edge_coefficients.json, BENCH_orthonormal_basis.json and
-BENCH_kernel_rows.json each hold ``{"runs": [direct, cg]}`` from ``--cases
-brick-n24-seed3-k3,quad-n24-k4,tri-n64-k2`` and ``--solver cg --cases
-quad-n24-k4``, both at ``--repeat 10``.
+BENCH_edge_coefficients.json, BENCH_orthonormal_basis.json,
+BENCH_kernel_rows.json and BENCH_shape_reuse.json each hold ``{"runs":
+[direct, cg]}`` from ``--cases brick-n24-seed3-k3,quad-n24-k4,tri-n64-k2``
+and ``--solver cg --cases quad-n24-k4``, both at ``--repeat 10``.
 
 PARENT is a checkout of the commit to compare against, for example one
 made with ``git worktree add PARENT <rev>``.  Each repeat runs one fresh
@@ -40,8 +40,11 @@ fill (L.nnz + U.nnz) without holding factors through the timed calls:
 matrix for the direct route, the coarse matrix for CG; null if it factors
 nothing), ``direct_fill`` that of the direct route.  The JSON records
 every sample and, per case and side, the medians of the timings, the peak
-RSS, the iterations and the fills, and the stored entries (nnz) of the
-assembled and of the reduced matrix.
+RSS, the iterations and the fills, the stored entries (nnz) of the
+assembled and of the reduced matrix, and the mesh's cells and distinct
+cell shapes (``Mesh.cell_shapes``; null for a package that does not find
+them): the cell kernel runs once per shape, so 1 - shapes / cells is the
+share of the case's cells that reuse another cell's kernel work.
 """
 
 import os
@@ -119,6 +122,7 @@ def child(src, case, method):
         return fills[0] if fills else None
 
     fill = first_fill(config)
+    shapes = getattr(mesh, "cell_shapes", None)
     print(json.dumps({
         "mesh_s": mesh_s, "assemble_s": assemble_s, "solve_s": solve_s,
         "errors_s": errors_s, "peak_rss_mib": peak_rss_mib,
@@ -127,6 +131,8 @@ def child(src, case, method):
                                       else first_fill(wg.SolverConfig())),
         "nnz": int(system.matrix.nnz),
         "reduced_nnz": int(reduced.matrix.nnz),
+        "cells": mesh.n_cells,
+        "shapes": None if shapes is None else len(set(shapes.tolist())),
         "h2_energy": report.h2_energy}))
 
 
@@ -185,8 +191,8 @@ def main():
             row[side] = {
                 f"median_{key}": statistics.median(r[key] for r in runs)
                 if runs[0][key] is not None else None for key in MEDIANS}
-            row[side]["nnz"] = runs[0]["nnz"]
-            row[side]["reduced_nnz"] = runs[0]["reduced_nnz"]
+            for key in ("nnz", "reduced_nnz", "cells", "shapes"):
+                row[side][key] = runs[0][key]
             row[side]["samples"] = runs
         record["cases"][case] = row
         print(case, json.dumps({s: {k: v for k, v in r.items()
