@@ -349,15 +349,18 @@ def build_uniform_quad_mesh(n):
 def polygon_area_centroid(coords):
     """Signed area and area-weighted centroid of the polygon with (m, 2)
     vertex coordinates ``coords`` in boundary order, or of a (..., m, 2)
-    stack of polygons."""
-    nxt = np.roll(coords, -1, axis=-2)
-    x, y = coords[..., 0], coords[..., 1]
+    stack of polygons.  Both come from the offsets to the first vertex, so
+    their rounding follows the polygon's size, not its distance from the
+    origin."""
+    offsets = coords - coords[..., :1, :]
+    nxt = np.roll(offsets, -1, axis=-2)
+    x, y = offsets[..., 0], offsets[..., 1]
     xn, yn = nxt[..., 0], nxt[..., 1]
     cross = x * yn - xn * y
     area = 0.5 * np.sum(cross, axis=-1)
     centroid = np.stack([np.sum((x + xn) * cross, axis=-1),
                          np.sum((y + yn) * cross, axis=-1)], axis=-1)
-    return area, centroid / (6.0 * area[..., None])
+    return area, coords[..., 0, :] + centroid / (6.0 * area[..., None])
 
 
 def cell_geometry(mesh, cell):

@@ -20,10 +20,12 @@ S is solved by the route the config names, chosen once per solve.
 "cholesky" (the default, sensible up to a few hundred thousand DOFs) is
 SuperLU ``splu`` with a symmetric minimum-degree ordering and no pivoting:
 LDL^T up to the scaling of U, with a row swap or a pivot <= 0 rejected as
-not SPD.  "cg" is conjugate gradients on S x_b = g, stopped at the
-absolute residual ``tolerance * ||g||``: S and g, unlike b, do not depend
-on the interior basis; its ``iterations`` and the default
-``max_iterations`` (50 sqrt(n)) refer to S.  Its preconditioner is
+not SPD.  "cg" is preconditioned conjugate gradients on S x_b = g from
+zero, stopped at the top of an iteration once ||r|| < ``tolerance *
+||g||`` (S and g, unlike b, do not depend on the interior basis); its
+inner products are numpy sums, not BLAS dots, so the answer is the same
+on any number of BLAS threads.  Its ``iterations`` and the default
+``max_iterations`` (50 sqrt(n)) refer to S.  Once per iteration it applies
 symmetric multiplicative two-level Schwarz (Pavarino; Brenner): a damped
 block-Jacobi smoother whose blocks are each edge's trace and flux modes,
 and an exact coarse solve, selected by column and factored once like the
@@ -168,8 +170,8 @@ def _lower(inv, v, transpose=False):
 
 
 def _two_level(schur, edge_block):
-    """Symmetric multiplicative two-level preconditioner of S: a damped
-    block-Jacobi pre-smooth, an exact coarse correction, a post-smooth.
+    """Two-level preconditioner r -> M r of S, symmetric multiplicative: a
+    damped block-Jacobi pre-smooth, an exact coarse correction, a post-smooth.
 
     With ``edge_block`` = k > 0, S holds every edge's k Legendre trace
     modes, then every edge's k flux modes; a block is one edge's trace and
@@ -182,7 +184,7 @@ def _two_level(schur, edge_block):
     the same on any number of BLAS threads)."""
     n = schur.shape[0]
     if n == 0:  # every edge is on the boundary
-        return spla.LinearOperator((0, 0), matvec=np.ravel)
+        return np.ravel
     j = np.arange(n)
     if edge_block:
         k = edge_block
@@ -229,12 +231,11 @@ def _two_level(schur, edge_block):
         jacobi, omega = smoothing.result()
 
     def apply(r):
-        r = np.ravel(r)
         x = omega * jacobi(r)
         if factor is not None:
             x[coarse] += factor.solve((r - schur @ x)[coarse])
         return x + omega * jacobi(r - schur @ x)
-    return spla.LinearOperator((n, n), matvec=apply)
+    return apply
 
 
 def _route(schur, config, scale, edge_block):
@@ -256,21 +257,25 @@ def _route(schur, config, scale, edge_block):
 
     n = schur.shape[0]
     maxiter = config.max_iterations or max(1, math.ceil(50.0 * math.sqrt(n)))
-    M = _two_level(schur, edge_block)
+    precondition = _two_level(schur, edge_block)
 
     def cg(g):
-        calls = []  # one entry per iteration
-        x, info = spla.cg(schur, g, rtol=0.0, atol=config.tolerance * scale,
-                          maxiter=maxiter, M=M,
-                          callback=lambda _: calls.append(None))
-        if info != 0:
-            res = float(np.linalg.norm(schur @ x - g) / scale)
-            raise SolverError(
-                f"conjugate gradients on the condensed system did not "
-                f"converge in {len(calls)} iterations (residual {res:.3e}, "
-                f"target {config.tolerance:.1e})",
-                residual=res, iterations=len(calls))
-        return x, len(calls)
+        x, r, p, rho = np.zeros(n), g.copy(), np.zeros(n), 1.0
+        for iteration in range(maxiter):
+            if math.sqrt(np.sum(r * r)) < config.tolerance * scale:
+                return x, iteration
+            z = precondition(r)
+            rho, previous = np.sum(r * z), rho
+            p = z + (rho / previous) * p
+            q = schur @ p
+            alpha = rho / np.sum(p * q)
+            x += alpha * p
+            r -= alpha * q
+        res = float(np.linalg.norm(schur @ x - g) / scale)
+        raise SolverError(
+            f"conjugate gradients on the condensed system did not converge "
+            f"in {maxiter} iterations (residual {res:.3e}, target "
+            f"{config.tolerance:.1e})", residual=res, iterations=maxiter)
     return cg, config.tolerance
 
 

@@ -128,6 +128,23 @@ def test_geometry_arrays_on_polygonal_mesh():
             arr[0] = 0.0
 
 
+@pytest.mark.parametrize("h, shift", [(2.0 ** -12, 1e5 + 0.1234),
+                                      (2.0 ** -15, 1e4 + 0.1234)])
+def test_small_cells_far_from_the_origin_keep_their_area(h, shift):
+    # h is a power of two, so the moved vertices' offsets are exact and the
+    # true area of every cell is h^2; products of absolute coordinates
+    # lose the area to rounding and call the cells clockwise
+    base = wg.build_uniform_quad_mesh(4)
+    vertices = base.vertices * (4.0 * h) + shift
+    mesh = wg.mesh_from_cells(vertices, base.cells)
+    assert np.allclose(mesh.cell_areas, h * h, rtol=1e-12, atol=0.0)
+    assert np.allclose(mesh.cell_centroids - shift,
+                       base.cell_centroids * (4.0 * h), rtol=0.0,
+                       atol=1e-12 * h)
+    with pytest.raises(ValueError, match="counter-clockwise"):
+        wg.mesh_from_cells(vertices, [c[::-1] for c in base.cells])
+
+
 def test_boundary_normals_point_outward():
     mesh = wg.build_uniform_quad_mesh(3)
     for e in np.flatnonzero(mesh.boundary_edges):

@@ -99,7 +99,9 @@ def test_invalid_configuration_rejected():
 
 @pytest.mark.parametrize("method", ["cg", "cholesky"])
 def test_invalid_iteration_settings_rejected_before_solving(method):
-    # scipy's cg reports success with maxiter=0 and returns its zero start
+    # rejected when the config is built: max_iterations = 0 would reach the
+    # CG loop only after condensation and the preconditioner set-up, and
+    # fail there as non-convergence
     A, b = _random_spd(20, seed=7)
     for bad in (0, -3, 2.5):
         with pytest.raises(ValueError, match="max_iterations"):
@@ -195,8 +197,9 @@ def test_cg_solves_a_mesh_without_interior_edges():
     assert np.array_equal(cg.x, direct.x)
 
 
-def _dense(operator):
-    return operator @ np.eye(operator.shape[0])
+def _dense(apply, n):
+    """The matrix of a linear map r -> apply(r) of R^n, column by column."""
+    return np.column_stack([apply(column) for column in np.eye(n)])
 
 
 def _assert_spd(matrix):
@@ -211,7 +214,8 @@ def test_two_level_preconditioner_is_spd(degree):
     layout = reduced.layout
     _, _, schur = solver._condense(reduced.matrix, layout.n_cells,
                                    layout.cell_block, layout.edge_block)
-    _assert_spd(_dense(solver._two_level(schur, layout.edge_block)))
+    _assert_spd(_dense(solver._two_level(schur, layout.edge_block),
+                       schur.shape[0]))
 
 
 @pytest.mark.parametrize("mesh, degree", [
@@ -282,7 +286,7 @@ def test_indefinite_edge_block_raises_the_smoother_error(mode):
 
 def test_pointwise_preconditioner_of_solve_linear_is_spd():
     A, _ = _random_spd(40, seed=9)
-    _assert_spd(_dense(solver._two_level(A, 0)))
+    _assert_spd(_dense(solver._two_level(A, 0), A.shape[0]))
 
 
 @pytest.mark.parametrize("entry", ["solve", "solve_linear"])
@@ -293,6 +297,26 @@ def test_cg_solves_are_bitwise_repeatable(entry):
     assert np.array_equal(first.x, second.x)
     assert first.iterations == second.iterations
     assert first.residual == second.residual
+
+
+@pytest.mark.parametrize("entry", ["solve", "solve_linear"])
+def test_cg_applies_the_preconditioner_once_per_iteration(monkeypatch, entry):
+    build = solver._two_level
+    applied = []
+
+    def counting(*args):
+        apply = build(*args)
+
+        def counted(r):
+            applied.append(None)
+            return apply(r)
+        return counted
+
+    monkeypatch.setattr(solver, "_two_level", counting)
+    reduced = _reduced(wg.build_uniform_quad_mesh(6), 4)
+    result = _solve_by(entry, reduced, wg.SolverConfig(method="cg"))
+    assert result.iterations > 0
+    assert len(applied) == result.iterations
 
 
 _CG_CHILD = """
@@ -324,7 +348,7 @@ def test_cg_answer_does_not_depend_on_the_blas_thread_count(tmp_path):
         runs.append(np.load(out))
     (x1, its1), (x2, its2) = ((run[:-1], run[-1]) for run in runs)
     assert its1 == its2
-    assert np.linalg.norm(x1 - x2) <= 1e-13 * np.linalg.norm(x1)
+    assert np.array_equal(x1, x2)
 
 
 def _spoil_route(monkeypatch, spoil):

@@ -1,11 +1,13 @@
 """Convergence study driver and table emission tests."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import wg_biharm as wg
+from wg_biharm import study
 from wg_biharm.study import CSV_HEADER, build_mesh
 
 
@@ -41,6 +43,25 @@ def test_solve_on_mesh_patch_is_exact():
     for value in report.as_dict().values():
         assert value < 1e-9
     assert reduced.layout.total == 4 * 6 + 12 * 4  # n=2 quad mesh at k=2
+
+
+def test_solve_on_mesh_frees_the_assembled_system_before_solving(
+        monkeypatch):
+    assembled, alive = [], []
+
+    def assemble(*args):
+        system = wg.assemble_system(*args)
+        assembled.append(weakref.ref(system.matrix))
+        return system
+
+    def solve(*args):
+        alive.append(assembled[0]() is not None)
+        return wg.solve(*args)
+
+    monkeypatch.setattr(study, "assemble_system", assemble)
+    monkeypatch.setattr(study, "solve", solve)
+    wg.solve_on_mesh(wg.get_problem("example2"), 2, build_mesh("quad", 2))
+    assert alive == [False]
 
 
 def test_non_integer_degree_or_level_rejected():

@@ -12,6 +12,9 @@
         --solver cg --cases quad-n24-k4,quad-n64-k3,tri-n128-k2 \
         --out BENCH_cg_setup.json
     python tools/bench_batched.py --baseline-src PARENT/src --repeat 10 \
+        --solver cg --cases quad-n24-k4,quad-n64-k3,tri-n128-k2 \
+        --out BENCH_cg_loop.json
+    python tools/bench_batched.py --baseline-src PARENT/src --repeat 10 \
         --solver cg --cases quad-n24-k4,tri-n128-k2 --out cg.json
     python tools/bench_batched.py --baseline-src PARENT/src --repeat 10 \
         --cases brick-n24-seed3-k3 --out direct.json
@@ -25,6 +28,8 @@ BENCH_edge_coefficients.json, BENCH_orthonormal_basis.json,
 BENCH_kernel_rows.json and BENCH_shape_reuse.json each hold ``{"runs":
 [direct, cg]}`` from ``--cases brick-n24-seed3-k3,quad-n24-k4,tri-n64-k2``
 and ``--solver cg --cases quad-n24-k4``, both at ``--repeat 10``.
+BENCH_cg_loop.json also holds, under ``perfbench``, alternating pairs of
+``python3 perfbench/run.py`` runs of each side's checkout.
 
 PARENT is a checkout of the commit to compare against, for example one
 made with ``git worktree add PARENT <rev>``.  Each repeat runs one fresh
