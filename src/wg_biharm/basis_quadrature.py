@@ -70,7 +70,7 @@ class QuadratureRule:
     exactness: int
 
     def integrate(self, values):
-        return float(np.dot(self.weights, values))
+        return float(np.sum(self.weights * values))
 
 
 def _read_only(*arrays):

@@ -37,32 +37,22 @@ def _manufactured(name, solution, source):
 
 
 def example_1():
-    """u = x^2 (1-x)^2 y^2 (1-y)^2, clamped: on the unit square's boundary
-    u and grad u . n vanish."""
+    """u = p(x) p(y) with p(s) = s^2 (1-s)^2, clamped: on the unit square's
+    boundary u and grad u . n vanish."""
+    p = P.polymul(P.polypow([0.0, 1.0], 2), P.polypow([1.0, -1.0], 2))
 
-    def p(s):
-        return s ** 2 * (1.0 - s) ** 2
+    def derivative(m):
+        """s -> the m-th derivative of p at s."""
+        c = P.polyder(p, m)
+        return lambda s: P.polyval(s, c)
 
-    def dp(s):
-        return 2.0 * s - 6.0 * s ** 2 + 4.0 * s ** 3
-
-    def ddp(s):
-        return 2.0 - 12.0 * s + 12.0 * s ** 2
-
-    def u(x, y):
-        return p(x) * p(y)
-
-    def grad(x, y):
-        return dp(x) * p(y), p(x) * dp(y)
-
-    def lap(x, y):
-        return ddp(x) * p(y) + p(x) * ddp(y)
-
-    def f(x, y):
-        # ddddp = 24, dddp terms pair up through the mixed derivative
-        return 24.0 * p(y) + 2.0 * ddp(x) * ddp(y) + 24.0 * p(x)
-
-    return _manufactured("example1", ScalarField(u, grad, lap), f)
+    p0, p1, p2, p4 = map(derivative, (0, 1, 2, 4))
+    return _manufactured(
+        "example1",
+        ScalarField(lambda x, y: p0(x) * p0(y),
+                    lambda x, y: (p1(x) * p0(y), p0(x) * p1(y)),
+                    lambda x, y: p2(x) * p0(y) + p0(x) * p2(y)),
+        lambda x, y: p4(x) * p0(y) + 2.0 * p2(x) * p2(y) + p0(x) * p4(y))
 
 
 def example_2():

@@ -22,21 +22,23 @@ SuperLU ``splu`` with a symmetric minimum-degree ordering and no pivoting:
 LDL^T up to the scaling of U, with a row swap or a pivot <= 0 rejected as
 not SPD.  "cg" is preconditioned conjugate gradients on S x_b = g from
 zero, stopped at the top of an iteration once ||r|| < ``tolerance *
-||g||`` (S and g, unlike b, do not depend on the interior basis); its
-inner products are numpy sums, not BLAS dots, so the answer is the same
-on any number of BLAS threads.  Its ``iterations`` and the default
-``max_iterations`` (50 sqrt(n)) refer to S.  Once per iteration it applies
-symmetric multiplicative two-level Schwarz (Pavarino; Brenner): a damped
-block-Jacobi smoother whose blocks are each edge's trace and flux modes,
-and an exact coarse solve, selected by column and factored once like the
-direct route, on every edge's Legendre trace modes < 2 (< 1 for k = 2)
-and flux modes < k - 1, the flux modes the weak Laplacian reads.  Its
-set-up takes two cores: a worker thread, alive for one set-up, builds the
-smoother while the calling thread factors the coarse block (SuperLU
-releases the GIL).  ``solve_linear`` has no edge structure, so its CG
-runs damped symmetric point Jacobi.  Failure raises SolverError carrying
-the residual, relative to b (to g when CG does not converge), and, for
-CG, the iteration count, instead of returning garbage silently.
+||g||`` (S and g, unlike b, do not depend on the interior basis).  Its
+``iterations`` and the default ``max_iterations`` (50 sqrt(n)) refer to S.
+Once per iteration it applies symmetric multiplicative two-level Schwarz
+(Pavarino; Brenner): a damped block-Jacobi smoother whose blocks are each
+edge's trace and flux modes, and an exact coarse solve, selected by column
+and factored once like the direct route, on every edge's Legendre trace
+modes < 2 (< 1 for k = 2) and flux modes < k - 1, the flux modes the weak
+Laplacian reads.  Its set-up takes two cores: a worker thread, alive for
+one set-up, builds the smoother while the calling thread factors the
+coarse block (SuperLU releases the GIL).  ``solve_linear`` has no edge
+structure, so its CG runs damped symmetric point Jacobi.  Failure raises
+SolverError carrying the residual, relative to b (to g when CG does not
+converge), and, for CG, the iteration count, instead of returning garbage
+silently.  Every inner product and norm (``_norm``) is a numpy sum, never
+a BLAS reduction, whose order of terms follows the thread count: x, the
+reported residual and the correction decision are the same on any number
+of BLAS threads.
 """
 
 from __future__ import annotations
@@ -89,8 +91,13 @@ class SolveResult:
     iterations: Optional[int] = None
 
 
+def _norm(v):
+    """The Euclidean norm of v as a numpy sum."""
+    return math.sqrt(np.sum(v * v))
+
+
 def _relative_residual(matrix, x, b):
-    return float(np.linalg.norm(matrix @ x - b) / (np.linalg.norm(b) or 1.0))
+    return _norm(matrix @ x - b) / (_norm(b) or 1.0)
 
 
 def _spd_factor(matrix):
@@ -180,8 +187,7 @@ def _two_level(schur, edge_block):
     coarse space.  The preconditioner is SPD while the damping w keeps
     w lambda_max(D^-1 S) < 2; w is min(1, 1 / lambda), lambda a Rayleigh
     quotient after POWER_STEPS power steps on D^-1 S from the ones vector
-    (no RNG: the solve repeats bitwise; numpy's sums, not BLAS dots: w is
-    the same on any number of BLAS threads)."""
+    (no RNG: the solve repeats bitwise)."""
     n = schur.shape[0]
     if n == 0:  # every edge is on the boundary
         return np.ravel
@@ -215,7 +221,7 @@ def _two_level(schur, edge_block):
             u = schur @ v
             w = jacobi(u)
             lam = np.sum(w * u) / np.sum(v * u)
-            v = w / np.sqrt(np.sum(w * w))
+            v = w / _norm(w)
         return jacobi, min(1.0, 1.0 / lam)
 
     # the smoother is built while this thread factors the coarse block
@@ -262,7 +268,7 @@ def _route(schur, config, scale, edge_block):
     def cg(g):
         x, r, p, rho = np.zeros(n), g.copy(), np.zeros(n), 1.0
         for iteration in range(maxiter):
-            if math.sqrt(np.sum(r * r)) < config.tolerance * scale:
+            if _norm(r) < config.tolerance * scale:
                 return x, iteration
             z = precondition(r)
             rho, previous = np.sum(r * z), rho
@@ -271,7 +277,7 @@ def _route(schur, config, scale, edge_block):
             alpha = rho / np.sum(p * q)
             x += alpha * p
             r -= alpha * q
-        res = float(np.linalg.norm(schur @ x - g) / scale)
+        res = _norm(schur @ x - g) / scale
         raise SolverError(
             f"conjugate gradients on the condensed system did not converge "
             f"in {maxiter} iterations (residual {res:.3e}, target "
@@ -291,7 +297,7 @@ def _solve(matrix, b, config, n_cells, block, edge_block):
         raise ValueError("matrix/right-hand side shapes do not match")
     m = n_cells * block
     inv, y, schur = _condense(matrix, n_cells, block, edge_block)
-    scale = np.linalg.norm(b[m:] - y.T @ _lower(inv, b[:m])) or 1.0
+    scale = _norm(b[m:] - y.T @ _lower(inv, b[:m])) or 1.0
     route, limit = _route(schur, config, scale, edge_block)
 
     def through_schur(rhs):
