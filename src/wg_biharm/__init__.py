@@ -25,8 +25,8 @@ from .solver import (DIRECT_RESIDUAL_LIMIT, SolveResult, SolverConfig,
 from .study import (ConvergenceTable, StudyConfig, StudyRow, emit_table,
                     observed_order, parse_csv_table, run_study,
                     solve_on_mesh)
-from .weak_laplacian import (LocalOperators, cell_operators,
-                             gather_local_dofs, local_operators)
+from .weak_laplacian import (LocalOperators, gather_local_dofs,
+                             local_operators)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -3,7 +3,7 @@
 Global DOF order: all cell interior blocks (cell id order), then all edge
 trace blocks (edge id order), then all edge flux blocks.  Assembly scatters
 each shape's stiffness-plus-stabilizer matrix to every cell of the shape,
-in the fixed batch order of ``cell_operators``, so the assembled arrays are
+in the fixed batch order of ``cell_batches``, so the assembled arrays are
 bitwise reproducible.
 
 Boundary conditions are essential: trace and flux blocks of boundary edges
@@ -22,7 +22,8 @@ import scipy.sparse as sp
 
 from .basis_quadrature import polynomial_space_dim, quadrature_exactness
 from .projection import WgField, _edge_data, _project_cells
-from .weak_laplacian import cell_operators, gather_local_dofs
+from .weak_laplacian import (_batch_operators, cell_batches,
+                             gather_local_dofs)
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,8 @@ def assemble_system(mesh, degree, source):
     data = np.empty(nnz)
     load = np.zeros(layout.total)
     at = 0
-    for cells, which, op in cell_operators(mesh, degree):
+    for reps, cells, which in cell_batches(mesh, degree):
+        op = _batch_operators(mesh, reps, degree)
         g = layout.cell_dofs(mesh, cells)
         local = op.stiffness + op.stabilizer  # one per shape
         # The shapes' nonzero pattern leaves out the exact zeros of the

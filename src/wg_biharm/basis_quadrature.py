@@ -63,11 +63,11 @@ def quadrature_exactness(k):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Points, weights and the guaranteed polynomial exactness degree."""
+    """Points and weights of one rule, or of a stack of rules on leading
+    axes."""
 
     points: np.ndarray
     weights: np.ndarray
-    exactness: int
 
     def integrate(self, values):
         return float(np.sum(self.weights * values))
@@ -87,9 +87,7 @@ def edge_quadrature(exactness):
     """
     if exactness < 0:
         raise ValueError("exactness must be >= 0")
-    npts = (exactness + 2) // 2
-    t, w = _read_only(*leggauss(max(npts, 1)))
-    return QuadratureRule(t, w, 2 * len(t) - 1)
+    return QuadratureRule(*_read_only(*leggauss((exactness + 2) // 2)))
 
 
 @lru_cache(maxsize=64)
@@ -141,7 +139,7 @@ def polygon_quadrature(vertices, exactness):
     det = d1[..., 0, 0] * d2[..., 0, 1] - d1[..., 0, 1] * d2[..., 0, 0]
     w = ref_w * det[..., None]
     return QuadratureRule(pts.reshape(*w.shape[:-2], -1, 2),
-                          w.reshape(*w.shape[:-2], -1), exactness)
+                          w.reshape(*w.shape[:-2], -1))
 
 
 @lru_cache(maxsize=16)

@@ -39,8 +39,8 @@ def _add_common(p):
                         "minimum-degree ordering, no pivoting, positive "
                         "pivots checked); cg: conjugate gradients with a "
                         "two-level preconditioner (edge-block smoother, "
-                        "coarse solve on edge trace modes 0-1 and flux "
-                        "modes 0 to k-2)")
+                        "coarse solve on edge trace modes 0-1, mode 0 at "
+                        "k = 2, and flux modes 0 to k-2)")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="CG stops once the condensed system's residual "
                         "is at most tol times the norm of its own "

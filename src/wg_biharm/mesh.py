@@ -147,8 +147,7 @@ class Mesh:
 
     def cell_vertices(self, cell):
         """Coordinates of one cell's vertices, CCW, shape (m, 2)."""
-        ids, start = self._cell_vertex_ids, self._cell_starts[cell]
-        return self.vertices[ids[start:start + self.cell_sizes[cell]]]
+        return self.vertices[self.cell_rows(cell)[0]]
 
     def cell_shifts(self, cells):
         """(c, 2) translations from the representative of each cell's shape

@@ -18,7 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .basis_quadrature import _legendre_edge, polynomial_space_dim
+from .basis_quadrature import (QuadratureRule, _legendre_edge,
+                               polynomial_space_dim)
 from .mesh import edge_points
 from .weak_laplacian import _cell_values, cell_batches
 
@@ -95,12 +96,13 @@ def _project_on_rule(rule, vals, f):
 
 def _project_cells(mesh, cells, which, rule, vals, f):
     """``_project_on_rule`` on each of an index array of cells from the
-    rules and values of their shapes' representatives, rows ``which``: f at
-    the representative's points moved onto the cell.  Also the load's
-    moments (f, phi_j)."""
-    points = rule.points[which] + mesh.cell_shifts(cells)[:, None]
-    fvals = evaluate_at(f, points)[..., None]
-    return ((vals * rule.weights[..., None])[which].mT @ fvals)[..., 0]
+    rules and values of their shapes' representatives, rows ``which``: the
+    representative's rule moved onto the cell.  Also the load's moments
+    (f, phi_j)."""
+    moved = QuadratureRule(rule.points[which]
+                           + mesh.cell_shifts(cells)[:, None],
+                           rule.weights[which])
+    return _project_on_rule(moved, vals[which], f)
 
 
 def project_edge(mesh, edge, f, degree):

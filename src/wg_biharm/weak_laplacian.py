@@ -54,7 +54,7 @@ from .basis_quadrature import (CellBasis, QuadratureRule, _duffy_rule,
                                polygon_quadrature, polynomial_space_dim,
                                quadrature_exactness)
 from .mesh import edge_points
-from .solver import _inverse_cholesky
+from .solver import SolverError, _inverse_cholesky
 
 # P_k basis values at a batch's cell and edge points, bounding its memory;
 # gradients (edge points) and Laplacians (cell points) are read off subsets.
@@ -71,9 +71,8 @@ class LocalOperators:
     form; basis_change is the upper-triangular T taking orthonormal to
     scaled monomial coefficients.  rule is the cell quadrature rule and
     values the orthonormal P_k values at its points, from which the load and
-    the cell projection are computed.  In a batch from ``cell_operators``
-    every array has a leading axis over the batch's shapes, and the rule is
-    that of their representatives.
+    the cell projection are computed.  From ``_batch_operators`` on a batch's
+    representatives every array has a leading axis over their shapes.
     """
 
     weak_laplacian: np.ndarray
@@ -96,22 +95,10 @@ def gather_local_dofs(field, mesh, cell):
 def local_operators(mesh, cell, k):
     """LocalOperators of one cell: the kernel on a one-cell batch."""
     op = _batch_operators(mesh, np.array([cell]), k)
-    rule = QuadratureRule(op.rule.points[0], op.rule.weights[0],
-                          op.rule.exactness)
+    rule = QuadratureRule(op.rule.points[0], op.rule.weights[0])
     return LocalOperators(op.weak_laplacian[0], op.stiffness[0],
                           op.stabilizer[0], op.basis_change[0], rule,
                           op.values[0])
-
-
-def cell_operators(mesh, k):
-    """Iterator of (cells, which, LocalOperators) batches partitioning the
-    cells, one per batch of ``cell_batches``: the operators of the batch's
-    shapes, arrays with a leading shape axis, every cell of those shapes and
-    each cell's row in the arrays.  The degree is checked at the call.
-    """
-    batches = cell_batches(mesh, k)
-    return ((cells, which, _batch_operators(mesh, reps, k))
-            for reps, cells, which in batches)
 
 
 def cell_batches(mesh, k):
@@ -120,7 +107,8 @@ def cell_batches(mesh, k):
     vertex count, with at most _BATCH_ENTRIES values of the P_k basis at
     their cell and edge quadrature points or one shape; cells, the
     ascending cells of those shapes; which, each cell's position in reps.
-    Where every cell is its own shape, reps and cells are equal."""
+    Where every cell is its own shape, reps and cells are equal.  Every
+    layer runs the kernel on reps, and cell cells[i] reads row which[i]."""
     cell_exactness, edge_exactness = quadrature_exactness(k)
     n_duffy = _duffy_rule(cell_exactness)[1].size
     n_edge = edge_quadrature(edge_exactness).weights.size
@@ -148,7 +136,9 @@ def _cell_values(mesh, cells, degree, exactness):
 
     Cholesky QR twice on the values: V R^-1 with R^T R = V^T W V, then
     again; one pass leaves the Gram matrix 0.5 off I on a cell of aspect
-    4096.  T is upper triangular, so lower degrees are a prefix.
+    4096.  T is upper triangular, so lower degrees are a prefix.  A cell
+    whose scaled monomials are dependent in float64 (a thin cell not
+    aligned with the axes) raises ValueError.
     """
     basis = CellBasis(degree, mesh.cell_centroids[cells],
                       mesh.cell_diameters[cells])
@@ -157,8 +147,16 @@ def _cell_values(mesh, cells, degree, exactness):
     mono = basis.evaluate(rule.points, False)
     vals, T = mono, np.eye(basis.dimension)
     for _ in range(2):
-        inv = _inverse_cholesky((vals * rule.weights[..., None]).mT @ vals,
-                                "a cell mass matrix")
+        gram = (vals * rule.weights[..., None]).mT @ vals
+        try:
+            inv = _inverse_cholesky(gram, "a cell mass matrix")
+        except SolverError:  # name the worst-conditioned cell
+            lam = np.linalg.eigvalsh(gram)
+            c = np.ravel(cells)[np.argmin(lam[..., 0] / lam[..., -1])]
+            ratio = mesh.cell_areas[c] / mesh.cell_diameters[c] ** 2
+            raise ValueError(f"cell {c} (area/diameter^2 = {ratio:.3g}) is "
+                             f"too thin for a degree-{degree} cell basis in "
+                             "float64") from None
         vals, T = vals @ inv.mT, T @ inv.mT
     return basis, rule, mono, vals, T
 

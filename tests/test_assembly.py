@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import wg_biharm as wg
+from wg_biharm.weak_laplacian import _batch_operators, cell_batches
 from conftest import (jittered_triangle_mesh, monomial_field,
                       polygonal_mesh_cells, random_wg_field)
 
@@ -134,13 +135,14 @@ def test_batched_assembly_matches_per_cell_scatter(name, k):
 
     # the batches partition the cells, one vertex count per batch, and
     # each cell reads the operators of its shape's representative
-    batches = list(wg.cell_operators(mesh, k))
-    for cells, which, op in batches:
+    batches = cell_batches(mesh, k)
+    for reps, cells, which in batches:
         assert np.unique(mesh.cell_sizes[cells]).size == 1
-        reps = np.unique(mesh.cell_shapes[cells])
+        op = _batch_operators(mesh, reps, k)
+        assert np.array_equal(reps, np.unique(mesh.cell_shapes[cells]))
         assert op.stiffness.shape[0] == reps.size
         assert np.array_equal(reps[which], mesh.cell_shapes[cells])
-    assert np.array_equal(np.sort(np.concatenate([b[0] for b in batches])),
+    assert np.array_equal(np.sort(np.concatenate([b[1] for b in batches])),
                           np.arange(mesh.n_cells))
     if name == "jittered" and k == 4:
         assert len(batches) > 1  # the batch-size bound cuts this group

@@ -355,10 +355,8 @@ def test_non_integer_degree_rejected(degree):
         wg.quadrature_exactness(degree)
 
 
-def test_cell_operators_checks_at_call_time():
+def test_cell_batches_checks_at_call_time():
     # a bad degree raises at the call, not at the first batch
     mesh = wg.build_uniform_triangle_mesh(1)
-    with pytest.raises(ValueError, match="k >= 2"):
-        wg.cell_operators(mesh, 1)
     with pytest.raises(ValueError, match="k >= 2"):
         wg.weak_laplacian.cell_batches(mesh, 1)

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wg_biharm as wg
 from conftest import (grid_vertex, jittered_triangle_mesh,
@@ -218,6 +220,55 @@ def test_a_moved_vertex_gives_its_cells_their_own_shapes():
         untouched = {cls - touched for cls in _shape_classes(mesh)}
         assert _shape_classes(other) - {frozenset([c]) for c in touched} \
             == untouched
+
+
+# Property tests of the shape partition: derandomized, so Tier-1 stays
+# deterministic, with few enough examples to add about a second.
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
+_BUILDS = st.sampled_from([wg.build_uniform_triangle_mesh,
+                           wg.build_uniform_quad_mesh])
+_ANGLE = st.floats(0.0, 2.0 * np.pi)
+
+
+def _rotation(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+@_PROPERTY
+@given(_BUILDS, st.integers(1, 8), _ANGLE, _ANGLE, st.floats(-6.0, 6.0),
+       st.floats(-3.0, 0.0), st.floats(0.0, 1e6), _ANGLE)
+def test_an_affine_map_keeps_the_shape_partition(build, n, alpha, beta,
+                                                 log_s, log_r, t, gamma):
+    # x -> R(alpha) diag(s, s r) R(beta) x + t maps translates onto
+    # translates and keeps every incidence sign, at any scale and offset
+    mesh = build(n)
+    s = 10.0 ** log_s
+    A = _rotation(alpha) @ np.diag([s, s * 10.0 ** log_r]) @ _rotation(beta)
+    shift = t * s * np.array([np.cos(gamma), np.sin(gamma)])
+    other = wg.mesh_from_cells(mesh.vertices @ A.T + shift, mesh.cells)
+    assert np.array_equal(other.cell_shapes, mesh.cell_shapes)
+
+
+@_PROPERTY
+@given(_BUILDS, st.integers(2, 8), st.data(), st.floats(-9.0, -3.0), _ANGLE)
+def test_a_moved_vertex_leaves_the_other_cells_shapes(build, n, data,
+                                                      log_delta, angle):
+    mesh = build(n)
+    i, j = (data.draw(st.integers(1, n - 1)) for _ in range(2))
+    moved = j * (n + 1) + i  # an interior grid vertex
+    vertices = mesh.vertices.copy()
+    vertices[moved] += 10.0 ** log_delta / n * np.array(
+        [np.cos(angle), np.sin(angle)])
+    other = wg.mesh_from_cells(vertices, mesh.cells)
+    touched = {c for c, ids in enumerate(mesh.cells) if moved in ids}
+    # the untouched cells keep their partition, and no touched cell joins
+    # one of their shapes
+    untouched = {cls - touched for cls in _shape_classes(mesh)} - {frozenset()}
+    assert {cls - touched for cls in _shape_classes(other)} - {frozenset()} \
+        == untouched
+    assert all(cls <= touched for cls in _shape_classes(other)
+               if cls & touched)
 
 
 def test_rotated_vertex_order_and_other_signs_do_not_merge():

@@ -346,3 +346,17 @@ def test_cell_values_are_orthonormal(make, k):
     assert np.max(np.abs(gram - np.eye(len(gram)))) <= 1e-12
     assert np.array_equal(T, np.triu(T))
     assert np.max(np.abs(vals - mono @ T)) <= 1e-12 * np.max(np.abs(vals))
+
+
+def test_a_thin_cell_off_the_axes_is_named_too_thin():
+    # the 2 x 2 quad grid squeezed to aspect 128 and rotated by 30 degrees:
+    # its scaled monomial coordinates are nearly collinear, so at k = 4 the
+    # first Cholesky QR pass sees a Gram matrix singular in float64 (the
+    # same cells unrotated are fine up to aspect 2^39)
+    grid = wg.build_uniform_quad_mesh(2)
+    c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+    vertices = (grid.vertices * [1.0, 1.0 / 128.0]) @ [[c, s], [-s, c]]
+    mesh = wg.mesh_from_cells(vertices, grid.cells)
+    with pytest.raises(ValueError, match=r"cell \d \(area/diameter\^2 = "
+                       r"0\.0078\d*\) is too thin for a degree-4 cell basis"):
+        wg.assemble_system(mesh, 4, lambda x, y: np.ones_like(x))
