@@ -33,6 +33,7 @@ class DofLayout:
     degree: int
     n_cells: int
     n_edges: int
+    cell_edges: int  # the most edges of any one cell
 
     @property
     def cell_block(self):
@@ -97,7 +98,8 @@ def _check_shape(what, array, want):
 
 def build_dof_layout(mesh, degree):
     quadrature_exactness(degree)  # raises for k < 2
-    return DofLayout(degree, mesh.n_cells, mesh.n_edges)
+    return DofLayout(degree, mesh.n_cells, mesh.n_edges,
+                     int(mesh.cell_sizes.max()))
 
 
 @dataclass

@@ -32,8 +32,9 @@ def _add_common(p):
                    help="example1, example2 or patch-<k>")
     p.add_argument("--k", type=int, required=True,
                    help="element degree, k >= 2")
-    p.add_argument("--mesh", default="tri", choices=["tri", "quad"])
-    p.add_argument("--solver", default="cholesky",
+    p.add_argument("--mesh", default=StudyConfig.mesh_family,
+                   choices=["tri", "quad"])
+    p.add_argument("--solver", default=SolverConfig.method,
                    choices=["cholesky", "cg"],
                    help="cholesky: sparse LDL^T (SuperLU splu, symmetric "
                         "minimum-degree ordering, no pivoting, positive "
@@ -41,7 +42,7 @@ def _add_common(p):
                         "two-level preconditioner (edge-block smoother, "
                         "coarse solve on edge trace modes 0-1, mode 0 at "
                         "k = 2, and flux modes 0 to k-2)")
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--tol", type=float, default=SolverConfig.tolerance,
                    help="CG stops once the condensed system's residual "
                         "is at most tol times the norm of its own "
                         "right-hand side; either solver then takes one "
@@ -62,7 +63,7 @@ def make_parser():
 
     st = sub.add_parser("study", help="refinement study with error table")
     _add_common(st)
-    st.add_argument("--levels", default="4,8,16,32",
+    st.add_argument("--levels", default=",".join(map(str, StudyConfig.levels)),
                     help="comma separated mesh levels n")
     st.add_argument("--format", default="markdown",
                     choices=["markdown", "csv"])

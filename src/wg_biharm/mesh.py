@@ -33,6 +33,7 @@ against the derived edge count.
 
 from __future__ import annotations
 
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -320,8 +321,8 @@ def _grid_squares(n):
     """Vertices of the uniform (n + 1) x (n + 1) grid on the unit square and
     the (n^2, 4) CCW corner ids (a, b, c, d) of its subsquares, row by row,
     a at the lower left."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     xs = np.linspace(0.0, 1.0, n + 1)
     xg, yg = np.meshgrid(xs, xs, indexing="xy")
     lower_left = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()

@@ -80,7 +80,8 @@ def polynomial_patch(degree):
     """u = sum of every monomial x^a y^b with a + b <= degree, unit
     coefficients.  Any scheme exact on P_degree must reproduce its
     projection to roundoff."""
-    if not isinstance(degree, numbers.Integral) or degree < 0:
+    if (not isinstance(degree, numbers.Integral) or isinstance(degree, bool)
+            or degree < 0):
         raise ValueError(
             f"the patch degree must be an integer >= 0, got {degree!r}")
     a, b = np.indices((degree + 1, degree + 1))

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis_quadrature import (QuadratureRule, _legendre_edge,
-                               polynomial_space_dim)
+                               polynomial_space_dim, quadrature_exactness)
 from .mesh import edge_points
 from .weak_laplacian import _cell_values, cell_batches
 
@@ -125,8 +125,9 @@ def project_field(mesh, degree, field):
     trace, flux = _edge_data(mesh, np.arange(mesh.n_edges), degree,
                              field.value, _normal_derivative(field))
     interior = np.empty((mesh.n_cells, polynomial_space_dim(degree)))
+    exactness = quadrature_exactness(degree)[0]
     for reps, cells, which in cell_batches(mesh, degree):
-        _, rule, _, vals, _ = _cell_values(mesh, reps, degree, 2 * degree + 2)
+        _, rule, _, vals, _ = _cell_values(mesh, reps, degree, exactness)
         interior[cells] = _project_cells(mesh, cells, which, rule, vals,
                                          field.value)
     return WgField(degree, interior, trace, flux)

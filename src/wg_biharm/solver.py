@@ -29,10 +29,10 @@ Once per iteration it applies symmetric multiplicative two-level Schwarz
 edge's trace and flux modes, and an exact coarse solve, selected by column
 and factored once like the direct route, on every edge's Legendre trace
 modes < 2 (< 1 for k = 2) and flux modes < k - 1, the flux modes the weak
-Laplacian reads.  Its set-up takes two cores: a worker thread, alive for
-one set-up, builds the smoother while the calling thread factors the
-coarse block (SuperLU releases the GIL).  ``solve_linear`` has no edge
-structure, so its CG runs damped symmetric point Jacobi.  Failure raises
+Laplacian reads.  Its damping is 3 / (2m), m a proven bound on
+lambda_max(D^-1 S) (``_two_level``; Toselli and Widlund): the most edges
+of a cell, or for ``solve_linear``, whose CG runs damped symmetric point
+Jacobi, the most nonzeros in a row.  Failure raises
 SolverError carrying the residual, relative to b (to g when CG does not
 converge), and, for CG, the iteration count, instead of returning garbage
 silently.  Every inner product and norm (``_norm``) is a numpy sum, never
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,7 +53,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 DIRECT_RESIDUAL_LIMIT = 1e-9
-POWER_STEPS = 10
 
 
 class SolverError(RuntimeError):
@@ -75,10 +73,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("cholesky", "cg"):
             raise ValueError(f"unknown solver method {self.method!r}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise ValueError("tolerance must be finite and > 0")
+        if isinstance(self.tolerance, bool) or not (
+                math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError("tolerance must be a finite number > 0")
         if self.max_iterations is not None and not (
                 isinstance(self.max_iterations, numbers.Integral)
+                and not isinstance(self.max_iterations, bool)
                 and self.max_iterations >= 1):
             raise ValueError("max_iterations must be an integer >= 1")
 
@@ -176,7 +176,7 @@ def _lower(inv, v, transpose=False):
     return np.einsum(spec, inv, v.reshape(inv.shape[:2])).ravel()
 
 
-def _two_level(schur, edge_block):
+def _two_level(schur, edge_block, width):
     """Two-level preconditioner r -> M r of S, symmetric multiplicative: a
     damped block-Jacobi pre-smooth, an exact coarse correction, a post-smooth.
 
@@ -184,10 +184,11 @@ def _two_level(schur, edge_block):
     modes, then every edge's k flux modes; a block is one edge's trace and
     flux modes and the coarse space is trace modes < 2 (< 1 for k = 2)
     and flux modes < k - 1.  With 0 the blocks are 1 x 1 and there is no
-    coarse space.  The preconditioner is SPD while the damping w keeps
-    w lambda_max(D^-1 S) < 2; w is min(1, 1 / lambda), lambda a Rayleigh
-    quotient after POWER_STEPS power steps on D^-1 S from the ones vector
-    (no RNG: the solve repeats bitwise)."""
+    coarse space.  M is SPD while w lambda_max(D^-1 S) < 2, D the blocks.
+    S is a sum of semidefinite S_T, each on at most ``width`` blocks x_e,
+    so by Cauchy-Schwarz x^T S_T x <= width sum_e x_e^T (S_T)_ee x_e and
+    lambda_max(D^-1 S) <= width: w = 3 / (2 width) gives w lambda_max
+    <= 3/2 by proof."""
     n = schur.shape[0]
     if n == 0:  # every edge is on the boundary
         return np.ravel
@@ -201,40 +202,21 @@ def _two_level(schur, edge_block):
         blocks, coarse = j[:, None], j[:0]
     size = blocks.shape[1]
 
-    def smoother():
-        """(r -> D^-1 r, the damping w)."""
-        diag = schur[np.repeat(blocks, size, axis=1).ravel(),
-                     np.tile(blocks, size).ravel()]
-        inv = _inverse_cholesky(np.asarray(diag).reshape(-1, size, size),
-                                "a diagonal block of the block-diagonal "
-                                "smoother")
+    # the smoother first, so that its error is raised before the coarse one
+    diag = schur[np.repeat(blocks, size, axis=1).ravel(),
+                 np.tile(blocks, size).ravel()]
+    inv = _inverse_cholesky(np.asarray(diag).reshape(-1, size, size),
+                            "a diagonal block of the block-diagonal smoother")
+    factor = _spd_factor(schur[coarse][:, coarse]) if coarse.size else None
+    # not 1 / width: a weaker smoother stops CG closer to its tolerance
+    omega = 1.5 / width
 
-        def jacobi(r):
-            """D^-1 r, block by block."""
-            out = np.empty(n)
-            out[blocks] = _lower(inv, _lower(inv, r[blocks]),
-                                 transpose=True).reshape(blocks.shape)
-            return out
-
-        v = np.ones(n)
-        for _ in range(POWER_STEPS):
-            u = schur @ v
-            w = jacobi(u)
-            lam = np.sum(w * u) / np.sum(v * u)
-            v = w / _norm(w)
-        return jacobi, min(1.0, 1.0 / lam)
-
-    # the smoother is built while this thread factors the coarse block
-    # (SuperLU releases the GIL); the smoother's error is raised first
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        smoothing = pool.submit(smoother)
-        try:
-            factor = (_spd_factor(schur[coarse][:, coarse]) if coarse.size
-                      else None)
-        except SolverError:
-            smoothing.result()
-            raise
-        jacobi, omega = smoothing.result()
+    def jacobi(r):
+        """D^-1 r, block by block."""
+        out = np.empty(n)
+        out[blocks] = _lower(inv, _lower(inv, r[blocks]),
+                             transpose=True).reshape(blocks.shape)
+        return out
 
     def apply(r):
         x = omega * jacobi(r)
@@ -244,7 +226,7 @@ def _two_level(schur, edge_block):
     return apply
 
 
-def _route(schur, config, scale, edge_block):
+def _route(schur, config, scale, edge_block, width):
     """(route, limit): route(g) -> (x, iterations) solves S x = g by the
     configured method; limit bounds the full relative residual."""
     if config.method == "cholesky":
@@ -263,7 +245,7 @@ def _route(schur, config, scale, edge_block):
 
     n = schur.shape[0]
     maxiter = config.max_iterations or max(1, math.ceil(50.0 * math.sqrt(n)))
-    precondition = _two_level(schur, edge_block)
+    precondition = _two_level(schur, edge_block, width)
 
     def cg(g):
         x, r, p, rho = np.zeros(n), g.copy(), np.zeros(n), 1.0
@@ -285,10 +267,10 @@ def _route(schur, config, scale, edge_block):
     return cg, config.tolerance
 
 
-def _solve(matrix, b, config, n_cells, block, edge_block):
+def _solve(matrix, b, config, n_cells, block, edge_block, width):
     """Solve A x = b by condensing the leading ``n_cells`` interior blocks
     of size ``block``, verified and corrected at most once; ``edge_block``
-    is the number of modes per edge block of S (``_two_level``)."""
+    and ``width`` describe the blocks of S (``_two_level``)."""
     config = config or SolverConfig()
     matrix = sp.csr_matrix(matrix)
     b = np.asarray(b, dtype=float)
@@ -298,7 +280,7 @@ def _solve(matrix, b, config, n_cells, block, edge_block):
     m = n_cells * block
     inv, y, schur = _condense(matrix, n_cells, block, edge_block)
     scale = _norm(b[m:] - y.T @ _lower(inv, b[:m])) or 1.0
-    route, limit = _route(schur, config, scale, edge_block)
+    route, limit = _route(schur, config, scale, edge_block, width)
 
     def through_schur(rhs):
         z = _lower(inv, rhs[:m])
@@ -324,14 +306,20 @@ def _solve(matrix, b, config, n_cells, block, edge_block):
 
 
 def solve_linear(matrix, b, config=None):
-    """Solve the SPD system ``matrix @ x = b`` per the config, uncondensed."""
-    return _solve(matrix, b, config, 0, 1, 0)
+    """Solve the SPD system ``matrix @ x = b`` per the config, uncondensed;
+    CG's damping reads the most nonzeros in a row, by Gershgorin a bound on
+    lambda_max(D^-1 A) since a_ij^2 <= a_ii a_jj."""
+    matrix = sp.csr_matrix(matrix)
+    return _solve(matrix, b, config, 0, 1, 0,
+                  np.diff(matrix.indptr).max(initial=0))
 
 
 def solve(system, config=None):
     """Solve a reduced system by static condensation of its cell
     interiors (anything with .matrix, .rhs and a DofLayout .layout whose
-    interior DOFs lead the free DOFs)."""
+    interior DOFs lead the free DOFs).  CG's damping assumes the matrix is
+    a sum of semidefinite cell matrices, each on at most
+    ``layout.cell_edges`` edges."""
     layout = system.layout
     return _solve(system.matrix, system.rhs, config, layout.n_cells,
-                  layout.cell_block, layout.edge_block)
+                  layout.cell_block, layout.edge_block, layout.cell_edges)

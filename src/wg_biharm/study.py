@@ -108,7 +108,7 @@ def solve_on_mesh(problem, degree, mesh, solver_config=None):
 
 def run_study(config):
     for i, n in enumerate(config.levels):
-        if not isinstance(n, numbers.Integral):
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool):
             raise ValueError(f"mesh level {n!r} is not an integer")
         if n in config.levels[:i]:  # an order between equal h is 0 / 0
             raise ValueError(f"levels repeat the mesh level {n}")

@@ -6,14 +6,16 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import wg_biharm as wg
-from conftest import polygonal_mesh_cells
+from conftest import jittered_triangle_mesh, polygonal_mesh_cells
 from wg_biharm import solver
 from wg_biharm.weak_laplacian import _cell_values
 
@@ -220,7 +222,8 @@ def test_two_level_preconditioner_is_spd(degree):
     layout = reduced.layout
     _, _, schur = solver._condense(reduced.matrix, layout.n_cells,
                                    layout.cell_block, layout.edge_block)
-    _assert_spd(_dense(solver._two_level(schur, layout.edge_block),
+    _assert_spd(_dense(solver._two_level(schur, layout.edge_block,
+                                         layout.cell_edges),
                        schur.shape[0]))
 
 
@@ -292,7 +295,53 @@ def test_indefinite_edge_block_raises_the_smoother_error(mode):
 
 def test_pointwise_preconditioner_of_solve_linear_is_spd():
     A, _ = _random_spd(40, seed=9)
-    _assert_spd(_dense(solver._two_level(A, 0), A.shape[0]))
+    _assert_spd(_dense(solver._two_level(A, 0, np.diff(A.indptr).max()),
+                       A.shape[0]))
+
+
+def _brick_mesh(n, seed):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from bench import brick_mesh  # the benchmark's jittered brick mesh
+    return brick_mesh(n, seed)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+@pytest.mark.parametrize("build, width", [
+    (lambda: wg.build_uniform_triangle_mesh(4), 3),
+    (lambda: wg.build_uniform_quad_mesh(4), 4),
+    (lambda: jittered_triangle_mesh(5, 3), 3),
+    (lambda: wg.mesh_from_cells(*polygonal_mesh_cells()), 8),
+    (lambda: _brick_mesh(6, 2), 6),
+], ids=["tri4", "quad4", "jittered", "polygons", "brick6"])
+def test_smoother_damping_rests_on_a_bound_that_holds(build, width, degree):
+    # the premise of the two-level damping: lambda_max(D^-1 S) <= the most
+    # edges of a cell, D the edge blocks of S; measured 2.75-2.96 on tri,
+    # 3.26-3.77 on quad, 2.82-2.98 jittered, 2.60-2.95 on the polygons and
+    # 3.45-5.17 on the brick mesh at k = 2-5
+    reduced = _reduced(build(), degree)
+    layout = reduced.layout
+    assert layout.cell_edges == width
+    _, _, schur = solver._condense(reduced.matrix, layout.n_cells,
+                                   layout.cell_block, layout.edge_block)
+    s = schur.toarray()
+    n = s.shape[0]
+    # unknown j is trace (j < n / 2) or flux mode j % k of free edge
+    # (j mod n / 2) // k
+    edge = (np.arange(n) % (n // 2)) // degree
+    d = np.where(edge[:, None] == edge, s, 0.0)
+    lam = scipy.linalg.eigh(s, d, eigvals_only=True,
+                            subset_by_index=[n - 1, n - 1])[0]
+    assert lam <= layout.cell_edges
+
+
+def test_cg_solve_starts_no_thread(monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"{thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    reduced = _reduced(wg.build_uniform_quad_mesh(6), 4)
+    result = wg.solve(reduced, wg.SolverConfig(method="cg"))
+    assert result.iterations > 0
 
 
 @pytest.mark.parametrize("entry", ["solve", "solve_linear"])

@@ -74,6 +74,22 @@ def test_non_integer_degree_or_level_rejected():
         wg.run_study(wg.StudyConfig("example2", 2.5, levels=(2,)))
 
 
+@pytest.mark.parametrize("name, call", [
+    ("tolerance", lambda: wg.SolverConfig(tolerance=True)),
+    ("max_iterations", lambda: wg.SolverConfig(max_iterations=True)),
+    ("patch degree", lambda: wg.polynomial_patch(True)),
+    ("mesh level", lambda: wg.run_study(
+        wg.StudyConfig("example2", 2, levels=(True, 4)))),
+    ("n must", lambda: wg.build_uniform_triangle_mesh(True)),
+    ("n must", lambda: wg.build_uniform_quad_mesh(True)),
+], ids=["tolerance", "max_iterations", "patch", "levels", "tri", "quad"])
+def test_a_bool_is_not_a_number(name, call):
+    # bool is an int subclass, so True passed as 1 (a tolerance of 1.0,
+    # one iteration, "patch-True", mesh level 1)
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
 def test_run_study_errors_decrease_monotonically():
     table = wg.run_study(wg.StudyConfig(problem="example1", degree=2,
                                         levels=(2, 4, 8)))
