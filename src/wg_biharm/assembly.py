@@ -1,15 +1,19 @@
-"""Global system assembly and essential boundary conditions.
+"""Assembly, static condensation and essential boundary conditions.
 
 Global DOF order: all cell interior blocks (cell id order), then all edge
-trace blocks (edge id order), then all edge flux blocks.  Assembly scatters
-each shape's stiffness-plus-stabilizer matrix to every cell of the shape,
-in the fixed batch order of ``cell_batches``, so the assembled arrays are
-bitwise reproducible.
+trace blocks (edge id order), then all edge flux blocks.  The interior
+unknowns couple only to their own cell, so assembly eliminates them once
+per shape of each batch of ``cell_batches``: with the local stiffness plus
+stabilizer [[A_ii, A_ie], [A_ei, A_ee]], A_ii = L L^T, Y = L^-1 A_ie and
+S_T = A_ee - Y^T Y, scattered to the shape's cells in the fixed batch
+order, so the trace/flux matrix S is bitwise reproducible; the load b_T =
+(f, v_0) condenses to g = -sum_T Y_T^T L^-1 b_T.  The full matrix A is
+built by the same scatter, on request only, as a reference.
 
 Boundary conditions are essential: trace and flux blocks of boundary edges
 are set to edge projections of the prescribed data, with the element's edge
-rule (``basis_quadrature.quadrature_exactness``), eliminated from the
-system, and their coupling moved to the right-hand side.
+rule (``basis_quadrature.quadrature_exactness``), eliminated from S, and
+their coupling moved to the right-hand side; x_T = L^-T (L^-1 b_T - Y x_e).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import scipy.sparse as sp
 
 from .basis_quadrature import polynomial_space_dim, quadrature_exactness
 from .projection import WgField, _edge_data, _project_cells
+from .solver import _inverse_cholesky
 from .weak_laplacian import (_batch_operators, cell_batches,
                              gather_local_dofs)
 
@@ -104,17 +109,35 @@ def build_dof_layout(mesh, degree):
 
 @dataclass
 class SparseSymmetricSystem:
-    """Assembled operator (CSR), load vector and the layout behind them."""
+    """S (CSR over every edge DOF less ``layout.trace_offset``) and its
+    right-hand side; per batch of ``cell_batches``, (cells, which, L^-1 and
+    Y per shape, each cell's edge DOFs less the offset, z = L^-1 b_T) to
+    recover the interiors; the load (f, v_0) and the layout."""
 
-    matrix: sp.csr_matrix
+    schur: sp.csr_matrix
+    schur_rhs: np.ndarray
+    recovery: list
     load: np.ndarray
     layout: DofLayout
     mesh: object
 
+    @cached_property
+    def matrix(self):
+        """The full assembled operator A (CSR), built on first access: the
+        reference that tests and ``--dump-matrix`` read."""
+        mesh, layout, k = self.mesh, self.layout, self.layout.degree
+        ops = ((_batch_operators(mesh, reps, k), cells, which)
+               for reps, cells, which in cell_batches(mesh, k))
+        local = ((op.stiffness + op.stabilizer, layout.cell_dofs(mesh, c), w)
+                 for op, c, w in ops)
+        return _scatter(layout.total,
+                        layout.cell_block + 2 * k * mesh.cell_sizes, local)
+
 
 @dataclass
 class ReducedSystem:
-    """System after boundary elimination, restricted to free DOFs."""
+    """S and its right-hand side over the free edge DOFs; ``free_dofs`` are
+    every DOF the boundary data do not fix, the interiors first."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
@@ -122,53 +145,82 @@ class ReducedSystem:
     boundary_dofs: np.ndarray
     boundary_values: np.ndarray
     layout: DofLayout
+    recovery: list
 
-    def expand(self, x_free):
+    def expand(self, x_b):
+        """The full DOF vector from the free edge values x_b: the boundary
+        values, and each interior x_T = L^-T (z - Y x_e)."""
         full = np.zeros(self.layout.total)
-        full[self.free_dofs] = x_free
+        offset = self.layout.trace_offset
+        full[self.free_dofs[offset:]] = x_b
         full[self.boundary_dofs] = self.boundary_values
+        interior = full[:offset].reshape(self.layout.n_cells, -1)
+        for cells, which, inv, y, edges, z in self.recovery:
+            z = z - np.einsum("cij,cj->ci", y[which], full[offset:][edges])
+            interior[cells] = np.einsum("cji,cj->ci", inv[which], z)
         return full
 
 
-def assemble_system(mesh, degree, source):
-    """Assemble stiffness + stabilizer and the load (source, v_0).
-
-    ``source`` is a broadcastable callable f(x, y).
-    """
-    layout = build_dof_layout(mesh, degree)
-    nnz = int(np.sum((layout.cell_block + 2 * degree * mesh.cell_sizes) ** 2))
-    rows = np.empty(nnz, dtype=np.int32)
-    cols = np.empty(nnz, dtype=np.int32)
-    data = np.empty(nnz)
-    load = np.zeros(layout.total)
+def _scatter(size, local_sizes, batches):
+    """CSR (size x size) sum of local matrices, without stored zeros: each
+    of ``batches`` is (local, dofs, which), one matrix per shape and each
+    cell's DOFs and row of local; ``local_sizes`` holds every cell's."""
+    entries = int(np.sum(np.asarray(local_sizes) ** 2))
+    rows = np.empty(entries, dtype=np.int32)
+    cols = np.empty(entries, dtype=np.int32)
+    data = np.empty(entries)
     at = 0
-    for reps, cells, which in cell_batches(mesh, degree):
-        op = _batch_operators(mesh, reps, degree)
-        g = layout.cell_dofs(mesh, cells)
-        local = op.stiffness + op.stabilizer  # one per shape
+    for local, dofs, which in batches:
         # The shapes' nonzero pattern leaves out the exact zeros of the
         # masked couplings; a zero of one shape where another has none is
         # summed and dropped below.
         i, j = np.nonzero(np.any(local != 0.0, axis=0))
-        end = at + cells.size * i.size
+        end = at + which.size * i.size
         # Written straight into the COO arrays: the indices are in range,
         # and np.take buffers its output in its default mode, "raise".
-        g32 = g.astype(np.int32)
-        np.take(g32, i, axis=1, out=rows[at:end].reshape(-1, i.size),
+        dofs = dofs.astype(np.int32)
+        np.take(dofs, i, axis=1, out=rows[at:end].reshape(-1, i.size),
                 mode="clip")
-        np.take(g32, j, axis=1, out=cols[at:end].reshape(-1, i.size),
+        np.take(dofs, j, axis=1, out=cols[at:end].reshape(-1, i.size),
                 mode="clip")
         np.take(local[:, i, j], which, axis=0,
                 out=data[at:end].reshape(-1, i.size), mode="clip")
         at = end
-
-        load[g[:, :layout.cell_block]] = _project_cells(  # (f, phi_j)
-            mesh, cells, which, op.rule, op.values, source)
-
     matrix = sp.coo_matrix((data[:at], (rows[:at], cols[:at])),
-                           shape=(layout.total, layout.total)).tocsr()
+                           shape=(size, size)).tocsr()
     matrix.eliminate_zeros()  # duplicates that cancel, scattered zeros
-    return SparseSymmetricSystem(matrix, load, layout, mesh)
+    return matrix
+
+
+def assemble_system(mesh, degree, source):
+    """Condense stiffness + stabilizer and the load (source, v_0), a
+    broadcastable f(x, y), onto the edge DOFs, once per cell shape; an
+    interior block that is not SPD or not finite raises SolverError."""
+    layout = build_dof_layout(mesh, degree)
+    n, offset = layout.cell_block, layout.trace_offset
+    load = np.zeros(layout.total)
+    rhs = np.zeros(layout.total - offset)
+    recovery = []
+
+    def condensed():
+        for reps, cells, which in cell_batches(mesh, degree):
+            op = _batch_operators(mesh, reps, degree)
+            local = op.stiffness + op.stabilizer  # one per shape
+            inv = _inverse_cholesky(local[:, :n, :n], "an interior block")
+            y = inv @ local[:, :n, n:]
+            dofs = layout.cell_dofs(mesh, cells)
+            b = _project_cells(mesh, cells, which, op.rule, op.values,
+                               source)  # (f, phi_j)
+            load[dofs[:, :n]] = b
+            z = np.einsum("cij,cj->ci", inv[which], b)
+            edges = dofs[:, n:] - offset
+            rhs[:] -= np.bincount(edges.ravel(), np.einsum(
+                "cij,ci->cj", y[which], z).ravel(), rhs.size)
+            recovery.append((cells, which, inv, y, edges, z))
+            yield local[:, n:, n:] - y.mT @ y, edges, which
+
+    schur = _scatter(rhs.size, 2 * degree * mesh.cell_sizes, condensed())
+    return SparseSymmetricSystem(schur, rhs, recovery, load, layout, mesh)
 
 
 def apply_boundary_conditions(system, trace, flux):
@@ -178,10 +230,11 @@ def apply_boundary_conditions(system, trace, flux):
     phi(x, y, nx, ny), evaluated with the edge's global normal, which on
     boundary edges is the outward normal of the domain; for the solution's
     own data the imposed DOFs are ``project_field``'s boundary rows.
-    Returns the reduced system over free DOFs with the boundary coupling
-    moved to the right-hand side.
+    Returns S and its right-hand side over the free edge DOFs, with the
+    boundary coupling moved to the right-hand side.
     """
     mesh, layout = system.mesh, system.layout
+    offset = layout.trace_offset
     boundary = layout.boundary_dofs(mesh)
 
     # Same order as boundary_dofs: every trace block, then every flux block.
@@ -189,17 +242,18 @@ def apply_boundary_conditions(system, trace, flux):
                                 layout.degree, trace, flux)
     values = np.concatenate([traces.ravel(), fluxes.ravel()])
 
-    free = np.ones(layout.total, dtype=bool)
-    free[boundary] = False
-    free = np.flatnonzero(free)
+    free = np.flatnonzero(np.bincount(boundary - offset,
+                                      minlength=system.schur_rhs.size) == 0)
 
     # the lift as one SpMV of a zero-padded vector: a CSR column slice
     # costs about four times as much
-    imposed = np.zeros(layout.total)
-    imposed[boundary] = values
-    rhs = (system.load - system.matrix @ imposed)[free]
-    reduced = system.matrix[free][:, free].tocsr()
-    return ReducedSystem(reduced, rhs, free, boundary, values, layout)
+    imposed = np.zeros(system.schur_rhs.size)
+    imposed[boundary - offset] = values
+    rhs = (system.schur_rhs - system.schur @ imposed)[free]
+    reduced = system.schur[free][:, free].tocsr()
+    return ReducedSystem(reduced, rhs,
+                         np.concatenate([np.arange(offset), free + offset]),
+                         boundary, values, layout, system.recovery)
 
 
 def dump_matrix(matrix, path):

@@ -6,7 +6,7 @@
 
 ``study`` runs a refinement sweep and prints (or writes) the error table;
 ``solve`` runs a single level and prints the six errors, with an optional
-coordinate-format dump of the reduced matrix.
+coordinate-format dump of the reduced matrix before condensation.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .assembly import dump_matrix
+from .assembly import assemble_system, dump_matrix
 from .norms import compute_errors
 from .problems import get_problem
 from .solver import DIRECT_RESIDUAL_LIMIT, SolverConfig, SolverError
@@ -46,7 +46,7 @@ def _add_common(p):
                    help="CG stops once the condensed system's residual "
                         "is at most tol times the norm of its own "
                         "right-hand side; either solver then takes one "
-                        "correction step if the full relative residual "
+                        "correction step if that relative residual "
                         f"exceeds tol (or {DIRECT_RESIDUAL_LIMIT:g} on the "
                         "direct route, if smaller)")
     p.add_argument("--max-iterations", type=int, default=None,
@@ -74,7 +74,8 @@ def make_parser():
     _add_common(so)
     so.add_argument("--n", type=int, required=True, help="mesh level")
     so.add_argument("--dump-matrix", default=None,
-                    help="write the reduced matrix as 'i j value' lines "
+                    help="write the reduced matrix over every free DOF, "
+                         "before condensation, as 'i j value' lines "
                          "(0-based, lower triangle)")
     return parser
 
@@ -105,8 +106,10 @@ def _cmd_solve(args):
     mesh = build_mesh(args.mesh, args.n)
     u_h, reduced, result, seconds = solve_on_mesh(problem, args.k, mesh,
                                                   config)
-    if args.dump_matrix:
-        dump_matrix(reduced.matrix, args.dump_matrix)
+    if args.dump_matrix:  # the reference over every free DOF, not S
+        full = assemble_system(mesh, args.k, problem.source).matrix
+        dump_matrix(full[reduced.free_dofs][:, reduced.free_dofs],
+                    args.dump_matrix)
     report = compute_errors(mesh, args.k, u_h, problem.solution)
     print(f"problem {problem.name}  k {args.k}  mesh {args.mesh}  "
           f"n {args.n}  dofs {reduced.layout.total}  "

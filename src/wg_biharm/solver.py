@@ -1,28 +1,21 @@
-"""Linear solvers for the reduced symmetric positive definite system.
+"""Linear solvers for the condensed symmetric positive definite system.
 
-One pipeline serves both entry points.  It condenses the leading
-block-diagonal interior block: with A = [[A_ii, A_ib], [A_bi, A_bb]] and
-A_ii = L L^T cell by cell, Y = L^-1 A_ib and S = A_bb - Y^T Y.  A_ii is
-read once, as a BSR matrix of (cell x cell) blocks: its structure must be
-the block diagonal, and its blocks are replaced by L^-1, which one helper
-computes for any stack of SPD blocks (the smoother's too).  Y and Y^T Y
-are block sparse products: every free unknown past the interiors belongs
-to an edge block of k trace or k flux modes, so Y is formed from
-(cell x k) blocks and Y^T Y from (k x k) blocks; both return to CSR
-without the exact zeros the blocks pad with, so S holds the entries (and
-splu sees the fill) of scalar products.  It solves S, recovers the
-interiors cell by cell, verifies the full residual and, if that misses
-the tolerance, takes one residual-correction step with the same factors.
-``solve`` condenses the cell interiors of a reduced WG system;
-``solve_linear`` condenses an empty interior, so S is the matrix itself.
+Assembly eliminates the cell interiors cell by cell (``assembly``), so a
+reduced WG system is the trace/flux matrix S and its right-hand side g.
+One pipeline serves both entry points: it solves by the route the config
+names, chosen once per solve, verifies the relative residual
+||S x - g|| / ||g|| and, if that misses the tolerance, takes one
+residual-correction step with the same factors.  ``solve`` reads a
+reduced WG system, ``solve_linear`` any SPD matrix.  One helper
+(``_inverse_cholesky``) forms L^-1 for any stack of SPD blocks: the
+interior blocks, the cell mass matrices and the smoother's.
 
-S is solved by the route the config names, chosen once per solve.
 "cholesky" (the default, sensible up to a few hundred thousand DOFs) is
 SuperLU ``splu`` with a symmetric minimum-degree ordering and no pivoting:
 LDL^T up to the scaling of U, with a row swap or a pivot <= 0 rejected as
 not SPD.  "cg" is preconditioned conjugate gradients on S x_b = g from
 zero, stopped at the top of an iteration once ||r|| < ``tolerance *
-||g||`` (S and g, unlike b, do not depend on the interior basis).  Its
+||g||`` (S and g do not depend on the interior basis).  Its
 ``iterations`` and the default ``max_iterations`` (50 sqrt(n)) refer to S.
 Once per iteration it applies symmetric multiplicative two-level Schwarz
 (Pavarino; Brenner): a damped block-Jacobi smoother whose blocks are each
@@ -32,13 +25,12 @@ modes < 2 (< 1 for k = 2) and flux modes < k - 1, the flux modes the weak
 Laplacian reads.  Its damping is 3 / (2m), m a proven bound on
 lambda_max(D^-1 S) (``_two_level``; Toselli and Widlund): the most edges
 of a cell, or for ``solve_linear``, whose CG runs damped symmetric point
-Jacobi, the most nonzeros in a row.  Failure raises
-SolverError carrying the residual, relative to b (to g when CG does not
-converge), and, for CG, the iteration count, instead of returning garbage
-silently.  Every inner product and norm (``_norm``) is a numpy sum, never
-a BLAS reduction, whose order of terms follows the thread count: x, the
-reported residual and the correction decision are the same on any number
-of BLAS threads.
+Jacobi, the most nonzeros in a row.  Failure raises SolverError carrying
+the residual, relative to g, and, for CG, the iteration count, instead of
+returning garbage silently.  Every inner product and norm (``_norm``) is
+a numpy sum, never a BLAS reduction, whose order of terms follows the
+thread count: x, the reported residual and the correction decision are
+the same on any number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -73,7 +65,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("cholesky", "cg"):
             raise ValueError(f"unknown solver method {self.method!r}")
-        if isinstance(self.tolerance, bool) or not (
+        if not isinstance(self.tolerance, numbers.Real) or isinstance(
+                self.tolerance, bool) or not (
                 math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError("tolerance must be a finite number > 0")
         if self.max_iterations is not None and not (
@@ -116,28 +109,6 @@ def _spd_factor(matrix):
     return factor
 
 
-def _condense(matrix, n_cells, block, edge_block):
-    """(L^-1 cell by cell, Y, S) of the leading ``n_cells`` interior blocks
-    of size ``block`` of a CSR matrix whose remaining unknowns come in
-    blocks of ``edge_block``; Y and S are CSR without stored zeros."""
-    m = n_cells * block
-    if m == 0:
-        return np.empty((0, block, block)), matrix[:0], matrix
-    inner = matrix[:m, :m].tobsr((block, block))
-    cells = np.arange(n_cells + 1)
-    if not (np.array_equal(inner.indptr, cells)
-            and np.array_equal(inner.indices, cells[:-1])):
-        raise SolverError("interior unknowns couple across cells; the "
-                          "interior block is not block diagonal")
-    inner.data = _inverse_cholesky(inner.data, "an interior block")
-    y = inner @ matrix[:m, m:].tobsr((block, edge_block))
-    # the blocks pad with exact zeros, which would move the splu fill;
-    # the block Y is dropped before S is formed, to lower peak memory
-    yty = _csr(y.T @ y)
-    y = _csr(y)
-    return inner.data, y, matrix[m:, m:] - yty
-
-
 def _inverse_cholesky(blocks, name):
     """L^-1 of every block of a stack of SPD blocks L L^T, by forward
     substitution row by row over the whole stack, exact zeros above the
@@ -160,20 +131,6 @@ def _inverse_cholesky(blocks, name):
         inv[..., i:i + 1, :i] = (chol[..., i:i + 1, :i] @ inv[..., :i, :i]
                                  / neg[..., i, :, :])
     return inv
-
-
-def _csr(matrix):
-    """CSR copy of a block matrix without its stored zeros."""
-    out = matrix.tocsr()
-    out.eliminate_zeros()
-    out.sort_indices()
-    return out
-
-
-def _lower(inv, v, transpose=False):
-    """L^-1 v, or L^-T v, cell by cell."""
-    spec = "cji,cj->ci" if transpose else "cij,cj->ci"
-    return np.einsum(spec, inv, v.reshape(inv.shape[:2])).ravel()
 
 
 def _two_level(schur, edge_block, width):
@@ -214,8 +171,8 @@ def _two_level(schur, edge_block, width):
     def jacobi(r):
         """D^-1 r, block by block."""
         out = np.empty(n)
-        out[blocks] = _lower(inv, _lower(inv, r[blocks]),
-                             transpose=True).reshape(blocks.shape)
+        out[blocks] = np.einsum("cji,cj->ci", inv,
+                                np.einsum("cij,cj->ci", inv, r[blocks]))
         return out
 
     def apply(r):
@@ -228,7 +185,7 @@ def _two_level(schur, edge_block, width):
 
 def _route(schur, config, scale, edge_block, width):
     """(route, limit): route(g) -> (x, iterations) solves S x = g by the
-    configured method; limit bounds the full relative residual."""
+    configured method; limit bounds the relative residual."""
     if config.method == "cholesky":
         factor = _spd_factor(schur)
 
@@ -267,9 +224,8 @@ def _route(schur, config, scale, edge_block, width):
     return cg, config.tolerance
 
 
-def _solve(matrix, b, config, n_cells, block, edge_block, width):
-    """Solve A x = b by condensing the leading ``n_cells`` interior blocks
-    of size ``block``, verified and corrected at most once; ``edge_block``
+def _solve(matrix, b, config, edge_block, width):
+    """Solve S x = b, verified and corrected at most once; ``edge_block``
     and ``width`` describe the blocks of S (``_two_level``)."""
     config = config or SolverConfig()
     matrix = sp.csr_matrix(matrix)
@@ -277,26 +233,16 @@ def _solve(matrix, b, config, n_cells, block, edge_block, width):
     n = matrix.shape[0]
     if matrix.shape != (n, n) or b.shape != (n,):
         raise ValueError("matrix/right-hand side shapes do not match")
-    m = n_cells * block
-    inv, y, schur = _condense(matrix, n_cells, block, edge_block)
-    scale = _norm(b[m:] - y.T @ _lower(inv, b[:m])) or 1.0
-    route, limit = _route(schur, config, scale, edge_block, width)
-
-    def through_schur(rhs):
-        z = _lower(inv, rhs[:m])
-        x_b, iterations = route(rhs[m:] - y.T @ z)
-        x = np.concatenate([_lower(inv, z - y @ x_b, transpose=True), x_b])
-        if not np.all(np.isfinite(x)):
-            raise SolverError("solve produced non-finite values")
-        return x, iterations
-
-    x, iterations = through_schur(b)
+    route, limit = _route(matrix, config, _norm(b) or 1.0, edge_block, width)
+    x, iterations = route(b)
     res = _relative_residual(matrix, x, b)
     if res > min(limit, config.tolerance):
-        dx, more = through_schur(b - matrix @ x)
+        dx, more = route(b - matrix @ x)
         x = x + dx
         res = _relative_residual(matrix, x, b)
         iterations = None if more is None else iterations + more
+    if not np.all(np.isfinite(x)):
+        raise SolverError("solve produced non-finite values")
     if res > limit:
         raise SolverError(
             f"{config.method} solve residual {res:.3e} exceeds {limit:.1e} "
@@ -306,20 +252,18 @@ def _solve(matrix, b, config, n_cells, block, edge_block, width):
 
 
 def solve_linear(matrix, b, config=None):
-    """Solve the SPD system ``matrix @ x = b`` per the config, uncondensed;
-    CG's damping reads the most nonzeros in a row, by Gershgorin a bound on
+    """Solve the SPD system ``matrix @ x = b`` per the config; CG's damping
+    reads the most nonzeros in a row, by Gershgorin a bound on
     lambda_max(D^-1 A) since a_ij^2 <= a_ii a_jj."""
     matrix = sp.csr_matrix(matrix)
-    return _solve(matrix, b, config, 0, 1, 0,
-                  np.diff(matrix.indptr).max(initial=0))
+    return _solve(matrix, b, config, 0, np.diff(matrix.indptr).max(initial=0))
 
 
 def solve(system, config=None):
-    """Solve a reduced system by static condensation of its cell
-    interiors (anything with .matrix, .rhs and a DofLayout .layout whose
-    interior DOFs lead the free DOFs).  CG's damping assumes the matrix is
-    a sum of semidefinite cell matrices, each on at most
-    ``layout.cell_edges`` edges."""
+    """Solve a reduced system, S and its right-hand side (anything with
+    .matrix, .rhs and a DofLayout .layout): x holds the free edge DOFs, which
+    ``ReducedSystem.expand`` completes.  CG's damping assumes S is a sum of
+    semidefinite cell matrices, each on at most ``layout.cell_edges`` edges."""
     layout = system.layout
-    return _solve(system.matrix, system.rhs, config, layout.n_cells,
-                  layout.cell_block, layout.edge_block, layout.cell_edges)
+    return _solve(system.matrix, system.rhs, config, layout.edge_block,
+                  layout.cell_edges)

@@ -107,6 +107,9 @@ def solve_on_mesh(problem, degree, mesh, solver_config=None):
 
 
 def run_study(config):
+    if not isinstance(config.levels, (tuple, list)) or not config.levels:
+        raise ValueError(f"levels must be a non-empty tuple of mesh levels, "
+                         f"got {config.levels!r}")
     for i, n in enumerate(config.levels):
         if not isinstance(n, numbers.Integral) or isinstance(n, bool):
             raise ValueError(f"mesh level {n!r} is not an integer")

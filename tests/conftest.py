@@ -108,6 +108,16 @@ def monomial_field(a, b):
     return wg.ScalarField(val, grad, lap)
 
 
+def reference_reduced(system, reduced):
+    """The reduced system before condensation: the reference matrix A over
+    ``reduced.free_dofs`` (interiors first) and its right-hand side."""
+    free = reduced.free_dofs
+    imposed = np.zeros(system.layout.total)
+    imposed[reduced.boundary_dofs] = reduced.boundary_values
+    rhs = (system.load - system.matrix @ imposed)[free]
+    return system.matrix[free][:, free].tocsr(), rhs
+
+
 def random_wg_field(mesh, degree, rng):
     f = wg.WgField.zeros(mesh, degree)
     f.interior[:] = rng.uniform(-1.0, 1.0, f.interior.shape)

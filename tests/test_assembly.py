@@ -1,17 +1,24 @@
-"""Global DOF layout, assembly, boundary elimination and matrix dump tests.
+"""Global DOF layout, assembly, static condensation, boundary elimination
+and matrix dump tests.
 
 Frozen DOF counts: the element has dim P_k interior DOFs per cell and
 2k per edge (k trace + k flux), so the n = 1 triangle mesh at k = 2 has
 2*6 + 5*4 = 32 DOFs and the single-quad mesh has 6 + 4*4 = 22.
 """
 
+import dataclasses
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import wg_biharm as wg
+from wg_biharm import assembly
 from wg_biharm.weak_laplacian import _batch_operators, cell_batches
 from conftest import (jittered_triangle_mesh, monomial_field,
-                      polygonal_mesh_cells, random_wg_field)
+                      polygonal_mesh_cells, random_wg_field,
+                      reference_reduced)
 
 # 4-, 6- and 8-vertex cells in one mesh, a tri mesh of four shapes, and a
 # jittered one of 50, whose one group the batch-size bound cuts into
@@ -189,11 +196,14 @@ def test_boundary_dofs_and_zero_data_elimination():
     reduced = wg.apply_boundary_conditions(
         system, zero, lambda x, y, nx, ny: np.zeros_like(x))
     assert not reduced.boundary_values.any()
-    assert np.array_equal(reduced.rhs, system.load[reduced.free_dofs])
-    assert reduced.matrix.shape == (layout.total - boundary.size,) * 2
+    assert reduced.free_dofs.size == layout.total - boundary.size
+    edges = reduced.free_dofs[layout.trace_offset:]
+    assert np.array_equal(reduced.rhs,
+                          system.schur_rhs[edges - layout.trace_offset])
+    assert reduced.matrix.shape == (edges.size,) * 2
 
-    full = reduced.expand(np.ones(reduced.free_dofs.size))
-    assert np.all(full[reduced.free_dofs] == 1.0)
+    full = reduced.expand(np.ones(edges.size))
+    assert np.all(full[edges] == 1.0)
     assert np.all(full[boundary] == 0.0)
 
 
@@ -306,3 +316,71 @@ def test_dump_matrix_lower_triangle_format(tmp_path):
     import scipy.sparse as sp
     coo = sp.tril(system.matrix.tocoo(), k=0, format="coo")
     assert len(entries) == coo.nnz
+
+
+def _brick_mesh(n, seed):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from bench import brick_mesh  # the benchmark's jittered brick mesh
+    return brick_mesh(n, seed)
+
+
+@pytest.mark.parametrize("make, k", [
+    (lambda: wg.build_uniform_triangle_mesh(4), 2),
+    (lambda: wg.build_uniform_triangle_mesh(4), 3),
+    (lambda: wg.build_uniform_triangle_mesh(4), 4),
+    (lambda: wg.build_uniform_triangle_mesh(4), 5),
+    (lambda: wg.build_uniform_quad_mesh(4), 4),
+    (lambda: jittered_triangle_mesh(5, 3), 3),
+    (lambda: wg.mesh_from_cells(*polygonal_mesh_cells()), 5),
+    (lambda: _brick_mesh(6, 2), 3),
+], ids=["tri4-k2", "tri4-k3", "tri4-k4", "tri4-k5", "quad4-k4",
+        "jittered-k3", "polygons-k5", "brick6-k3"])
+def test_condensed_system_is_the_schur_complement_of_the_reference(make, k):
+    # S and g are condensed shape by shape; the reference eliminates the
+    # interiors from the full free-DOF matrix, densely
+    problem = wg.get_problem("example2")
+    system = wg.assemble_system(make(), k, problem.source)
+    reduced = wg.apply_boundary_conditions(system, problem.trace,
+                                           problem.normal_flux)
+    matrix, rhs = reference_reduced(system, reduced)
+    a, m = matrix.toarray(), system.layout.trace_offset
+    solved = np.linalg.solve(a[:m, :m], np.column_stack([a[:m, m:],
+                                                         rhs[:m]]))
+    schur = a[m:, m:] - a[m:, :m] @ solved[:, :-1]
+    g = rhs[m:] - a[m:, :m] @ solved[:, -1]
+    for got, want in ((reduced.matrix.toarray(), schur), (reduced.rhs, g)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _spoil_first_interior_block(monkeypatch, spoil):
+    """Assemble with the first shape's interior block passed through
+    ``spoil``."""
+    exact = assembly._batch_operators
+
+    def spoiled(mesh, cells, k):
+        op = exact(mesh, cells, k)
+        n, stiffness = wg.polynomial_space_dim(k), op.stiffness.copy()
+        stiffness[0, :n, :n] = spoil(stiffness[0, :n, :n]
+                                     + op.stabilizer[0, :n, :n])
+        stiffness[0, :n, :n] -= op.stabilizer[0, :n, :n]
+        return dataclasses.replace(op, stiffness=stiffness)
+
+    monkeypatch.setattr(assembly, "_batch_operators", spoiled)
+    problem = wg.get_problem("example2")
+    wg.assemble_system(wg.build_uniform_triangle_mesh(2), 2, problem.source)
+
+
+def test_indefinite_interior_block_raises_solver_error(monkeypatch):
+    with pytest.raises(wg.SolverError, match="interior block is not positive"):
+        _spoil_first_interior_block(monkeypatch, lambda block: block - 2.0
+                                    * np.linalg.eigvalsh(block)[-1]
+                                    * np.eye(len(block)))
+
+
+def test_non_finite_interior_block_raises_solver_error(monkeypatch):
+    def spoil(block):
+        block[0, 0] = np.inf
+        return block
+
+    with pytest.raises(wg.SolverError, match="interior block is not finite"):
+        _spoil_first_interior_block(monkeypatch, spoil)

@@ -64,6 +64,36 @@ def test_solve_on_mesh_frees_the_assembled_system_before_solving(
     assert alive == [False]
 
 
+def test_solve_on_mesh_builds_no_full_matrix(monkeypatch):
+    # the pipeline scatters S over the edge DOFs; the full (total x total)
+    # matrix is built only when a reference is asked for
+    shapes = []
+    exact = wg.assembly.sp.coo_matrix
+
+    def recorded(*args, **kwargs):
+        matrix = exact(*args, **kwargs)
+        shapes.append(matrix.shape)
+        return matrix
+
+    monkeypatch.setattr(wg.assembly.sp, "coo_matrix", recorded)
+    mesh = build_mesh("quad", 3)
+    _, reduced, _, _ = wg.solve_on_mesh(wg.get_problem("example2"), 3, mesh)
+    layout = reduced.layout
+    edges = layout.total - layout.trace_offset
+    assert (edges, edges) in shapes
+    assert (layout.total, layout.total) not in shapes
+
+
+@pytest.mark.parametrize("levels", [(), 4])
+def test_levels_that_name_no_mesh_level_are_rejected(monkeypatch, levels):
+    def fail(*args):
+        raise AssertionError("a mesh was built before the levels were checked")
+
+    monkeypatch.setattr(study, "build_mesh", fail)
+    with pytest.raises(ValueError, match="levels"):
+        wg.run_study(wg.StudyConfig("example2", 2, levels=levels))
+
+
 def test_non_integer_degree_or_level_rejected():
     problem = wg.get_problem("example2")
     with pytest.raises(ValueError, match="degree must be an integer"):

@@ -21,9 +21,15 @@
     python tools/bench_batched.py --baseline-src PARENT/src --repeat 10 \
         --cases tri-n128-k2,quad-n24-k4,brick-n24-seed3-k3 \
         --out BENCH_mesh_tables.json
+    python tools/bench_batched.py --baseline-src PARENT/src --repeat 10 \
+        --cases tri-n128-k2,quad-n64-k3,brick-n24-seed3-k3 --out direct.json
+    python tools/bench_batched.py --baseline-src PARENT/src --repeat 10 \
+        --solver cg --cases tri-n128-k2,quad-n64-k3 --out cg.json
 
 The cg.json and direct.json records are kept together as
-``{"runs": [cg, direct]}`` in BENCH_block_read.json, and
+``{"runs": [cg, direct]}`` in BENCH_block_read.json (the first pair of
+commands) and as ``{"runs": [direct, cg]}`` in
+BENCH_condense_per_shape.json (the last pair), and
 BENCH_edge_coefficients.json, BENCH_orthonormal_basis.json,
 BENCH_kernel_rows.json and BENCH_shape_reuse.json each hold ``{"runs":
 [direct, cg]}`` from ``--cases brick-n24-seed3-k3,quad-n24-k4,tri-n64-k2``
@@ -45,11 +51,16 @@ fill (L.nnz + U.nnz) without holding factors through the timed calls:
 matrix for the direct route, the coarse matrix for CG; null if it factors
 nothing), ``direct_fill`` that of the direct route.  The JSON records
 every sample and, per case and side, the medians of the timings, the peak
-RSS, the iterations and the fills, the stored entries (nnz) of the
-assembled and of the reduced matrix, and the mesh's cells and distinct
-cell shapes (``Mesh.cell_shapes``; null for a package that does not find
-them): the cell kernel runs once per shape, so 1 - shapes / cells is the
-share of the case's cells that reuse another cell's kernel work.
+RSS, the iterations and the fills, the stored entries of the full
+assembled matrix A (``nnz``) and of the reduced matrix (``reduced_nnz``),
+and the mesh's cells and distinct cell shapes (``Mesh.cell_shapes``; null
+for a package that does not find them): the cell kernel runs once per
+shape, so 1 - shapes / cells is the share of the case's cells that reuse
+another cell's kernel work.
+Where assembly condenses the cell interiors, ``assemble_s`` includes the
+condensation, ``reduced_nnz`` counts the condensed trace/flux matrix S,
+and A is the reference that ``SparseSymmetricSystem.matrix`` builds on
+first access, after the peak is read.
 """
 
 import os
