@@ -12,8 +12,9 @@ built by the same scatter, on request only, as a reference.
 
 Boundary conditions are essential: trace and flux blocks of boundary edges
 are set to edge projections of the prescribed data, with the element's edge
-rule (``basis_quadrature.quadrature_exactness``), eliminated from S, and
-their coupling moved to the right-hand side; x_T = L^-T (L^-1 b_T - Y x_e).
+rule (``basis_quadrature.quadrature_exactness``), eliminated from S by
+whole edges in S's own numbering, and their coupling moved to the
+right-hand side; x_T = L^-T (L^-1 b_T - Y x_e).
 """
 
 from __future__ import annotations
@@ -70,12 +71,6 @@ class DofLayout:
         ``gather_local_dofs``, or their (c, nloc) rows for an index array
         of cells of equal vertex count."""
         return gather_local_dofs(self._numbering, mesh, cell)
-
-    def boundary_dofs(self, mesh):
-        """Trace and flux DOFs of boundary edges, ascending."""
-        edges = mesh.boundary_edges
-        return np.concatenate([self._numbering.trace[edges].ravel(),
-                               self._numbering.flux[edges].ravel()])
 
     def field_to_vector(self, field):
         for name, want in (("interior", (self.n_cells, self.cell_block)),
@@ -136,29 +131,33 @@ class SparseSymmetricSystem:
 
 @dataclass
 class ReducedSystem:
-    """S and its right-hand side over the free edge DOFs; ``free_dofs`` are
-    every DOF the boundary data do not fix, the interiors first."""
+    """S and its right-hand side over the free edge DOFs ``free``, in S's
+    numbering (every edge DOF less ``layout.trace_offset``); ``imposed``
+    holds every edge DOF, the boundary data at the fixed ones."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    free_dofs: np.ndarray
-    boundary_dofs: np.ndarray
-    boundary_values: np.ndarray
+    free: np.ndarray
+    imposed: np.ndarray
     layout: DofLayout
     recovery: list
+
+    @property
+    def free_dofs(self):
+        """Every DOF the boundary data do not fix, the interiors first."""
+        offset = self.layout.trace_offset
+        return np.concatenate([np.arange(offset), self.free + offset])
 
     def expand(self, x_b):
         """The full DOF vector from the free edge values x_b: the boundary
         values, and each interior x_T = L^-T (z - Y x_e)."""
-        full = np.zeros(self.layout.total)
-        offset = self.layout.trace_offset
-        full[self.free_dofs[offset:]] = x_b
-        full[self.boundary_dofs] = self.boundary_values
-        interior = full[:offset].reshape(self.layout.n_cells, -1)
-        for cells, which, inv, y, edges, z in self.recovery:
-            z = z - np.einsum("cij,cj->ci", y[which], full[offset:][edges])
+        edges = self.imposed.copy()
+        edges[self.free] = x_b
+        interior = np.zeros((self.layout.n_cells, self.layout.cell_block))
+        for cells, which, inv, y, dofs, z in self.recovery:
+            z = z - np.einsum("cij,cj->ci", y[which], edges[dofs])
             interior[cells] = np.einsum("cji,cj->ci", inv[which], z)
-        return full
+        return np.concatenate([interior.ravel(), edges])
 
 
 def _scatter(size, local_sizes, batches):
@@ -233,27 +232,18 @@ def apply_boundary_conditions(system, trace, flux):
     Returns S and its right-hand side over the free edge DOFs, with the
     boundary coupling moved to the right-hand side.
     """
-    mesh, layout = system.mesh, system.layout
-    offset = layout.trace_offset
-    boundary = layout.boundary_dofs(mesh)
-
-    # Same order as boundary_dofs: every trace block, then every flux block.
-    traces, fluxes = _edge_data(mesh, np.flatnonzero(mesh.boundary_edges),
-                                layout.degree, trace, flux)
-    values = np.concatenate([traces.ravel(), fluxes.ravel()])
-
-    free = np.flatnonzero(np.bincount(boundary - offset,
-                                      minlength=system.schur_rhs.size) == 0)
-
-    # the lift as one SpMV of a zero-padded vector: a CSR column slice
+    mesh, k = system.mesh, system.layout.degree
+    edges = np.flatnonzero(mesh.boundary_edges)
+    # S's order, every trace block then every flux block, edge by edge
+    imposed = np.zeros((2, mesh.n_edges, k))
+    imposed[:, edges] = _edge_data(mesh, edges, k, trace, flux)
+    imposed = imposed.ravel()
+    free = np.flatnonzero(np.tile(np.repeat(~mesh.boundary_edges, k), 2))
+    # the lift as one SpMV of the zero-padded data: a CSR column slice
     # costs about four times as much
-    imposed = np.zeros(system.schur_rhs.size)
-    imposed[boundary - offset] = values
     rhs = (system.schur_rhs - system.schur @ imposed)[free]
-    reduced = system.schur[free][:, free].tocsr()
-    return ReducedSystem(reduced, rhs,
-                         np.concatenate([np.arange(offset), free + offset]),
-                         boundary, values, layout, system.recovery)
+    return ReducedSystem(system.schur[free][:, free].tocsr(), rhs, free,
+                         imposed, system.layout, system.recovery)
 
 
 def dump_matrix(matrix, path):

@@ -3,12 +3,14 @@
 Assembly eliminates the cell interiors cell by cell (``assembly``), so a
 reduced WG system is the trace/flux matrix S and its right-hand side g.
 One pipeline serves both entry points: it solves by the route the config
-names, chosen once per solve, verifies the relative residual
-||S x - g|| / ||g|| and, if that misses the tolerance, takes one
-residual-correction step with the same factors.  ``solve`` reads a
-reduced WG system, ``solve_linear`` any SPD matrix.  One helper
-(``_inverse_cholesky``) forms L^-1 for any stack of SPD blocks: the
-interior blocks, the cell mass matrices and the smoother's.
+names, chosen once per solve, and ``_solve`` alone measures and judges the
+relative residual ||S x - g|| / ||g||: above min(limit, tolerance), the
+limit ``DIRECT_RESIDUAL_LIMIT`` for the direct route and the tolerance for
+CG, it takes one residual-correction step with the same factors, and
+above the limit after that it raises.  ``solve`` reads a reduced WG
+system, ``solve_linear`` any SPD matrix.  One helper (``_inverse_cholesky``)
+forms L^-1 for any stack of SPD blocks: the interior blocks, the cell mass
+matrices and the smoother's.
 
 "cholesky" (the default, sensible up to a few hundred thousand DOFs) is
 SuperLU ``splu`` with a symmetric minimum-degree ordering and no pivoting:
@@ -184,21 +186,10 @@ def _two_level(schur, edge_block, width):
 
 
 def _route(schur, config, scale, edge_block, width):
-    """(route, limit): route(g) -> (x, iterations) solves S x = g by the
-    configured method; limit bounds the relative residual."""
+    """route(g) -> (x, iterations) solves S x = g by the configured method."""
     if config.method == "cholesky":
         factor = _spd_factor(schur)
-
-        def direct(g):
-            x = factor.solve(g)
-            res = _relative_residual(schur, x, g)
-            if res > DIRECT_RESIDUAL_LIMIT:
-                raise SolverError(
-                    f"direct solve residual {res:.3e} exceeds "
-                    f"{DIRECT_RESIDUAL_LIMIT:.1e}; matrix may not be SPD",
-                    residual=res)
-            return x, None
-        return direct, DIRECT_RESIDUAL_LIMIT
+        return lambda g: (factor.solve(g), None)
 
     n = schur.shape[0]
     maxiter = config.max_iterations or max(1, math.ceil(50.0 * math.sqrt(n)))
@@ -221,7 +212,7 @@ def _route(schur, config, scale, edge_block, width):
             f"conjugate gradients on the condensed system did not converge "
             f"in {maxiter} iterations (residual {res:.3e}, target "
             f"{config.tolerance:.1e})", residual=res, iterations=maxiter)
-    return cg, config.tolerance
+    return cg
 
 
 def _solve(matrix, b, config, edge_block, width):
@@ -233,7 +224,9 @@ def _solve(matrix, b, config, edge_block, width):
     n = matrix.shape[0]
     if matrix.shape != (n, n) or b.shape != (n,):
         raise ValueError("matrix/right-hand side shapes do not match")
-    route, limit = _route(matrix, config, _norm(b) or 1.0, edge_block, width)
+    direct = config.method == "cholesky"
+    limit = DIRECT_RESIDUAL_LIMIT if direct else config.tolerance
+    route = _route(matrix, config, _norm(b) or 1.0, edge_block, width)
     x, iterations = route(b)
     res = _relative_residual(matrix, x, b)
     if res > min(limit, config.tolerance):
@@ -246,7 +239,8 @@ def _solve(matrix, b, config, edge_block, width):
     if res > limit:
         raise SolverError(
             f"{config.method} solve residual {res:.3e} exceeds {limit:.1e} "
-            f"after one correction step", residual=res,
+            f"after one correction step"
+            + ("; matrix may not be SPD" if direct else ""), residual=res,
             iterations=iterations)
     return SolveResult(x, config.method, res, iterations)
 

@@ -113,7 +113,7 @@ def reference_reduced(system, reduced):
     ``reduced.free_dofs`` (interiors first) and its right-hand side."""
     free = reduced.free_dofs
     imposed = np.zeros(system.layout.total)
-    imposed[reduced.boundary_dofs] = reduced.boundary_values
+    imposed[system.layout.trace_offset:] = reduced.imposed
     rhs = (system.load - system.matrix @ imposed)[free]
     return system.matrix[free][:, free].tocsr(), rhs
 

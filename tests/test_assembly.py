@@ -187,15 +187,20 @@ def test_boundary_dofs_and_zero_data_elimination():
     mesh = wg.build_uniform_triangle_mesh(2)
     system = wg.assemble_system(mesh, 2, lambda x, y: np.ones_like(x))
     layout = system.layout
-    boundary = layout.boundary_dofs(mesh)
-    n_bedges = int(np.sum(mesh.boundary_edges))
-    assert boundary.size == n_bedges * 4
-    assert np.array_equal(boundary, np.unique(boundary))
-
     zero = lambda x, y: np.zeros_like(x)
     reduced = wg.apply_boundary_conditions(
         system, zero, lambda x, y, nx, ny: np.zeros_like(x))
-    assert not reduced.boundary_values.any()
+    assert np.all(np.diff(reduced.free_dofs) > 0)
+    boundary = np.setdiff1d(np.arange(layout.total), reduced.free_dofs)
+    n_bedges = int(np.sum(mesh.boundary_edges))
+    assert boundary.size == n_bedges * 4
+    numbering = layout.vector_to_field(np.arange(layout.total))
+    on_boundary = mesh.boundary_edges
+    assert np.array_equal(boundary, np.concatenate(
+        [numbering.trace[on_boundary].ravel(),
+         numbering.flux[on_boundary].ravel()]))
+
+    assert not reduced.imposed.any()
     assert reduced.free_dofs.size == layout.total - boundary.size
     edges = reduced.free_dofs[layout.trace_offset:]
     assert np.array_equal(reduced.rhs,
@@ -216,7 +221,6 @@ def test_boundary_flux_data_uses_outward_normal():
     reduced = wg.apply_boundary_conditions(system, problem.trace,
                                            problem.normal_flux)
     layout = system.layout
-    pos = {d: i for i, d in enumerate(reduced.boundary_dofs)}
     checked = 0
     for e in np.flatnonzero(mesh.boundary_edges):
         if abs(mesh.edge_midpoints[e, 0]) > 1e-12:
@@ -225,8 +229,9 @@ def test_boundary_flux_data_uses_outward_normal():
         # the element's edge projection at k = 2
         expected = wg.project_edge(
             mesh, e, lambda x, y: -np.pi * np.sin(np.pi * y), 1)
-        lo = layout.flux_offset + e * layout.edge_block
-        got = [reduced.boundary_values[pos[d]] for d in range(lo, lo + 2)]
+        # the edge's flux slot in S's numbering
+        lo = layout.flux_offset - layout.trace_offset + e * layout.edge_block
+        got = list(reduced.imposed[lo:lo + 2])
         assert got == pytest.approx(expected, abs=1e-13)
         checked += 1
     assert checked == 2
@@ -238,25 +243,26 @@ def test_boundary_trace_data_projection():
     system = wg.assemble_system(mesh, 2, problem.source)
     reduced = wg.apply_boundary_conditions(system, problem.trace,
                                            problem.normal_flux)
-    pos = {d: i for i, d in enumerate(reduced.boundary_dofs)}
     for e in np.flatnonzero(mesh.boundary_edges):
         expected = wg.project_edge(mesh, e, problem.trace, 1)
-        lo = system.layout.trace_offset + e * system.layout.edge_block
-        got = [reduced.boundary_values[pos[d]] for d in range(lo, lo + 2)]
+        lo = e * system.layout.edge_block  # the edge's trace slot in S
+        got = list(reduced.imposed[lo:lo + 2])
         assert got == pytest.approx(expected, abs=1e-13)
 
 
 def test_boundary_data_equal_projection_of_exact_solution():
     # the imposed boundary DOFs and the error report's projection take one
     # edge rule to the solution's own trace and normal derivative, so the
-    # boundary part of the reported error is exactly zero
-    mesh = wg.build_uniform_triangle_mesh(4)
+    # boundary part of the reported error is exactly zero; on the polygonal
+    # mesh the edge numbering is not the grid's
     problem = wg.get_problem("example2")
-    u_h, _, _, _ = wg.solve_on_mesh(problem, 2, mesh)
-    proj = wg.project_field(mesh, 2, problem.solution)
-    edges = mesh.boundary_edges
-    assert np.array_equal(u_h.trace[edges], proj.trace[edges])
-    assert np.array_equal(u_h.flux[edges], proj.flux[edges])
+    for mesh in (wg.build_uniform_triangle_mesh(4),
+                 wg.mesh_from_cells(*polygonal_mesh_cells())):
+        u_h, _, _, _ = wg.solve_on_mesh(problem, 2, mesh)
+        proj = wg.project_field(mesh, 2, problem.solution)
+        edges = mesh.boundary_edges
+        assert np.array_equal(u_h.trace[edges], proj.trace[edges])
+        assert np.array_equal(u_h.flux[edges], proj.flux[edges])
 
 
 @pytest.mark.parametrize("k", [3, 4])

@@ -396,13 +396,13 @@ def _spoil_route(monkeypatch, spoil):
     calls = []
 
     def spoiling(*args):
-        route, limit = exact(*args)
+        route = exact(*args)
 
         def spoiled(g):
             x, iterations = route(g)
             calls.append(iterations)
             return spoil(x, len(calls)), iterations
-        return spoiled, limit
+        return spoiled
 
     monkeypatch.setattr(solver, "_route", spoiling)
     return calls
@@ -459,6 +459,28 @@ def test_inexact_direct_factor_fails_the_schur_residual_check(monkeypatch):
     with pytest.raises(wg.SolverError, match="may not be SPD") as excinfo:
         wg.solve_linear(A, b)
     assert excinfo.value.residual > wg.DIRECT_RESIDUAL_LIMIT
+
+
+def test_correction_step_repairs_a_direct_residual_above_the_limit(
+        monkeypatch):
+    # a factor of (1 + 1e-7) S leaves a residual of 1e-7, above
+    # DIRECT_RESIDUAL_LIMIT; one correction step with it leaves 1e-14
+    reduced = _reduced(wg.build_uniform_quad_mesh(3), 3)
+    exact = solver._spd_factor
+    factored = []
+
+    def perturbed(matrix):
+        factored.append(matrix.shape)
+        return exact((1.0 + 1e-7) * matrix)
+
+    monkeypatch.setattr(solver, "_spd_factor", perturbed)
+    first = _relative_residual(
+        reduced, exact((1.0 + 1e-7) * reduced.matrix).solve(reduced.rhs))
+    assert first > wg.DIRECT_RESIDUAL_LIMIT
+    result = wg.solve(reduced, wg.SolverConfig(method="cholesky"))
+    assert len(factored) == 1
+    assert result.residual <= 1e-12
+    assert result.residual == _relative_residual(reduced, result.x)
 
 
 def test_correction_step_reuses_the_direct_factor(monkeypatch):
