@@ -21,7 +21,7 @@ from .problems import (Problem, example_1, example_2, get_problem,
 from .projection import (ScalarField, WgField, project_cell, project_edge,
                          project_field)
 from .solver import (DIRECT_RESIDUAL_LIMIT, SolveResult, SolverConfig,
-                     SolverError, solve, solve_linear)
+                     SolverError, solve)
 from .study import (ConvergenceTable, StudyConfig, StudyRow, emit_table,
                     observed_order, parse_csv_table, run_study,
                     solve_on_mesh)

@@ -44,6 +44,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .assembly import build_dof_layout
 from .basis_quadrature import (CellBasis, _legendre_edge,
                                polynomial_space_dim, quadrature_exactness)
 from .mesh import edge_points
@@ -71,6 +72,7 @@ def energy_norm(mesh, degree, field):
     """Energy norm of a WgField by quadrature: of the weak Laplacian from
     the rows of ``_batch_rows``, and of the two edge residuals at every
     cell-edge incidence."""
+    build_dof_layout(mesh, degree).field_to_vector(field)  # block shapes
     n2 = polynomial_space_dim(degree - 2)
     total = 0.0
     monomial = np.empty_like(field.interior)
@@ -105,6 +107,7 @@ def energy_norm(mesh, degree, field):
 
 def compute_errors(mesh, degree, u_h, exact):
     """Six-norm error report of ``u_h`` against a smooth exact field."""
+    build_dof_layout(mesh, degree).field_to_vector(u_h)  # block shapes
     trace, flux = _edge_data(mesh, np.arange(mesh.n_edges), degree,
                              exact.value, _normal_derivative(exact))
     diff = WgField(degree, np.empty_like(u_h.interior), trace - u_h.trace,

@@ -2,15 +2,13 @@
 
 Assembly eliminates the cell interiors cell by cell (``assembly``), so a
 reduced WG system is the trace/flux matrix S and its right-hand side g.
-One pipeline serves both entry points: it solves by the route the config
-names, chosen once per solve, and ``_solve`` alone measures and judges the
-relative residual ||S x - g|| / ||g||: above min(limit, tolerance), the
-limit ``DIRECT_RESIDUAL_LIMIT`` for the direct route and the tolerance for
-CG, it takes one residual-correction step with the same factors, and
-above the limit after that it raises.  ``solve`` reads a reduced WG
-system, ``solve_linear`` any SPD matrix.  One helper (``_inverse_cholesky``)
-forms L^-1 for any stack of SPD blocks: the interior blocks, the cell mass
-matrices and the smoother's.
+``solve`` solves it by the route the config names, chosen once per solve,
+and alone measures and judges the relative residual ||S x - g|| / ||g||:
+above min(limit, tolerance), the limit ``DIRECT_RESIDUAL_LIMIT`` for the
+direct route and the tolerance for CG, it takes one residual-correction
+step with the same factors, and above the limit after that it raises.
+One helper (``_inverse_cholesky``) forms L^-1 for any stack of SPD
+blocks: the interior blocks, the cell mass matrices and the smoother's.
 
 "cholesky" (the default, sensible up to a few hundred thousand DOFs) is
 SuperLU ``splu`` with a symmetric minimum-degree ordering and no pivoting:
@@ -24,12 +22,12 @@ Once per iteration it applies symmetric multiplicative two-level Schwarz
 edge's trace and flux modes, and an exact coarse solve, selected by column
 and factored once like the direct route, on every edge's Legendre trace
 modes < 2 (< 1 for k = 2) and flux modes < k - 1, the flux modes the weak
-Laplacian reads.  Its damping is 3 / (2m), m a proven bound on
-lambda_max(D^-1 S) (``_two_level``; Toselli and Widlund): the most edges
-of a cell, or for ``solve_linear``, whose CG runs damped symmetric point
-Jacobi, the most nonzeros in a row.  Failure raises SolverError carrying
-the residual, relative to g, and, for CG, the iteration count, instead of
-returning garbage silently.  Every inner product and norm (``_norm``) is
+Laplacian reads.  Its damping is 3 / (2m), m the most edges of a cell, a
+proven bound on lambda_max(D^-1 S) (``_two_level``; Toselli and Widlund).
+A right-hand side that is not finite raises SolverError before any
+factor is built; failure raises SolverError carrying the residual,
+relative to g, and, for CG, the iteration count, instead of returning
+garbage silently.  Every inner product and norm (``_norm``) is
 a numpy sum, never a BLAS reduction, whose order of terms follows the
 thread count: x, the reported residual and the correction decision are
 the same on any number of BLAS threads.
@@ -135,40 +133,34 @@ def _inverse_cholesky(blocks, name):
     return inv
 
 
-def _two_level(schur, edge_block, width):
+def _two_level(schur, layout):
     """Two-level preconditioner r -> M r of S, symmetric multiplicative: a
     damped block-Jacobi pre-smooth, an exact coarse correction, a post-smooth.
 
-    With ``edge_block`` = k > 0, S holds every edge's k Legendre trace
-    modes, then every edge's k flux modes; a block is one edge's trace and
-    flux modes and the coarse space is trace modes < 2 (< 1 for k = 2)
-    and flux modes < k - 1.  With 0 the blocks are 1 x 1 and there is no
-    coarse space.  M is SPD while w lambda_max(D^-1 S) < 2, D the blocks.
-    S is a sum of semidefinite S_T, each on at most ``width`` blocks x_e,
-    so by Cauchy-Schwarz x^T S_T x <= width sum_e x_e^T (S_T)_ee x_e and
-    lambda_max(D^-1 S) <= width: w = 3 / (2 width) gives w lambda_max
-    <= 3/2 by proof."""
+    S holds every free edge's k = ``layout.edge_block`` Legendre trace
+    modes, then every free edge's k flux modes; a block is one edge's trace
+    and flux modes and the coarse space is trace modes < 2 (< 1 for k = 2)
+    and flux modes < k - 1.  M is SPD while w lambda_max(D^-1 S) < 2, D the
+    blocks.  S is a sum of semidefinite S_T, each on at most m =
+    ``layout.cell_edges`` blocks x_e, so by Cauchy-Schwarz x^T S_T x <= m
+    sum_e x_e^T (S_T)_ee x_e and lambda_max(D^-1 S) <= m: w = 3 / (2m)
+    gives w lambda_max <= 3/2 by proof."""
     n = schur.shape[0]
     if n == 0:  # every edge is on the boundary
         return np.ravel
-    j = np.arange(n)
-    if edge_block:
-        k = edge_block
-        blocks = j.reshape(2, -1, k).transpose(1, 0, 2).reshape(-1, 2 * k)
-        # flux modes < k - 1: those the weak Laplacian reads (its flux mask)
-        coarse = j[j % k < np.where(j < n // 2, min(2, k - 1), k - 1)]
-    else:
-        blocks, coarse = j[:, None], j[:0]
-    size = blocks.shape[1]
+    k, j = layout.edge_block, np.arange(n)
+    blocks = j.reshape(2, -1, k).transpose(1, 0, 2).reshape(-1, 2 * k)
+    # flux modes < k - 1: those the weak Laplacian reads (its flux mask)
+    coarse = j[j % k < np.where(j < n // 2, min(2, k - 1), k - 1)]
 
     # the smoother first, so that its error is raised before the coarse one
-    diag = schur[np.repeat(blocks, size, axis=1).ravel(),
-                 np.tile(blocks, size).ravel()]
-    inv = _inverse_cholesky(np.asarray(diag).reshape(-1, size, size),
+    diag = schur[np.repeat(blocks, 2 * k, axis=1).ravel(),
+                 np.tile(blocks, 2 * k).ravel()]
+    inv = _inverse_cholesky(np.asarray(diag).reshape(-1, 2 * k, 2 * k),
                             "a diagonal block of the block-diagonal smoother")
-    factor = _spd_factor(schur[coarse][:, coarse]) if coarse.size else None
-    # not 1 / width: a weaker smoother stops CG closer to its tolerance
-    omega = 1.5 / width
+    factor = _spd_factor(schur[coarse][:, coarse])
+    # not 1 / m: a weaker smoother stops CG closer to its tolerance
+    omega = 1.5 / layout.cell_edges
 
     def jacobi(r):
         """D^-1 r, block by block."""
@@ -179,13 +171,12 @@ def _two_level(schur, edge_block, width):
 
     def apply(r):
         x = omega * jacobi(r)
-        if factor is not None:
-            x[coarse] += factor.solve((r - schur @ x)[coarse])
+        x[coarse] += factor.solve((r - schur @ x)[coarse])
         return x + omega * jacobi(r - schur @ x)
     return apply
 
 
-def _route(schur, config, scale, edge_block, width):
+def _route(schur, config, scale, layout):
     """route(g) -> (x, iterations) solves S x = g by the configured method."""
     if config.method == "cholesky":
         factor = _spd_factor(schur)
@@ -193,7 +184,7 @@ def _route(schur, config, scale, edge_block, width):
 
     n = schur.shape[0]
     maxiter = config.max_iterations or max(1, math.ceil(50.0 * math.sqrt(n)))
-    precondition = _two_level(schur, edge_block, width)
+    precondition = _two_level(schur, layout)
 
     def cg(g):
         x, r, p, rho = np.zeros(n), g.copy(), np.zeros(n), 1.0
@@ -215,18 +206,23 @@ def _route(schur, config, scale, edge_block, width):
     return cg
 
 
-def _solve(matrix, b, config, edge_block, width):
-    """Solve S x = b, verified and corrected at most once; ``edge_block``
-    and ``width`` describe the blocks of S (``_two_level``)."""
+def solve(system, config=None):
+    """Solve a reduced system, S and its right-hand side (anything with
+    .matrix, .rhs and a DofLayout .layout), verified and corrected at most
+    once: x holds the free edge DOFs, which ``ReducedSystem.expand``
+    completes.  CG's damping assumes S is a sum of semidefinite cell
+    matrices, each on at most ``layout.cell_edges`` edges."""
     config = config or SolverConfig()
-    matrix = sp.csr_matrix(matrix)
-    b = np.asarray(b, dtype=float)
+    matrix = sp.csr_matrix(system.matrix)
+    b = np.asarray(system.rhs, dtype=float)
     n = matrix.shape[0]
     if matrix.shape != (n, n) or b.shape != (n,):
         raise ValueError("matrix/right-hand side shapes do not match")
+    if not np.all(np.isfinite(b)):
+        raise SolverError("the right-hand side has non-finite values")
     direct = config.method == "cholesky"
     limit = DIRECT_RESIDUAL_LIMIT if direct else config.tolerance
-    route = _route(matrix, config, _norm(b) or 1.0, edge_block, width)
+    route = _route(matrix, config, _norm(b) or 1.0, system.layout)
     x, iterations = route(b)
     res = _relative_residual(matrix, x, b)
     if res > min(limit, config.tolerance):
@@ -243,21 +239,3 @@ def _solve(matrix, b, config, edge_block, width):
             + ("; matrix may not be SPD" if direct else ""), residual=res,
             iterations=iterations)
     return SolveResult(x, config.method, res, iterations)
-
-
-def solve_linear(matrix, b, config=None):
-    """Solve the SPD system ``matrix @ x = b`` per the config; CG's damping
-    reads the most nonzeros in a row, by Gershgorin a bound on
-    lambda_max(D^-1 A) since a_ij^2 <= a_ii a_jj."""
-    matrix = sp.csr_matrix(matrix)
-    return _solve(matrix, b, config, 0, np.diff(matrix.indptr).max(initial=0))
-
-
-def solve(system, config=None):
-    """Solve a reduced system, S and its right-hand side (anything with
-    .matrix, .rhs and a DofLayout .layout): x holds the free edge DOFs, which
-    ``ReducedSystem.expand`` completes.  CG's damping assumes S is a sum of
-    semidefinite cell matrices, each on at most ``layout.cell_edges`` edges."""
-    layout = system.layout
-    return _solve(system.matrix, system.rhs, config, layout.edge_block,
-                  layout.cell_edges)

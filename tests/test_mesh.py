@@ -487,6 +487,14 @@ def test_mesh_from_cells_validation():
                        [0.0, -1.0]])
     with pytest.raises(ValueError, match="simply connected.* 2 pieces"):
         wg.mesh_from_cells(bowtie, [[0, 1, 2], [0, 3, 4]])
+    # the ring itself, the 3 x 3 grid less its centre cell: one piece with
+    # a hole
+    with pytest.raises(ValueError, match=r"simply connected disk \(V - E \+ "
+                                         r"F = 0\)"):
+        wg.mesh_from_cells(ring.vertices, ring_cells)
+    for vertices in (np.zeros((4, 3)), np.zeros(8)):
+        with pytest.raises(ValueError, match=r"vertices must be a \(V, 2\)"):
+            wg.mesh_from_cells(vertices, [[0, 1, 2]])
 
     with pytest.raises(ValueError, match=">= 1"):
         wg.build_uniform_triangle_mesh(0)

@@ -25,6 +25,23 @@ def test_zero_field_has_zero_norms():
     assert report.l2_interior == pytest.approx(1.0, rel=1e-13)
 
 
+def test_a_field_of_another_mesh_or_degree_is_rejected():
+    # the n = 4 mesh's loops read an n = 5 field without a numpy error
+    rng = np.random.default_rng(29)
+    mesh = wg.build_uniform_quad_mesh(4)
+    exact = monomial_field(0, 0)
+    other = random_wg_field(wg.build_uniform_quad_mesh(5), 3, rng)
+    low = random_wg_field(mesh, 2, rng)
+    field = random_wg_field(mesh, 3, rng)
+    short = wg.WgField(3, field.interior, field.trace, field.flux[:, :-1])
+    for bad, block in ((other, "interior"), (low, "interior"),
+                       (short, "flux")):
+        with pytest.raises(ValueError, match=f"field's {block} block"):
+            wg.energy_norm(mesh, 3, bad)
+        with pytest.raises(ValueError, match=f"field's {block} block"):
+            wg.compute_errors(mesh, 3, bad, exact)
+
+
 def test_energy_vanishes_on_projected_harmonic_polynomial():
     # u = x y is harmonic and of degree <= k, so Q_h u has zero weak
     # Laplacian and no inter-block mismatch

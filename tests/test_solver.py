@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 
 import wg_biharm as wg
 from conftest import (jittered_triangle_mesh, polygonal_mesh_cells,
@@ -21,111 +20,10 @@ from wg_biharm import assembly, solver
 from wg_biharm.weak_laplacian import _cell_values
 
 
-def _random_spd(n, seed, cond_boost=0.0):
-    rng = np.random.default_rng(seed)
-    R = rng.standard_normal((n, n))
-    A = R.T @ R + (1.0 + cond_boost) * np.eye(n)
-    return sp.csr_matrix(A), rng.standard_normal(n)
-
-
 def _norm(v):
     # a numpy sum, as the solver measures: a BLAS norm's last bit follows
     # the thread count
     return math.sqrt(np.sum(v * v))
-
-
-def test_direct_solves_known_system():
-    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    result = wg.solve_linear(A, np.array([3.0, 3.0]))
-    assert result.method == "cholesky"
-    assert result.x == pytest.approx([1.0, 1.0], abs=1e-14)
-    assert result.residual <= wg.DIRECT_RESIDUAL_LIMIT
-    assert result.iterations is None
-
-
-def test_direct_matches_dense_solver():
-    A, b = _random_spd(60, seed=2)
-    result = wg.solve_linear(A, b)
-    expected = np.linalg.solve(A.toarray(), b)
-    assert np.max(np.abs(result.x - expected)) < 1e-8
-    assert result.residual < 1e-10
-
-
-def test_direct_rejects_singular_matrix():
-    A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(wg.SolverError):
-        wg.solve_linear(A, np.array([1.0, 1.0]))
-
-
-def test_direct_rejects_symmetric_indefinite_matrix():
-    A = sp.csr_matrix(np.array([[2.0, 0.1, 0.0], [0.1, -1.0, 0.0],
-                                [0.0, 0.0, 3.0]]))
-    with pytest.raises(wg.SolverError, match="SPD"):
-        wg.solve_linear(A, np.array([1.0, 1.0, 1.0]))
-
-
-def test_cg_matches_direct_and_reports_iterations():
-    A, b = _random_spd(80, seed=3)
-    direct = wg.solve_linear(A, b)
-    cg = wg.solve_linear(A, b, wg.SolverConfig(method="cg", tolerance=1e-12))
-    assert cg.method == "cg"
-    assert cg.iterations is not None and cg.iterations > 0
-    assert np.max(np.abs(cg.x - direct.x)) < 1e-9 * max(
-        1.0, np.max(np.abs(direct.x)))
-
-
-def test_cg_reports_its_verified_full_residual():
-    A, b = _random_spd(80, seed=4)
-    cfg = wg.SolverConfig(method="cg", tolerance=1e-8)
-    result = wg.solve_linear(A, b, cfg)
-    assert result.residual == _norm(A @ result.x - b) / _norm(b)
-    assert result.residual <= cfg.tolerance
-
-
-def test_cg_nonconvergence_raises_with_diagnostics():
-    A, b = _random_spd(120, seed=5)
-    cfg = wg.SolverConfig(method="cg", tolerance=1e-14, max_iterations=2)
-    with pytest.raises(wg.SolverError) as excinfo:
-        wg.solve_linear(A, b, cfg)
-    err = excinfo.value
-    assert err.iterations == 2
-    assert err.residual is not None and err.residual > 1e-14
-
-
-def test_cg_diagonal_preconditioner_requires_positive_diagonal():
-    A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    with pytest.raises(wg.SolverError, match="diagonal"):
-        wg.solve_linear(A, np.ones(2), wg.SolverConfig(method="cg"))
-
-
-def test_invalid_configuration_rejected():
-    A = sp.identity(3, format="csr")
-    with pytest.raises(ValueError, match="method"):
-        wg.solve_linear(A, np.ones(3), wg.SolverConfig(method="lu"))
-    with pytest.raises(ValueError, match="shapes"):
-        wg.solve_linear(A, np.ones(4))
-
-
-@pytest.mark.parametrize("method", ["cg", "cholesky"])
-def test_invalid_iteration_settings_rejected_before_solving(method):
-    # rejected when the config is built: max_iterations = 0 would reach the
-    # CG loop only after condensation and the preconditioner set-up, and
-    # fail there as non-convergence
-    A, b = _random_spd(20, seed=7)
-    for bad in (0, -3, 2.5):
-        with pytest.raises(ValueError, match="max_iterations"):
-            cfg = wg.SolverConfig(method=method, max_iterations=bad)
-            wg.solve_linear(A, b, cfg)
-    for bad in (-1.0, 0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="tolerance"):
-            cfg = wg.SolverConfig(method=method, tolerance=bad)
-            wg.solve_linear(A, b, cfg)
-
-
-@pytest.mark.parametrize("bad", ["1e-8", None])
-def test_a_tolerance_that_is_not_a_number_is_named(bad):
-    with pytest.raises(ValueError, match="tolerance"):
-        wg.SolverConfig(tolerance=bad)
 
 
 def _reduced(mesh, degree):
@@ -133,6 +31,65 @@ def _reduced(mesh, degree):
     system = wg.assemble_system(mesh, degree, problem.source)
     return wg.apply_boundary_conditions(system, problem.trace,
                                         problem.normal_flux)
+
+
+def test_direct_solves_known_system():
+    reduced = _reduced(wg.build_uniform_quad_mesh(3), 3)
+    x = np.random.default_rng(1).standard_normal(reduced.rhs.size)
+    reduced.rhs = reduced.matrix @ x
+    result = wg.solve(reduced, wg.SolverConfig(method="cholesky"))
+    assert result.method == "cholesky"
+    assert result.iterations is None
+    assert np.max(np.abs(result.x - x)) <= 1e-8 * np.max(np.abs(x))
+    assert result.residual <= wg.DIRECT_RESIDUAL_LIMIT
+
+
+def test_direct_matches_dense_solver():
+    reduced = _reduced(wg.build_uniform_quad_mesh(3), 3)
+    result = wg.solve(reduced, wg.SolverConfig(method="cholesky"))
+    expected = np.linalg.solve(reduced.matrix.toarray(), reduced.rhs)
+    assert result.iterations is None
+    assert np.max(np.abs(result.x - expected)) <= 1e-8 * np.max(
+        np.abs(expected))
+    assert result.residual < 1e-10
+
+
+def test_direct_rejects_singular_matrix():
+    reduced = _reduced(wg.build_uniform_quad_mesh(3), 3)
+    matrix = reduced.matrix.tolil()
+    matrix[0, :] = 0.0
+    matrix[:, 0] = 0.0
+    reduced.matrix = matrix.tocsr()
+    with pytest.raises(wg.SolverError):
+        wg.solve(reduced)
+
+
+def test_invalid_configuration_rejected():
+    with pytest.raises(ValueError, match="method"):
+        wg.SolverConfig(method="lu")
+    reduced = _reduced(wg.build_uniform_quad_mesh(2), 2)
+    reduced.rhs = reduced.rhs[:-1]
+    with pytest.raises(ValueError, match="shapes"):
+        wg.solve(reduced)
+
+
+@pytest.mark.parametrize("method", ["cg", "cholesky"])
+def test_invalid_iteration_settings_rejected_before_solving(method):
+    # rejected when the config is built: max_iterations = 0 would reach the
+    # CG loop only after assembly and the preconditioner set-up, and fail
+    # there as non-convergence
+    for bad in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="max_iterations"):
+            wg.SolverConfig(method=method, max_iterations=bad)
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tolerance"):
+            wg.SolverConfig(method=method, tolerance=bad)
+
+
+@pytest.mark.parametrize("bad", ["1e-8", None])
+def test_a_tolerance_that_is_not_a_number_is_named(bad):
+    with pytest.raises(ValueError, match="tolerance"):
+        wg.SolverConfig(tolerance=bad)
 
 
 def _reference(mesh, degree):
@@ -159,11 +116,11 @@ def test_condensed_solve_agrees_with_uncondensed(mesh, degree, method):
     reduced, matrix, rhs = _reference(mesh, degree)
     cfg = wg.SolverConfig(method=method, tolerance=1e-12)
     condensed = wg.solve(reduced, cfg)
-    full = wg.solve_linear(matrix, rhs, cfg)
+    full = solver._spd_factor(matrix).solve(rhs)
     assert condensed.method == method
     assert (condensed.iterations is None) == (method == "cholesky")
     x = reduced.expand(condensed.x)[reduced.free_dofs]
-    gap = np.linalg.norm(x - full.x) / np.linalg.norm(full.x)
+    gap = np.linalg.norm(x - full) / np.linalg.norm(full)
     assert gap <= 1e-8
     assert condensed.residual == _relative_residual(reduced, condensed.x)
     assert condensed.residual <= 1e-12
@@ -236,9 +193,8 @@ def _assert_spd(matrix):
 @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
 def test_two_level_preconditioner_is_spd(degree):
     reduced = _reduced(wg.build_uniform_triangle_mesh(4), degree)
-    layout, schur = reduced.layout, reduced.matrix
-    _assert_spd(_dense(solver._two_level(schur, layout.edge_block,
-                                         layout.cell_edges),
+    schur = reduced.matrix
+    _assert_spd(_dense(solver._two_level(schur, reduced.layout),
                        schur.shape[0]))
 
 
@@ -269,12 +225,6 @@ def test_indefinite_edge_block_raises_the_smoother_error(mode):
     reduced.matrix = matrix.tocsr()
     with pytest.raises(wg.SolverError, match="block-diagonal smoother"):
         wg.solve(reduced, wg.SolverConfig(method="cg"))
-
-
-def test_pointwise_preconditioner_of_solve_linear_is_spd():
-    A, _ = _random_spd(40, seed=9)
-    _assert_spd(_dense(solver._two_level(A, 0, np.diff(A.indptr).max()),
-                       A.shape[0]))
 
 
 def _brick_mesh(n, seed):
@@ -320,18 +270,16 @@ def test_cg_solve_starts_no_thread(monkeypatch):
     assert result.iterations > 0
 
 
-@pytest.mark.parametrize("entry", ["solve", "solve_linear"])
-def test_cg_solves_are_bitwise_repeatable(entry):
+def test_cg_solves_are_bitwise_repeatable():
     reduced = _reduced(wg.build_uniform_quad_mesh(6), 4)
     cfg = wg.SolverConfig(method="cg")
-    first, second = (_solve_by(entry, reduced, cfg) for _ in range(2))
+    first, second = (wg.solve(reduced, cfg) for _ in range(2))
     assert np.array_equal(first.x, second.x)
     assert first.iterations == second.iterations
     assert first.residual == second.residual
 
 
-@pytest.mark.parametrize("entry", ["solve", "solve_linear"])
-def test_cg_applies_the_preconditioner_once_per_iteration(monkeypatch, entry):
+def test_cg_applies_the_preconditioner_once_per_iteration(monkeypatch):
     build = solver._two_level
     applied = []
 
@@ -345,7 +293,7 @@ def test_cg_applies_the_preconditioner_once_per_iteration(monkeypatch, entry):
 
     monkeypatch.setattr(solver, "_two_level", counting)
     reduced = _reduced(wg.build_uniform_quad_mesh(6), 4)
-    result = _solve_by(entry, reduced, wg.SolverConfig(method="cg"))
+    result = wg.solve(reduced, wg.SolverConfig(method="cg"))
     assert result.iterations > 0
     assert len(applied) == result.iterations
 
@@ -408,20 +356,13 @@ def _spoil_route(monkeypatch, spoil):
     return calls
 
 
-def _solve_by(entry, reduced, cfg):
-    if entry == "solve":
-        return wg.solve(reduced, cfg)
-    return wg.solve_linear(reduced.matrix, reduced.rhs, cfg)
-
-
-@pytest.mark.parametrize("entry", ["solve", "solve_linear"])
 @pytest.mark.parametrize("method", ["cholesky", "cg"])
-def test_inexact_condensed_solve_is_corrected_once(monkeypatch, method, entry):
+def test_inexact_condensed_solve_is_corrected_once(monkeypatch, method):
     # spoil the first route answer; one correction step must repair it
     reduced = _reduced(wg.build_uniform_quad_mesh(3), 3)
     calls = _spoil_route(
         monkeypatch, lambda x, call: x * (1.0 + 1e-6) if call == 1 else x)
-    result = _solve_by(entry, reduced, wg.SolverConfig(method=method))
+    result = wg.solve(reduced, wg.SolverConfig(method=method))
     assert len(calls) == 2
     assert result.residual <= 1e-10
     assert result.residual == _relative_residual(reduced, result.x)
@@ -429,35 +370,50 @@ def test_inexact_condensed_solve_is_corrected_once(monkeypatch, method, entry):
         assert result.iterations == sum(calls)
 
 
-@pytest.mark.parametrize("entry", ["solve", "solve_linear"])
 @pytest.mark.parametrize("method", ["cholesky", "cg"])
-def test_uncorrectable_solve_raises_after_one_correction(monkeypatch, method,
-                                                         entry):
+def test_uncorrectable_solve_raises_after_one_correction(monkeypatch, method):
     reduced = _reduced(wg.build_uniform_quad_mesh(3), 3)
     calls = _spoil_route(monkeypatch, lambda x, call: x * (1.0 + 1e-3))
     cfg = wg.SolverConfig(method=method)
     with pytest.raises(wg.SolverError, match="after one correction") as exc:
-        _solve_by(entry, reduced, cfg)
+        wg.solve(reduced, cfg)
     assert len(calls) == 2
     assert exc.value.residual > cfg.tolerance
     if method == "cg":
         assert exc.value.iterations == sum(calls)
 
 
-@pytest.mark.parametrize("entry", ["solve", "solve_linear"])
-def test_non_finite_solution_raises_solver_error(monkeypatch, entry):
+def test_non_finite_solution_raises_solver_error(monkeypatch):
     reduced = _reduced(wg.build_uniform_quad_mesh(3), 3)
     _spoil_route(monkeypatch, lambda x, call: x * np.nan)
     with pytest.raises(wg.SolverError, match="non-finite"):
-        _solve_by(entry, reduced, wg.SolverConfig())
+        wg.solve(reduced, wg.SolverConfig())
+
+
+@pytest.mark.parametrize("method", ["cholesky", "cg"])
+def test_non_finite_right_hand_side_raises_before_any_route(monkeypatch,
+                                                            method):
+    # a source that is NaN on half the square: CG would run its whole cap
+    # and the direct route factor S before a NaN x could be rejected
+    problem = wg.get_problem("example2")
+    system = wg.assemble_system(
+        wg.build_uniform_quad_mesh(8), 3,
+        lambda x, y: np.where(x > 0.5, np.nan, problem.source(x, y)))
+    reduced = wg.apply_boundary_conditions(system, problem.trace,
+                                           problem.normal_flux)
+    routes = []
+    monkeypatch.setattr(solver, "_route", lambda *args: routes.append(args))
+    with pytest.raises(wg.SolverError, match="right-hand side has non-finite"):
+        wg.solve(reduced, wg.SolverConfig(method=method))
+    assert routes == []
 
 
 def test_inexact_direct_factor_fails_the_schur_residual_check(monkeypatch):
-    A, b = _random_spd(30, seed=8)
+    reduced = _reduced(wg.build_uniform_quad_mesh(3), 3)
     exact = solver._spd_factor
     monkeypatch.setattr(solver, "_spd_factor", lambda m: exact(2.0 * m))
     with pytest.raises(wg.SolverError, match="may not be SPD") as excinfo:
-        wg.solve_linear(A, b)
+        wg.solve(reduced)
     assert excinfo.value.residual > wg.DIRECT_RESIDUAL_LIMIT
 
 
@@ -511,9 +467,11 @@ def test_indefinite_schur_complement_raises_solver_error():
 
 
 def test_zero_rhs_returns_zero():
-    A, _ = _random_spd(10, seed=6)
-    result = wg.solve_linear(A, np.zeros(10))
-    assert np.max(np.abs(result.x)) == 0.0
+    reduced = _reduced(wg.build_uniform_quad_mesh(3), 3)
+    reduced.rhs = np.zeros_like(reduced.rhs)
+    for method in ("cholesky", "cg"):
+        result = wg.solve(reduced, wg.SolverConfig(method=method))
+        assert np.max(np.abs(result.x)) == 0.0
 
 
 def test_condensed_cg_nonconvergence_raises_with_diagnostics():
@@ -554,7 +512,7 @@ def test_condensed_and_uncondensed_routes_report_the_same_errors(make, degree,
     reduced, matrix, rhs = _reference(mesh, degree)
     condensed = reduced.expand(wg.solve(reduced).x)
     uncondensed = condensed.copy()
-    uncondensed[reduced.free_dofs] = wg.solve_linear(matrix, rhs).x
+    uncondensed[reduced.free_dofs] = solver._spd_factor(matrix).solve(rhs)
     reports = []
     for vec in (condensed, uncondensed):
         field = reduced.layout.vector_to_field(vec)
