@@ -7,8 +7,7 @@ per shape of each batch of ``cell_batches``: with the local stiffness plus
 stabilizer [[A_ii, A_ie], [A_ei, A_ee]], A_ii = L L^T, Y = L^-1 A_ie and
 S_T = A_ee - Y^T Y, scattered to the shape's cells in the fixed batch
 order, so the trace/flux matrix S is bitwise reproducible; the load b_T =
-(f, v_0) condenses to g = -sum_T Y_T^T L^-1 b_T.  The full matrix A is
-built by the same scatter, on request only, as a reference.
+(f, v_0) condenses to g = -sum_T Y_T^T L^-1 b_T; A is never formed.
 
 Boundary conditions are essential: trace and flux blocks of boundary edges
 are set to edge projections of the prescribed data, with the element's edge
@@ -107,26 +106,13 @@ class SparseSymmetricSystem:
     """S (CSR over every edge DOF less ``layout.trace_offset``) and its
     right-hand side; per batch of ``cell_batches``, (cells, which, L^-1 and
     Y per shape, each cell's edge DOFs less the offset, z = L^-1 b_T) to
-    recover the interiors; the load (f, v_0) and the layout."""
+    recover the interiors; the layout."""
 
     schur: sp.csr_matrix
     schur_rhs: np.ndarray
     recovery: list
-    load: np.ndarray
     layout: DofLayout
     mesh: object
-
-    @cached_property
-    def matrix(self):
-        """The full assembled operator A (CSR), built on first access: the
-        reference that tests and ``--dump-matrix`` read."""
-        mesh, layout, k = self.mesh, self.layout, self.layout.degree
-        ops = ((_batch_operators(mesh, reps, k), cells, which)
-               for reps, cells, which in cell_batches(mesh, k))
-        local = ((op.stiffness + op.stabilizer, layout.cell_dofs(mesh, c), w)
-                 for op, c, w in ops)
-        return _scatter(layout.total,
-                        layout.cell_block + 2 * k * mesh.cell_sizes, local)
 
 
 @dataclass
@@ -197,7 +183,6 @@ def assemble_system(mesh, degree, source):
     interior block that is not SPD or not finite raises SolverError."""
     layout = build_dof_layout(mesh, degree)
     n, offset = layout.cell_block, layout.trace_offset
-    load = np.zeros(layout.total)
     rhs = np.zeros(layout.total - offset)
     recovery = []
 
@@ -210,7 +195,6 @@ def assemble_system(mesh, degree, source):
             dofs = layout.cell_dofs(mesh, cells)
             b = _project_cells(mesh, cells, which, op.rule, op.values,
                                source)  # (f, phi_j)
-            load[dofs[:, :n]] = b
             z = np.einsum("cij,cj->ci", inv[which], b)
             edges = dofs[:, n:] - offset
             rhs[:] -= np.bincount(edges.ravel(), np.einsum(
@@ -219,7 +203,7 @@ def assemble_system(mesh, degree, source):
             yield local[:, n:, n:] - y.mT @ y, edges, which
 
     schur = _scatter(rhs.size, 2 * degree * mesh.cell_sizes, condensed())
-    return SparseSymmetricSystem(schur, rhs, recovery, load, layout, mesh)
+    return SparseSymmetricSystem(schur, rhs, recovery, layout, mesh)
 
 
 def apply_boundary_conditions(system, trace, flux):

@@ -79,14 +79,20 @@ def _read_only(*arrays):
     return arrays
 
 
-@lru_cache(maxsize=64)
+def _check_exactness(exactness):
+    if (not isinstance(exactness, numbers.Integral)
+            or isinstance(exactness, bool) or exactness < 0):
+        raise ValueError(f"a rule's exactness must be an integer >= 0, got "
+                         f"{exactness!r}")
+
+
+@lru_cache(maxsize=64, typed=True)  # typed, so True is not read as 1
 def edge_quadrature(exactness):
     """Gauss-Legendre rule on [-1, 1] exact for the given degree.
 
     The rule is cached per exactness and its arrays are read-only.
     """
-    if exactness < 0:
-        raise ValueError("exactness must be >= 0")
+    _check_exactness(exactness)
     return QuadratureRule(*_read_only(*leggauss((exactness + 2) // 2)))
 
 
@@ -129,6 +135,7 @@ def polygon_quadrature(vertices, exactness):
     vertices = np.asarray(vertices, dtype=float)
     if vertices.shape[-2] < 3:
         raise ValueError("polygon needs at least 3 vertices")
+    _check_exactness(exactness)
     # All fan triangles at once, triangle by triangle: points p0 + a d1 +
     # b d2, weights ref_w (d1 x d2), negative on a clockwise triangle.
     ref_pts, ref_w = _duffy_rule(exactness)

@@ -6,7 +6,7 @@
 
 ``study`` runs a refinement sweep and prints (or writes) the error table;
 ``solve`` runs a single level and prints the six errors, with an optional
-coordinate-format dump of the reduced matrix before condensation.
+coordinate-format dump of the condensed matrix S that the solver factors.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .assembly import assemble_system, dump_matrix
+from .assembly import dump_matrix
 from .norms import compute_errors
 from .problems import get_problem
 from .solver import DIRECT_RESIDUAL_LIMIT, SolverConfig, SolverError
@@ -74,9 +74,10 @@ def make_parser():
     _add_common(so)
     so.add_argument("--n", type=int, required=True, help="mesh level")
     so.add_argument("--dump-matrix", default=None,
-                    help="write the reduced matrix over every free DOF, "
-                         "before condensation, as 'i j value' lines "
-                         "(0-based, lower triangle)")
+                    help="write the condensed trace/flux matrix S over "
+                         "the free edge DOFs, the matrix the solver "
+                         "factors, as 'i j value' lines (0-based, lower "
+                         "triangle)")
     return parser
 
 
@@ -106,10 +107,8 @@ def _cmd_solve(args):
     mesh = build_mesh(args.mesh, args.n)
     u_h, reduced, result, seconds = solve_on_mesh(problem, args.k, mesh,
                                                   config)
-    if args.dump_matrix:  # the reference over every free DOF, not S
-        full = assemble_system(mesh, args.k, problem.source).matrix
-        dump_matrix(full[reduced.free_dofs][:, reduced.free_dofs],
-                    args.dump_matrix)
+    if args.dump_matrix:
+        dump_matrix(reduced.matrix, args.dump_matrix)
     report = compute_errors(mesh, args.k, u_h, problem.solution)
     print(f"problem {problem.name}  k {args.k}  mesh {args.mesh}  "
           f"n {args.n}  dofs {reduced.layout.total}  "

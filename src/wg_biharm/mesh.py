@@ -240,6 +240,11 @@ def mesh_from_cells(vertices, cells):
     after = np.arange(1, a.size + 1)
     after[np.cumsum(sizes) - 1] -= sizes  # a cell's last vertex wraps
     b = a[after]
+    bad = np.flatnonzero(np.all(vertices[a] == vertices[b], axis=1))
+    if bad.size:  # a zero-length edge has no normal
+        s = bad[0]
+        raise ValueError(f"cell {owner[s]} has coincident consecutive "
+                         f"vertices {a[s]} and {b[s]}")
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     _, first, slot, count = np.unique(lo * len(vertices) + hi,
                                       return_index=True, return_inverse=True,

@@ -1,5 +1,6 @@
-"""Shared helpers: random single-cell meshes, monomial fields, and the
-session-scoped convergence studies reused by the acceptance suite."""
+"""Shared helpers: random single-cell meshes, monomial fields, the
+uncondensed reference system, and the session-scoped convergence studies
+reused by the acceptance suite."""
 
 import time
 
@@ -7,6 +8,9 @@ import numpy as np
 import pytest
 
 import wg_biharm as wg
+from wg_biharm.assembly import _scatter
+from wg_biharm.projection import _project_cells
+from wg_biharm.weak_laplacian import _batch_operators, cell_batches
 
 
 def single_cell_mesh(vertices):
@@ -108,14 +112,44 @@ def monomial_field(a, b):
     return wg.ScalarField(val, grad, lap)
 
 
-def reference_reduced(system, reduced):
+def _reference_batches(system):
+    mesh, k = system.mesh, system.layout.degree
+    for reps, cells, which in cell_batches(mesh, k):
+        yield _batch_operators(mesh, reps, k), cells, which
+
+
+def reference_matrix(system):
+    """The uncondensed operator A (CSR) over every DOF of ``system``, in
+    the layout's global order: stiffness + stabilizer scattered as
+    assembly scatters S, the reference S is checked against."""
+    mesh, layout = system.mesh, system.layout
+    local = ((op.stiffness + op.stabilizer, layout.cell_dofs(mesh, c), w)
+             for op, c, w in _reference_batches(system))
+    return _scatter(layout.total,
+                    layout.cell_block + 2 * layout.degree * mesh.cell_sizes,
+                    local)
+
+
+def reference_load(system, source):
+    """The uncondensed load (source, v_0) over every DOF, zero on the
+    edges: the moments that assembly condenses into g."""
+    mesh, layout = system.mesh, system.layout
+    load = np.zeros(layout.total)
+    for op, cells, which in _reference_batches(system):
+        dofs = layout.cell_dofs(mesh, cells)
+        load[dofs[:, :layout.cell_block]] = _project_cells(
+            mesh, cells, which, op.rule, op.values, source)
+    return load
+
+
+def reference_reduced(system, reduced, source):
     """The reduced system before condensation: the reference matrix A over
     ``reduced.free_dofs`` (interiors first) and its right-hand side."""
-    free = reduced.free_dofs
+    free, matrix = reduced.free_dofs, reference_matrix(system)
     imposed = np.zeros(system.layout.total)
     imposed[system.layout.trace_offset:] = reduced.imposed
-    rhs = (system.load - system.matrix @ imposed)[free]
-    return system.matrix[free][:, free].tocsr(), rhs
+    rhs = (reference_load(system, source) - matrix @ imposed)[free]
+    return matrix[free][:, free].tocsr(), rhs
 
 
 def random_wg_field(mesh, degree, rng):

@@ -18,7 +18,7 @@ from wg_biharm import assembly
 from wg_biharm.weak_laplacian import _batch_operators, cell_batches
 from conftest import (jittered_triangle_mesh, monomial_field,
                       polygonal_mesh_cells, random_wg_field,
-                      reference_reduced)
+                      reference_load, reference_matrix, reference_reduced)
 
 # 4-, 6- and 8-vertex cells in one mesh, a tri mesh of four shapes, and a
 # jittered one of 50, whose one group the batch-size bound cuts into
@@ -89,8 +89,9 @@ def test_field_vector_conversions_reject_wrong_shapes():
 
 def test_assembled_matrix_symmetric_and_load_is_source_moment():
     mesh = wg.build_uniform_triangle_mesh(1)
-    system = wg.assemble_system(mesh, 2, lambda x, y: np.ones_like(x))
-    A = system.matrix
+    one = lambda x, y: np.ones_like(x)
+    system = wg.assemble_system(mesh, 2, one)
+    A, load = reference_matrix(system), reference_load(system, one)
     asym = np.max(np.abs((A - A.T).toarray()))
     assert asym < 1e-12 * np.max(np.abs(A.toarray()))
     layout = system.layout
@@ -98,25 +99,28 @@ def test_assembled_matrix_symmetric_and_load_is_source_moment():
     # so T_00 times it on the first orthonormal mode
     for c in range(mesh.n_cells):
         t00 = wg.local_operators(mesh, c, 2).basis_change[0, 0]
-        assert system.load[c * layout.cell_block] == pytest.approx(
-            0.5 * t00, abs=1e-14)
-    assert np.max(np.abs(system.load[layout.trace_offset:])) == 0.0
+        assert load[c * layout.cell_block] == pytest.approx(0.5 * t00,
+                                                            abs=1e-14)
+    assert np.max(np.abs(load[layout.trace_offset:])) == 0.0
 
 
 def test_zero_source_gives_zero_load():
+    # the condensed load g and every cell's z = L^-1 b_T
     mesh = wg.build_uniform_quad_mesh(2)
     system = wg.assemble_system(mesh, 2, lambda x, y: np.zeros_like(x))
-    assert not system.load.any()
+    assert not system.schur_rhs.any()
+    assert not any(z.any() for *_, z in system.recovery)
 
 
 def test_projected_affine_fields_in_global_nullspace():
     mesh = wg.build_uniform_triangle_mesh(2)
     system = wg.assemble_system(mesh, 2, lambda x, y: np.zeros_like(x))
-    scale = np.max(np.abs(system.matrix.data))
+    A = reference_matrix(system)
+    scale = np.max(np.abs(A.data))
     for a, b in [(0, 0), (1, 0), (0, 1)]:
         field = wg.project_field(mesh, 2, monomial_field(a, b))
         vec = system.layout.field_to_vector(field)
-        assert np.max(np.abs(system.matrix @ vec)) < 1e-11 * scale
+        assert np.max(np.abs(A @ vec)) < 1e-11 * scale
 
 
 def test_assembly_is_deterministic():
@@ -126,10 +130,14 @@ def test_assembly_is_deterministic():
         return x * y
 
     ref, other = (wg.assemble_system(mesh, 2, f) for _ in range(2))
-    assert np.array_equal(ref.matrix.data, other.matrix.data)
-    assert np.array_equal(ref.matrix.indices, other.matrix.indices)
-    assert np.array_equal(ref.matrix.indptr, other.matrix.indptr)
-    assert np.array_equal(ref.load, other.load)
+    assert np.array_equal(ref.schur.data, other.schur.data)
+    assert np.array_equal(ref.schur.indices, other.schur.indices)
+    assert np.array_equal(ref.schur.indptr, other.schur.indptr)
+    assert np.array_equal(ref.schur_rhs, other.schur_rhs)
+    assert len(ref.recovery) == len(other.recovery)
+    for got, want in zip(ref.recovery, other.recovery):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -164,9 +172,10 @@ def test_batched_assembly_matches_per_cell_scatter(name, k):
         A[np.ix_(g, g)] += op.stiffness + op.stabilizer
         f = problem.source(op.rule.points[:, 0], op.rule.points[:, 1])
         load[g[:layout.cell_block]] += op.values.T @ (op.rule.weights * f)
-    gap = np.max(np.abs(system.matrix.toarray() - A))
+    gap = np.max(np.abs(reference_matrix(system).toarray() - A))
     assert gap <= 1e-13 * np.max(np.abs(A))
-    assert np.max(np.abs(system.load - load)) <= 1e-13 * np.max(np.abs(load))
+    gap = np.max(np.abs(reference_load(system, problem.source) - load))
+    assert gap <= 1e-13 * np.max(np.abs(load))
 
 
 def test_assembled_matrices_store_no_exact_zeros():
@@ -179,7 +188,8 @@ def test_assembled_matrices_store_no_exact_zeros():
         system = wg.assemble_system(mesh, k, problem.source)
         reduced = wg.apply_boundary_conditions(system, problem.trace,
                                                problem.normal_flux)
-        assert np.all(system.matrix.data != 0.0)
+        assert np.all(reference_matrix(system).data != 0.0)
+        assert np.all(system.schur.data != 0.0)
         assert np.all(reduced.matrix.data != 0.0)
 
 
@@ -276,14 +286,15 @@ def test_legendre_orthogonal_couplings_are_not_stored(mesh_name, k):
     system = wg.assemble_system(mesh, k, lambda x, y: np.zeros_like(x))
     layout = system.layout
     numbering = layout.vector_to_field(np.arange(layout.total))
+    A = reference_matrix(system)
 
     rows = numbering.trace[:, k - 2:].ravel()
-    coo = system.matrix[rows].tocoo()
+    coo = A[rows].tocoo()
     edge_col = coo.col >= layout.trace_offset
     assert np.array_equal(coo.col[edge_col], rows[coo.row[edge_col]])
 
     rows = numbering.flux[:, k - 1]
-    coo = system.matrix[rows].tocoo()
+    coo = A[rows].tocoo()
     edge_col = coo.col >= layout.trace_offset
     assert np.all(coo.col[edge_col] >= layout.flux_offset)
     assert np.array_equal((coo.col[edge_col] - layout.flux_offset) // k,
@@ -304,9 +315,9 @@ def test_dump_matrix_lower_triangle_format(tmp_path):
     mesh = wg.build_uniform_triangle_mesh(1)
     system = wg.assemble_system(mesh, 2, lambda x, y: np.zeros_like(x))
     path = tmp_path / "matrix.txt"
-    wg.dump_matrix(system.matrix, path)
+    wg.dump_matrix(system.schur, path)
 
-    dense = system.matrix.toarray()
+    dense = system.schur.toarray()
     entries = {}
     last = None
     for line in path.read_text().splitlines():
@@ -320,7 +331,7 @@ def test_dump_matrix_lower_triangle_format(tmp_path):
         assert v == dense[i, j]
     # every stored lower-triangle entry is present
     import scipy.sparse as sp
-    coo = sp.tril(system.matrix.tocoo(), k=0, format="coo")
+    coo = sp.tril(system.schur.tocoo(), k=0, format="coo")
     assert len(entries) == coo.nnz
 
 
@@ -348,7 +359,7 @@ def test_condensed_system_is_the_schur_complement_of_the_reference(make, k):
     system = wg.assemble_system(make(), k, problem.source)
     reduced = wg.apply_boundary_conditions(system, problem.trace,
                                            problem.normal_flux)
-    matrix, rhs = reference_reduced(system, reduced)
+    matrix, rhs = reference_reduced(system, reduced, problem.source)
     a, m = matrix.toarray(), system.layout.trace_offset
     solved = np.linalg.solve(a[:m, :m], np.column_stack([a[:m, m:],
                                                          rhs[:m]]))

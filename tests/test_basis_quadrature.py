@@ -344,9 +344,16 @@ def test_edge_basis_is_orthogonal_with_known_mass():
 
 def test_negative_exactness_rejected():
     with pytest.raises(ValueError):
-        wg.edge_quadrature(-1)
-    with pytest.raises(ValueError):
         wg.polygon_quadrature(np.array([[0.0, 0.0], [1.0, 0.0]]), 2)
+    # a negative, fractional or bool exactness is named by both builders;
+    # True is tried after 1 is cached, which must not answer for it
+    triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    wg.edge_quadrature(1)
+    for bad in (-1, -2, 2.5, True):
+        with pytest.raises(ValueError, match=f"exactness .*got {bad!r}"):
+            wg.edge_quadrature(bad)
+        with pytest.raises(ValueError, match=f"exactness .*got {bad!r}"):
+            wg.polygon_quadrature(triangle, bad)
 
 
 @pytest.mark.parametrize("degree", [2.5, 3.0, "3"])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import wg_biharm as wg
 from wg_biharm.cli import main
@@ -43,6 +44,14 @@ def test_solve_reports_errors_and_dumps_matrix(tmp_path, capsys):
     first = lines[0].split()
     assert len(first) == 3 and first[0] == "0" and first[1] == "0"
     assert float(first[2]) > 0.0  # SPD diagonal head
+    # exactly S over the free edge DOFs, the matrix the solver factors
+    _, reduced, _, _ = wg.solve_on_mesh(wg.get_problem("example1"), 2,
+                                        wg.build_uniform_triangle_mesh(2))
+    assert reduced.matrix.shape == (32, 32) == (reduced.free.size,) * 2
+    lower = sp.tril(reduced.matrix, format="coo")
+    assert sorted(lines) == sorted(
+        f"{i} {j} {v:.17g}" for i, j, v in zip(lower.row, lower.col,
+                                               lower.data))
 
 
 def test_solve_with_cg_reports_iterations(capsys):

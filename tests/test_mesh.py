@@ -448,6 +448,13 @@ def test_mesh_from_cells_validation():
         wg.mesh_from_cells([[0.0, 0.0], [1.0, np.nan], [0.0, 1.0]], [[0, 1, 2]])
     with pytest.raises(ValueError, match="at least one cell"):
         wg.mesh_from_cells(square, [])
+    # a zero-length edge is named before any geometry divides by its length
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="cell 0 has coincident "
+                                             "consecutive vertices 1 and 2"):
+            wg.mesh_from_cells([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]],
+                               [[0, 1, 2, 3, 4]])
     # a collinear cell has zero area and is rejected without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -98,7 +98,7 @@ def _reference(mesh, degree):
     system = wg.assemble_system(mesh, degree, problem.source)
     reduced = wg.apply_boundary_conditions(system, problem.trace,
                                            problem.normal_flux)
-    return (reduced,) + reference_reduced(system, reduced)
+    return (reduced,) + reference_reduced(system, reduced, problem.source)
 
 
 def _relative_residual(reduced, x):

@@ -51,7 +51,7 @@ def test_solve_on_mesh_frees_the_assembled_system_before_solving(
 
     def assemble(*args):
         system = wg.assemble_system(*args)
-        assembled.append(weakref.ref(system.matrix))
+        assembled.append(weakref.ref(system.schur))
         return system
 
     def solve(*args):

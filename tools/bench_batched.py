@@ -51,16 +51,13 @@ fill (L.nnz + U.nnz) without holding factors through the timed calls:
 matrix for the direct route, the coarse matrix for CG; null if it factors
 nothing), ``direct_fill`` that of the direct route.  The JSON records
 every sample and, per case and side, the medians of the timings, the peak
-RSS, the iterations and the fills, the stored entries of the full
-assembled matrix A (``nnz``) and of the reduced matrix (``reduced_nnz``),
-and the mesh's cells and distinct cell shapes (``Mesh.cell_shapes``; null
+RSS, the iterations and the fills, the stored entries of the reduced
+matrix (``reduced_nnz``), and the mesh's cells and distinct cell shapes (``Mesh.cell_shapes``; null
 for a package that does not find them): the cell kernel runs once per
 shape, so 1 - shapes / cells is the share of the case's cells that reuse
 another cell's kernel work.
 Where assembly condenses the cell interiors, ``assemble_s`` includes the
-condensation, ``reduced_nnz`` counts the condensed trace/flux matrix S,
-and A is the reference that ``SparseSymmetricSystem.matrix`` builds on
-first access, after the peak is read.
+condensation and ``reduced_nnz`` counts the condensed trace/flux matrix S.
 """
 
 import os
@@ -145,7 +142,6 @@ def child(src, case, method):
         "iterations": result.iterations,
         "fill": fill, "direct_fill": (fill if method == "cholesky"
                                       else first_fill(wg.SolverConfig())),
-        "nnz": int(system.matrix.nnz),
         "reduced_nnz": int(reduced.matrix.nnz),
         "cells": mesh.n_cells,
         "shapes": None if shapes is None else len(set(shapes.tolist())),
@@ -207,7 +203,7 @@ def main():
             row[side] = {
                 f"median_{key}": statistics.median(r[key] for r in runs)
                 if runs[0][key] is not None else None for key in MEDIANS}
-            for key in ("nnz", "reduced_nnz", "cells", "shapes"):
+            for key in ("reduced_nnz", "cells", "shapes"):
                 row[side][key] = runs[0][key]
             row[side]["samples"] = runs
         record["cases"][case] = row
